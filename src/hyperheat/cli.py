@@ -73,8 +73,12 @@ def parse_boundary(spec: str) -> oracle.BoundaryCondition:
 
 
 def _load_sampled(path: str) -> oracle.BoundaryCondition:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read boundary file {path!r}: {exc.strerror or exc}") from exc
     pts = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -206,10 +210,24 @@ def _solve_config(args, bc) -> evolution.SolveConfig:
     )
 
 
+def _non_finite_message(result: evolution.SolveResult) -> str | None:
+    """One line naming the first non-finite ``(t, x)`` of ``result``, or ``None``."""
+    bad = result.first_non_finite()
+    if bad is None:
+        return None
+    t, x = bad
+    return (f"non-finite value at t={_fmt(t)}, x={_fmt(x)}; "
+            f"max |growth| in the band is {result.max_growth:.6g}")
+
+
 def run_solve(args) -> int:
     bc = parse_boundary(args.g)
     config = _solve_config(args, bc)
     result = evolution.solve(config, threads=args.threads)
+    bad = _non_finite_message(result)
+    if bad is not None:
+        print(f"solve failed: {bad}", file=sys.stderr)
+        return EXIT_VALIDATION
     with_oracle = bc.has_closed_form
     header = ["t", "x", "u_re", "u_im_diag"] + (["oracle", "abs_err"] if with_oracle else [])
     rows = []
@@ -249,19 +267,23 @@ def run_converge(args) -> int:
     bc = parse_boundary(args.g)
     times = _parse_floats(args.times)
     xs = _parse_floats(args.xs)
+    configs = [evolution.SolveConfig(n=n, omega=args.omega, omega_prime=args.omega_prime,
+                                     boundary=bc, times=times, xs=xs) for n in n_list]
+    # the reference does not depend on n: one evaluation per (t, x)
+    reference = bc.closed_form if bc.has_closed_form else (
+        lambda t, x: oracle.classical_solution(bc, t, x))
+    refs = np.array([[reference(t, x).real for x in configs[0].xs] for t in configs[0].times])
     errs = []
     rows = []
-    for n in n_list:
-        config = evolution.SolveConfig(n=n, omega=args.omega, omega_prime=args.omega_prime,
-                                       boundary=bc, times=times, xs=xs)
+    for config in configs:
         result = evolution.solve(config, threads=args.threads)
-        err = 0.0
-        for t, x, u_re, _ in result.rows():
-            ref = (bc.closed_form(t, x) if bc.has_closed_form
-                   else oracle.classical_solution(bc, t, x)).real
-            err = max(err, abs(u_re - ref))
+        bad = _non_finite_message(result)
+        if bad is not None:
+            print(f"converge failed at n={config.n}: {bad}", file=sys.stderr)
+            return EXIT_VALIDATION
+        err = float(np.abs(result.u.real - refs).max(initial=0.0))
         errs.append(err)
-        rows.append((n, err, config.regime_flag))
+        rows.append((config.n, err, config.regime_flag))
     order = float(-np.polyfit(np.log(n_list), np.log(errs), 1)[0])
     rows.append(("order", order, ""))
     _write_csv(args.out, ("n", "max_err", "regime_flag"), rows)

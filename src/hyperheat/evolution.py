@@ -15,10 +15,15 @@ Two routes compute the same evolution:
   while the support stays off the three boundary-sensitive indices.
 
 Production solving (:func:`solve`) truncates the boundary data in space,
-transforms, applies the value-1/2 frequency window and ``growth^{floor(nt)}``,
-and inverse-transforms at the query points only.  Frequencies inside the
-window satisfy ``|growth| <= 1`` whenever the window radius stays inside
-the stability band (roughly ``sqrt(2n)/pi``), which keeps the powers tame.
+transforms it onto the window band only with a chirp-z transform, applies
+the value-1/2 frequency window and ``growth^{floor(nt)}`` on that band, and
+inverse-transforms at the query points only.  It never builds an array over
+the full 2n^2 grid: time is O(omega n log(omega n) + |xs| omega' n) and
+memory O(omega n).  Frequencies inside the window satisfy ``|growth| <= 1``
+whenever the window radius stays inside the stability band (roughly
+``sqrt(2n)/pi``), which keeps the powers tame.  The full-grid views
+(:attr:`Propagator.growth`, :attr:`Window.values`) serve the exact-identity
+layer, :func:`spectral_hat` and :func:`kernel_slice`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
 ``2 n^2``); the transform turns it into a pointwise product exactly, and
@@ -32,12 +37,13 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import Field, GridFunction, GridParams, d_xx
-from .transform import inverse, spectral_symbols
+from .transform import _psi, inverse, spectral_symbols
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -63,6 +69,12 @@ OVERFLOW_LIMIT = 1e100
 
 # solve_via_convolution materialises full-grid kernels; cap the grid size.
 _CONVOLUTION_N_LIMIT = 64
+
+# Largest n at which the chirp's exact phase reduction (intermediates < 8 n^2) fits in int64.
+_INT64_CHIRP_N = math.isqrt((2**63 - 1) // 8)
+
+# Complex entries in one block of the query matrix exp(i pi x k / n): 4 MiB.
+_QUERY_BLOCK_ENTRIES = 1 << 18
 
 
 class EvolutionOverflowError(RuntimeError):
@@ -121,10 +133,27 @@ class Propagator:
     to :meth:`stability_radius` (which is ``sqrt(2n)/pi`` up to an O(1/n)
     correction -- the closed-form radius itself overshoots the discrete
     band edge by a couple of grid points).
+
+    :meth:`at` evaluates the factor on a set of frequency indices only;
+    :attr:`growth` is the full-grid view, built on first access.
     """
 
     params: GridParams
-    growth: GridFunction
+
+    @cached_property
+    def growth(self) -> GridFunction:
+        """``1 + psi^2 / n`` over all 2n^2 frequencies (``psi`` from :func:`spectral_symbols`)."""
+        return GridFunction(self.params, 1.0 + spectral_symbols(self.params).psi.values**2 / self.params.n)
+
+    def at(self, ks: np.ndarray) -> np.ndarray:
+        """Growth factor at frequency indices ``ks``.
+
+        Same elementwise arithmetic as :func:`spectral_symbols` and
+        :attr:`growth`, so the values are bit-identical to
+        ``growth.values[ks + n^2]``.
+        """
+        n = self.params.n
+        return 1.0 + _psi(ks / n, n) ** 2 / n
 
     def power(self, steps: int) -> GridFunction:
         """``growth^steps`` over the full grid.
@@ -154,8 +183,8 @@ class Propagator:
 
 
 def propagator(params: GridParams) -> Propagator:
-    sym = spectral_symbols(params)
-    return Propagator(params, GridFunction(params, 1.0 + sym.psi.values**2 / params.n))
+    """The growth factor of the grid ``params``; builds no array until one is asked for."""
+    return Propagator(params)
 
 
 def spectral_hat(
@@ -216,7 +245,8 @@ class Window:
     The 1/2 compensates the transform pair's round-trip constant 2.  For
     ``radius * n < n^2`` there are exactly ``2 floor(radius n) + 1`` nonzero
     entries, symmetric about 0; for larger radii the window covers the whole
-    grid (every entry 1/2).
+    grid (every entry 1/2).  :attr:`values` is the full-grid view, built on
+    first access; the solve reads only :meth:`band_indices`.
     """
 
     def __init__(self, params: GridParams, radius: float) -> None:
@@ -225,9 +255,11 @@ class Window:
         self.params = params
         self.radius = float(radius)
         self.cutoff = min(int(math.floor(self.radius * params.n)), params.n**2)
-        k = params.space_indices()
-        vals = np.where(np.abs(k) <= self.cutoff, 0.5, 0.0)
-        self.values = GridFunction(params, vals)
+
+    @cached_property
+    def values(self) -> GridFunction:
+        k = self.params.space_indices()
+        return GridFunction(self.params, np.where(np.abs(k) <= self.cutoff, 0.5, 0.0))
 
     def band_indices(self) -> np.ndarray:
         """The frequency indices carrying weight 1/2 (clipped to the grid)."""
@@ -246,10 +278,9 @@ def _windowed_symbol(window: Window, t: float) -> GridFunction:
     """``window * growth^{floor(nt)}`` with powers taken only inside the band."""
     params = window.params
     m = _steps_of(params, t)
-    growth = propagator(params).growth.values
-    ks = window.band_indices() + params.n**2
+    ks = window.band_indices()
     q = np.zeros(params.space_count, dtype=np.complex128)
-    q[ks] = 0.5 * growth[ks] ** m
+    q[ks + params.n**2] = 0.5 * propagator(params).at(ks) ** m
     return GridFunction(params, q)
 
 
@@ -265,10 +296,12 @@ def kernel(t: float, z: float, window: Window) -> complex:
     window's 1/2); Hermitian symmetry of the band makes the value real up
     to rounding and even in ``z``.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"kernel offset must be finite, got z={z}")
     params = window.params
     m = _steps_of(params, t)
     ks = window.band_indices()
-    growth = propagator(params).growth.values[ks + params.n**2]
+    growth = propagator(params).at(ks)
     phases = np.exp(1j * np.pi * (ks / params.n) * z)
     return complex(np.sum(0.5 * growth**m * phases) / params.n)
 
@@ -302,6 +335,9 @@ class SolveConfig:
         for t in self.times:
             if not 0.0 < t < self.n:
                 raise ValueError(f"query times must lie in (0, n); got t={t}")
+        for x in self.xs:
+            if not math.isfinite(x):
+                raise ValueError(f"query points must be finite; got x={x}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
 
@@ -329,6 +365,7 @@ class SolveResult:
     xs: tuple[float, ...]
     u: np.ndarray
     regime_flag: bool = False
+    max_growth: float = 0.0   # max |growth| over the frequency band
 
     def rows(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield ``(t, x, u_re, |u_im|)`` in row-major order."""
@@ -338,6 +375,14 @@ class SolveResult:
 
     def max_imag(self) -> float:
         return float(np.abs(self.u.imag).max()) if self.u.size else 0.0
+
+    def first_non_finite(self) -> tuple[float, float] | None:
+        """The first ``(t, x)``, in row-major order, whose value is NaN or infinite."""
+        bad = np.flatnonzero(~np.isfinite(self.u))
+        if not bad.size:
+            return None
+        i, j = divmod(int(bad[0]), len(self.xs))
+        return self.times[i], self.xs[j]
 
 
 def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -355,17 +400,45 @@ def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
     return js, vals
 
 
+def _chirp(m: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-i pi m^2 / (2 n^2))`` for integers ``m``.
+
+    The phase has period ``4 n^2`` in ``m^2``, and ``m^2 mod 4n^2`` depends
+    only on ``m mod 2n^2``.  The reduction is exact integer arithmetic done
+    before ``exp``, so the phase stays accurate however large ``m^2`` is;
+    floating-point ``m^2`` loses it (``scipy.signal.czt`` is off by ~5e-10
+    on the n=2048 band).  Splitting ``m mod 2n^2 = a n + b`` keeps every
+    intermediate below ``8 n^2``, so int64 suffices up to ``n = 2^30``.
+    """
+    half = n * n
+    if n > _INT64_CHIRP_N:
+        m = m.astype(object)                              # Python integers: exact at any n
+    r = m % (2 * half)
+    a, b = r // n, r % n                                  # r = a n + b, 0 <= a < 2n, 0 <= b < n
+    residue = (half * (a * a % 4) + 2 * n * (a * b % (2 * n)) + b * b) % (4 * half)
+    return np.exp(-2j * np.pi * (residue / (4 * half)).astype(np.float64))
+
+
 def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
-    """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k, chunked over k."""
-    out = np.empty(ks.size, dtype=np.complex128)
-    chunk = 512
-    for s in range(0, ks.size, chunk):
-        kk = ks[s : s + chunk]
-        out[s : s + chunk] = np.exp(-1j * np.pi * np.outer(kk, js) / (n * n)) @ vals
-    return out / n
+    """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k (Bluestein chirp-z).
+
+    ``js`` and ``ks`` are contiguous ascending integer ranges.  With
+    ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is ``chirp(k)`` times the
+    linear convolution of ``vals * chirp(j)`` with ``conj(chirp(d))`` over
+    every difference ``d = k - j``, done by one FFT convolution in
+    O((J + K) log(J + K)).
+    """
+    J, K = js.size, ks.size
+    ds = np.arange(ks[0] - js[-1], ks[-1] - js[0] + 1)     # J + K - 1 differences
+    size = 1 << (ds.size - 1).bit_length()                 # >= J + K - 1: no wrap-around
+    a = np.fft.fft(vals * _chirp(js, n), size)
+    b = np.fft.fft(np.conj(_chirp(ds, n)), size)
+    conv = np.fft.ifft(a * b)[J - 1 : J - 1 + K]
+    return _chirp(ks, n) * conv / n
 
 
-def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> None:
+def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> float:
+    """Warn when ``|growth|`` exceeds 1 inside the window; return its maximum."""
     gmax = float(np.abs(growth_band).max())
     if gmax > 1.0 + 1e-12:
         warnings.warn(
@@ -374,47 +447,51 @@ def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+    return gmax
 
 
 def solve(config: SolveConfig, threads: int = 1) -> SolveResult:
     """Windowed spectral solution at the query points.
 
     Pipeline: sample and truncate the boundary data to ``[-omega, omega)``;
-    forward-transform onto the window band only; multiply by the window and
-    ``growth^{floor(nt)}``; inverse-transform by direct summation at each
-    query point.  Work is O(omega n * omega' n + |queries| * omega' n).
+    forward-transform onto the window band only (chirp-z); multiply by the
+    window and ``growth^{floor(nt)}``, one column per time; inverse-transform
+    by direct summation at the query points, all times in one matrix
+    product per block of points.  Work is
+    O(omega n log(omega n) + |xs| omega' n) and memory O(omega n); no array
+    spans the full 2n^2 grid.
 
-    ``threads > 1`` parallelises over query points; each point's sum keeps
-    a fixed reduction order, so results are identical at any thread count.
+    ``threads > 1`` spreads the point blocks over threads.  The blocks do
+    not depend on the thread count, so results are identical at any count.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
-    window = Window(params, config.omega_prime)
-    ks = window.band_indices()
+    ks = Window(params, config.omega_prime).band_indices()
     ghat = _restricted_forward(js, gvals, ks, config.n)
 
-    growth_band = propagator(params).growth.values[ks + config.n**2]
-    _check_band_stability(config, growth_band)
+    growth = propagator(params).at(ks)
+    gmax = _check_band_stability(config, growth)
+    coeffs = np.empty((ks.size, len(config.times)), dtype=np.complex128)
+    for i, t in enumerate(config.times):
+        coeffs[:, i] = 0.5 * ghat * growth ** _steps_of(params, t)
 
     xs = np.asarray(config.xs, dtype=float)
     u = np.empty((len(config.times), xs.size), dtype=np.complex128)
     freqs = ks / config.n
 
-    def fill_block(i: int, q: np.ndarray, sl: slice) -> None:
-        u[i, sl] = np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ q / config.n
+    def fill_block(sl: slice) -> None:
+        u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / config.n
 
-    for i, t in enumerate(config.times):
-        m = _steps_of(params, t)
-        q = 0.5 * ghat * growth_band**m
-        if threads > 1 and xs.size > 1:
-            blocks = [slice(s, s + max(1, xs.size // threads + 1))
-                      for s in range(0, xs.size, max(1, xs.size // threads + 1))]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda sl: fill_block(i, q, sl), blocks))
-        else:
-            fill_block(i, q, slice(None))
+    rows = max(1, _QUERY_BLOCK_ENTRIES // ks.size)
+    blocks = [slice(s, s + rows) for s in range(0, xs.size, rows)]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill_block, blocks))
+    else:
+        for sl in blocks:
+            fill_block(sl)
 
-    return SolveResult(config.times, config.xs, u, config.regime_flag)
+    return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
 
 def solve_via_convolution(config: SolveConfig) -> SolveResult:
@@ -435,11 +512,11 @@ def solve_via_convolution(config: SolveConfig) -> SolveResult:
     full[js + params.n**2] = gvals
     g = GridFunction(params, full)
     window = Window(params, config.omega_prime)
-    _check_band_stability(config, propagator(params).growth.values[window.band_indices() + params.n**2])
+    gmax = _check_band_stability(config, propagator(params).at(window.band_indices()))
 
     positions = [params.position(int(math.floor(config.n * x))) for x in config.xs]
     u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)
     for i, t in enumerate(config.times):
         conv = convolve(kernel_slice(window, t), g)
         u[i, :] = conv.values[positions]
-    return SolveResult(config.times, config.xs, u, config.regime_flag)
+    return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)

@@ -115,11 +115,16 @@ class SpectralSymbols:
     phi: GridFunction
 
 
+def _psi(x: np.ndarray, n: int) -> np.ndarray:
+    """``psi(x) = n (e^{i pi x/n} - 1)`` at the frequencies ``x``."""
+    return n * (np.exp(1j * np.pi * x / n) - 1.0)
+
+
 @lru_cache(maxsize=8)
 def spectral_symbols(params: GridParams) -> SpectralSymbols:
     n = params.n
     x = params.space_points()
-    psi = n * (np.exp(1j * np.pi * x / n) - 1.0)
+    psi = _psi(x, n)
     phi = n * (np.exp(-1j * np.pi * x / n) - 1.0)
     return SpectralSymbols(params, GridFunction(params, psi), GridFunction(params, phi))
 

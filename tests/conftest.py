@@ -34,3 +34,11 @@ def reference_inverse(f: GridFunction) -> np.ndarray:
     for p, k in enumerate(js):
         out[p] = np.sum(f.values * np.exp(1j * np.pi * js * k / (n * n))) / n
     return out
+
+
+def reference_restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
+    """Independent direct band sum ``(1/n) sum_j vals_j e^{-i pi j k / n^2}``: per-frequency np.sum."""
+    out = np.empty(ks.size, dtype=np.complex128)
+    for p, k in enumerate(ks):
+        out[p] = np.sum(vals * np.exp(-1j * np.pi * js * k / (n * n))) / n
+    return out

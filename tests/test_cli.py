@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hyperheat.transform
+from hyperheat import oracle
 from hyperheat.cli import main, parse_boundary
 from hyperheat.grid import GridFunction
 
@@ -32,6 +33,13 @@ class TestBoundaryParsing:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             parse_boundary("mystery:1,2")
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["solve", "--n", "32", "--g", f"sampled:{missing}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: cannot read boundary file")
 
 
 class TestValidate:
@@ -90,6 +98,25 @@ class TestSolve:
     def test_invalid_time_is_config_error(self, capsys):
         assert main(["solve", "--n", "32", "--times", "0"]) == 2
         assert main(["solve", "--n", "32", "--times", "-0.5"]) == 2
+
+    def test_non_finite_query_point_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--xs=nan,0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "configuration error: query points must be finite; got x=nan\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_fails_without_rows(self, tmp_path, capsys):
+        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--n", "64", "--omega-prime", "20", "--times", "10",
+                     "--xs", "0,1", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: non-finite value at t=10.0, x=0.0; "
+                              "max |growth| in the band is ")
+        assert err.count("\n") == 1
 
     def test_non_closed_form_boundary_omits_oracle(self, tmp_path):
         out = tmp_path / "ind.csv"
@@ -168,6 +195,33 @@ class TestConverge:
     def test_needs_three_sizes(self):
         assert main(["converge", "--n-list", "32,64"]) == 2
         assert main(["converge"]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_fails_without_rows(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--n-list", "32,48,64", "--omega-prime", "20",
+                     "--times", "10", "--xs", "0,1", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("converge failed at n=32: non-finite value at t=10.0, x=0.0; ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+    def test_quadrature_reference_once_per_point(self, monkeypatch, tmp_path):
+        calls = []
+        real = oracle.classical_solution
+
+        def counting(bc, t, x):
+            calls.append((t, x))
+            return real(bc, t, x)
+
+        monkeypatch.setattr(oracle, "classical_solution", counting)
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--n-list", "32,64,128", "--g", "bump:0,1", "--times", "0.5",
+                     "--xs=-1.5:1.5:7", "--out", str(out)]) == 0
+        assert len(calls) == 7 and len(set(calls)) == 7
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["32", "64", "128", "order"]
 
 
 class TestRates:

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hyperheat import evolution
 from hyperheat import (
     EvolutionOverflowError,
     GridFunction,
@@ -23,10 +27,12 @@ from hyperheat import (
     solve,
     solve_via_convolution,
     spectral_hat,
+    spectral_symbols,
     step,
 )
+from hyperheat.evolution import _chirp, _restricted_forward
 
-from conftest import random_grid_function
+from conftest import random_grid_function, reference_restricted_forward
 
 
 def supported_random(params, lo, hi, rng):
@@ -219,6 +225,13 @@ class TestPropagator:
             closed = prop.magnitude_squared_closed_form()
             assert np.abs(direct - closed).max() <= 1e-12 * (1 + closed.max())
 
+    def test_band_values_bit_identical_to_full_grid(self):
+        for n in (7, 64, 129):
+            prop = propagator(GridParams(n))
+            for lo, hi in ((-3 * n, 3 * n), (-n * n, n * n - 1), (5 - n * n, 17)):
+                ks = np.arange(max(lo, -n * n), min(hi, n * n - 1) + 1)
+                assert np.array_equal(prop.at(ks), prop.growth.values[ks + n * n])
+
     def test_stability_radius_matches_band_to_first_order(self):
         for n in (64, 256):
             prop = propagator(GridParams(n))
@@ -287,6 +300,12 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(-0.5, 0.0, w)
 
+    def test_rejects_non_finite_offset(self):
+        w = Window(GridParams(4), 1.0)
+        for z in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(0.5, z, w)
+
 
 class TestSolveConfig:
     def test_validation(self):
@@ -299,6 +318,9 @@ class TestSolveConfig:
             SolveConfig(n=8, omega=2.0, omega_prime=2.0, boundary=bc, times=(0.0,), xs=(0.0,))
         with pytest.raises(ValueError):
             SolveConfig(n=8, omega=2.0, omega_prime=2.0, boundary=bc, times=(-1.0,), xs=(0.0,))
+        for x in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolveConfig(n=8, omega=2.0, omega_prime=2.0, boundary=bc, times=(0.5,), xs=(0.0, x))
 
     def test_regime_flag(self):
         bc = gaussian()
@@ -342,11 +364,14 @@ class TestSolve:
 
     def test_threads_do_not_change_output(self):
         bc = gaussian()
-        config = SolveConfig(n=32, omega=3.0, omega_prime=2.0, boundary=bc,
-                             times=(0.5,), xs=tuple(np.linspace(-1, 1, 11)))
-        a = solve(config, threads=1).u
-        b = solve(config, threads=3).u
-        assert np.array_equal(a, b)
+        band = 2 * 2 * 32 + 1
+        # one block of points, then several (the block holds a bounded matrix)
+        for count in (11, 3 * (evolution._QUERY_BLOCK_ENTRIES // band) + 7):
+            config = SolveConfig(n=32, omega=3.0, omega_prime=2.0, boundary=bc,
+                                 times=(0.5, 1.5), xs=tuple(np.linspace(-1, 1, count)))
+            a = solve(config, threads=1).u
+            b = solve(config, threads=3).u
+            assert np.array_equal(a, b)
 
     def test_warns_outside_stability_band(self):
         # band at n=16 is sqrt(32)/pi ~ 1.8; a radius-4 window pokes out of it
@@ -354,6 +379,79 @@ class TestSolve:
                              boundary=gaussian(), times=(0.5,), xs=(0.0,))
         with pytest.warns(RuntimeWarning, match="growth"):
             solve(config)
+
+
+@st.composite
+def band_cases(draw):
+    """A grid ``n <= 64``, contiguous sample and frequency ranges on it, and a data seed."""
+    n = draw(st.integers(1, 64))
+    half = n * n
+
+    def contiguous():
+        length = draw(st.integers(1, min(2 * half, 192)))
+        start = draw(st.integers(-half, half - length))
+        return np.arange(start, start + length)
+
+    return n, contiguous(), contiguous(), draw(st.integers(0, 2**32 - 1))
+
+
+class TestBandTransform:
+    @settings(max_examples=60, deadline=None)
+    @given(case=band_cases())
+    @example(case=(16, np.arange(-256, 256), np.arange(-256, 256), 0))
+    @example(case=(64, np.arange(-4096, -3904), np.arange(3904, 4096), 1))
+    def test_chirp_z_matches_direct_sum(self, case):
+        n, js, ks, seed = case
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(js.size) + 1j * rng.standard_normal(js.size)
+        got = _restricted_forward(js, vals, ks, n)
+        ref = reference_restricted_forward(js, vals, ks, n)
+        assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum() / n)
+
+    def test_chirp_reduction_exact_at_large_n(self, monkeypatch):
+        # m^2 overflows int64 above n = 55108 and squares of 2n^2 far earlier
+        def exact(m, n):
+            period = 4 * n * n
+            return np.exp(-2j * np.pi * np.array([(v * v) % period / period for v in m]))
+
+        for n in (1000, 10**5, 10**9, 2**31):
+            m = [1 - 2 * n * n, -n * n - 1, -3, 12_345_678_901 % (2 * n * n), 2 * n * n - 1]
+            assert np.abs(_chirp(np.array(m), n) - exact(m, n)).max() <= 1e-15
+        m = np.arange(-2 * 1000**2, 2 * 1000**2, 997)
+        int64_path = _chirp(m, 1000)
+        monkeypatch.setattr(evolution, "_INT64_CHIRP_N", 0)
+        assert np.array_equal(_chirp(m, 1000), int64_path)
+
+    def test_solve_matches_reference_path(self):
+        n = 1024
+        bc = gaussian()
+        config = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=bc,
+                             times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 9)))
+        got = solve(config).u
+        js = np.arange(-4 * n, 4 * n)
+        ks = np.arange(-3 * n, 3 * n + 1)
+        ghat = reference_restricted_forward(js, bc(js / n).astype(complex), ks, n)
+        growth = propagator(GridParams(n)).growth.values[ks + n * n]
+        for i, t in enumerate(config.times):
+            q = 0.5 * ghat * growth ** math.floor(n * t)
+            for j, x in enumerate(config.xs):
+                assert abs(got[i, j] - np.sum(q * np.exp(1j * np.pi * ks / n * x)) / n) <= 1e-12
+
+    def test_solve_and_kernel_stay_off_the_full_grid(self):
+        n = 4096   # one complex array over the 2n^2 grid would take 537 MB
+        config = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                             times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 41)))
+        cached = spectral_symbols.cache_info().currsize
+        tracemalloc.start()
+        try:
+            res = solve(config)
+            kernel(0.5, 0.0, Window(GridParams(n), 3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert spectral_symbols.cache_info().currsize == cached
+        assert res.first_non_finite() is None
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
