@@ -27,14 +27,15 @@ _VALIDATE_NS = (1, 2, 4, 8, 16)
 _VALIDATE_MAX_N = 16
 
 
-def _fmt(v) -> str:
-    """Full round-trip formatting for floats; everything else via str()."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header``.
 
-
-def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
+    Each column goes through ``numpy.asarray(...).tolist()``, so cells reach
+    the writer as Python scalars: floats print as their shortest round-trip
+    ``repr``, everything else via ``str()``.  A column that mixes strings
+    with numbers becomes strings, which numpy prints the same way.
+    """
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     if out:
         fh = open(out, "w", encoding="utf-8", newline="")
     else:
@@ -42,8 +43,7 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
     try:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
     finally:
         if out:
             fh.close()
@@ -189,7 +189,7 @@ def run_validate(seed: int, max_n: int, out: str | None = None) -> int:
         rows.append((name, ratio, ok))
         if not ok and failed is None:
             failed = name
-    _write_csv(out, ("identity", "residual_over_tolerance", "pass"), rows)
+    _write_csv(out, ("identity", "residual_over_tolerance", "pass"), zip(*rows))
     if failed is not None:
         print(f"validation failed: {failed}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -216,7 +216,7 @@ def _non_finite_message(result: evolution.SolveResult) -> str | None:
     if bad is None:
         return None
     t, x = bad
-    return (f"non-finite value at t={_fmt(t)}, x={_fmt(x)}; "
+    return (f"non-finite value at t={t!r}, x={x!r}; "
             f"max |growth| in the band is {result.max_growth:.6g}")
 
 
@@ -228,16 +228,16 @@ def run_solve(args) -> int:
     if bad is not None:
         print(f"solve failed: {bad}", file=sys.stderr)
         return EXIT_VALIDATION
-    with_oracle = bc.has_closed_form
-    header = ["t", "x", "u_re", "u_im_diag"] + (["oracle", "abs_err"] if with_oracle else [])
-    rows = []
-    for t, x, u_re, u_im in result.rows():
-        row = [t, x, u_re, u_im]
-        if with_oracle:
-            ref = bc.closed_form(t, x).real
-            row += [ref, abs(u_re - ref)]
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+    ts = np.repeat(result.times, len(result.xs)).tolist()
+    xs = np.tile(result.xs, len(result.times)).tolist()
+    u = result.u.ravel()
+    columns = [ts, xs, u.real, np.abs(u.imag)]
+    header = ["t", "x", "u_re", "u_im_diag"]
+    if bc.has_closed_form:
+        ref = np.array([bc.closed_form(t, x).real for t, x in zip(ts, xs)])
+        columns += [ref, np.abs(u.real - ref)]
+        header += ["oracle", "abs_err"]
+    _write_csv(args.out, header, columns)
     return EXIT_OK
 
 
@@ -254,7 +254,7 @@ def run_kernel(args) -> int:
             val = evolution.kernel(t, z, window)
             ref = oracle.gaussian_heat_kernel(t, z)
             rows.append((t, z, val.real, abs(val.imag), ref, abs(val.real - ref)))
-    _write_csv(args.out, ("t", "z", "kernel_re", "kernel_im_diag", "oracle", "abs_err"), rows)
+    _write_csv(args.out, ("t", "z", "kernel_re", "kernel_im_diag", "oracle", "abs_err"), zip(*rows))
     return EXIT_OK
 
 
@@ -286,7 +286,7 @@ def run_converge(args) -> int:
         rows.append((config.n, err, config.regime_flag))
     order = float(-np.polyfit(np.log(n_list), np.log(errs), 1)[0])
     rows.append(("order", order, ""))
-    _write_csv(args.out, ("n", "max_err", "regime_flag"), rows)
+    _write_csv(args.out, ("n", "max_err", "regime_flag"), zip(*rows))
     print(f"fitted convergence order: {order:.4f}", file=sys.stderr)
     return EXIT_OK
 
@@ -326,7 +326,7 @@ def run_rates(args) -> int:
         resid = oracle.gaussian_transform_identity(t, z)
         add("gauss_transform", f"t={t},z={z}", resid, "<=1e-08", resid <= 1e-8)
 
-    _write_csv(args.out, ("check", "param", "observed", "bound_or_bracket", "pass"), rows)
+    _write_csv(args.out, ("check", "param", "observed", "bound_or_bracket", "pass"), zip(*rows))
     bad = [r[0] for r in rows if not r[4]]
     if bad:
         print(f"rate checks failed: {', '.join(sorted(set(bad)))}", file=sys.stderr)

@@ -17,11 +17,14 @@ Two routes compute the same evolution:
 Production solving (:func:`solve`) truncates the boundary data in space,
 transforms it onto the window band only with a chirp-z transform, applies
 the value-1/2 frequency window and ``growth^{floor(nt)}`` on that band, and
-inverse-transforms at the query points only.  It never builds an array over
-the full 2n^2 grid: time is O(omega n log(omega n) + |xs| omega' n) and
-memory O(omega n).  Frequencies inside the window satisfy ``|growth| <= 1``
-whenever the window radius stays inside the stability band (roughly
-``sqrt(2n)/pi``), which keeps the powers tame.  The full-grid views
+inverse-transforms at the query points only: by a second chirp-z transform
+when they are uniformly spaced, by direct summation otherwise.  It never
+builds an array over the full 2n^2 grid: time is
+O((omega n + |xs|) log(omega n + |xs|)) on uniform points and
+O(omega n log(omega n) + |xs| omega' n) on others, memory O(omega n + |xs|).
+Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
+window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
+which keeps the powers tame.  The full-grid views
 (:attr:`Propagator.growth`, :attr:`Window.values`) serve the exact-identity
 layer, :func:`spectral_hat` and :func:`kernel_slice`.
 
@@ -75,6 +78,11 @@ _INT64_CHIRP_N = math.isqrt((2**63 - 1) // 8)
 
 # Complex entries in one block of the query matrix exp(i pi x k / n): 4 MiB.
 _QUERY_BLOCK_ENTRIES = 1 << 18
+
+# Uniform query sets of this many points take the chirp-z evaluation.  The
+# query matrix is cheaper below about 12 points at n = 64..65536 (any two
+# points are trivially uniform); at 16 the chirp-z wins or ties at every n.
+_MIN_CHIRP_POINTS = 16
 
 
 class EvolutionOverflowError(RuntimeError):
@@ -419,22 +427,108 @@ def _chirp(m: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (residue / (4 * half)).astype(np.float64))
 
 
+def _rate_chirp(m: np.ndarray, rate: float) -> np.ndarray:
+    """``exp(2 pi i rate m^2)`` for integers ``m`` (``m^2`` must fit int64), reduced mod 1.
+
+    ``rate`` splits into two halves of at most 26 significant bits
+    (Veltkamp) and ``m^2`` into 26-bit parts, so every partial product, and
+    its fractional part, is exact in float64; only the sum of the fractions
+    rounds.  Floating-point ``rate * m^2`` would lose the phase in
+    proportion to its size.
+    """
+    split = 134217729.0 * rate                            # 2^27 + 1
+    rate_hi = split - (split - rate)
+    sq = m * m
+    sq_parts = [((sq >> s) & (2**26 - 1)).astype(np.float64) * 2.0**s for s in (0, 26, 52)]
+    turns = sum(np.modf(r * q)[0] for r in (rate_hi, rate - rate_hi) for q in sq_parts)
+    return np.exp(2j * np.pi * (turns - np.round(turns)))
+
+
+def _bluestein(
+    vals: np.ndarray, ins: np.ndarray, outs: np.ndarray, chirp: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``chirp(p) sum_q vals[..., q] chirp(q) conj(chirp(p - q))`` for each ``p`` in ``outs``.
+
+    ``ins`` indexes the last axis of ``vals``; ``ins`` and ``outs`` are
+    contiguous ascending integer ranges, and leading axes are batched.  The
+    sum is a linear convolution over every difference ``d = p - q``, done by
+    one FFT convolution in O((Q + P) log(Q + P)) (Bluestein's chirp-z).
+    """
+    Q, P = ins.size, outs.size
+    ds = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)   # Q + P - 1 differences
+    size = 1 << (ds.size - 1).bit_length()                     # >= Q + P - 1: no wrap-around
+    a = np.fft.fft(vals * chirp(ins), size)
+    b = np.fft.fft(np.conj(chirp(ds)), size)
+    return chirp(outs) * np.fft.ifft(a * b)[..., Q - 1 : Q - 1 + P]
+
+
 def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
     """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k (Bluestein chirp-z).
 
     ``js`` and ``ks`` are contiguous ascending integer ranges.  With
-    ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is ``chirp(k)`` times the
-    linear convolution of ``vals * chirp(j)`` with ``conj(chirp(d))`` over
-    every difference ``d = k - j``, done by one FFT convolution in
-    O((J + K) log(J + K)).
+    ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
+    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``.
     """
-    J, K = js.size, ks.size
-    ds = np.arange(ks[0] - js[-1], ks[-1] - js[0] + 1)     # J + K - 1 differences
-    size = 1 << (ds.size - 1).bit_length()                 # >= J + K - 1: no wrap-around
-    a = np.fft.fft(vals * _chirp(js, n), size)
-    b = np.fft.fft(np.conj(_chirp(ds, n)), size)
-    conv = np.fft.ifft(a * b)[J - 1 : J - 1 + K]
-    return _chirp(ks, n) * conv / n
+    return _bluestein(vals, js, ks, lambda m: _chirp(m, n)) / n
+
+
+def _uniform_step(xs: np.ndarray) -> float | None:
+    """The step ``h`` when ``xs`` is an arithmetic progression of at least
+    ``_MIN_CHIRP_POINTS`` points, else ``None``.
+
+    Every point must lie within 4 ulps of ``max|x|`` of ``xs[0] + j h``, with
+    ``h = (xs[-1] - xs[0]) / (J - 1)``; ``lo:hi:count`` query sets do.
+    """
+    J = xs.size
+    if J < _MIN_CHIRP_POINTS:
+        return None
+    h = (xs[-1] - xs[0]) / (J - 1)
+    tol = 4.0 * np.spacing(np.abs(xs).max())
+    return float(h) if np.abs(xs - (xs[0] + np.arange(J) * h)).max() <= tol else None
+
+
+def _chirp_query(
+    coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float, n: int
+) -> np.ndarray:
+    """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` on the uniform set ``xs``.
+
+    Points are taken as ``x_j = xs[c] + (j - c) h`` about the middle index
+    ``c``, so that ``e^{i pi x_j k / n} = e^{i pi xs[c] k / n} e^{i pi h (j - c) k / n}``;
+    the second factor is a chirp-z transform of rate ``pi h / (2n)`` over the
+    band, done for all times at once.  Centring keeps ``|j - c - k|`` small.
+    """
+    c = (xs.size - 1) // 2
+    ps = np.arange(-c, xs.size - c)
+    vals = coeffs.T * np.exp(1j * np.pi * (ks / n) * xs[c])
+    rate = math.fmod(h, 2 * n) / (4 * n)                 # the factor has period 2n in h
+    return _bluestein(vals, ks, ps, lambda m: _rate_chirp(m, rate)) / n
+
+
+def _matrix_query(
+    coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int, threads: int
+) -> np.ndarray:
+    """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` at any points ``xs``.
+
+    Builds ``exp(i pi x k / n)`` once per block of points and applies it to
+    all times in one matrix product; ``threads > 1`` spreads the blocks over
+    threads.  The blocks do not depend on the thread count, so results are
+    identical at any count.
+    """
+    u = np.empty((coeffs.shape[1], xs.size), dtype=np.complex128)
+    freqs = ks / n
+
+    def fill_block(sl: slice) -> None:
+        u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / n
+
+    rows = max(1, _QUERY_BLOCK_ENTRIES // ks.size)
+    blocks = [slice(s, s + rows) for s in range(0, xs.size, rows)]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill_block, blocks))
+    else:
+        for sl in blocks:
+            fill_block(sl)
+    return u
 
 
 def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> float:
@@ -456,13 +550,16 @@ def solve(config: SolveConfig, threads: int = 1) -> SolveResult:
     Pipeline: sample and truncate the boundary data to ``[-omega, omega)``;
     forward-transform onto the window band only (chirp-z); multiply by the
     window and ``growth^{floor(nt)}``, one column per time; inverse-transform
-    by direct summation at the query points, all times in one matrix
-    product per block of points.  Work is
-    O(omega n log(omega n) + |xs| omega' n) and memory O(omega n); no array
-    spans the full 2n^2 grid.
+    at the query points, all times together.  A uniform query set (at least
+    ``_MIN_CHIRP_POINTS`` points in arithmetic progression, as ``lo:hi:count``
+    gives) takes a second chirp-z transform, O((|xs| + omega' n) log); any
+    other set takes direct summation, one matrix product per block of
+    points, O(|xs| omega' n).  Memory is O(omega n + |xs|); no array spans
+    the full 2n^2 grid.
 
-    ``threads > 1`` spreads the point blocks over threads.  The blocks do
-    not depend on the thread count, so results are identical at any count.
+    ``threads > 1`` spreads the point blocks of direct summation over
+    threads; results are identical at any count.  Overflow in the powers is
+    left to :meth:`SolveResult.first_non_finite` to report.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
@@ -471,26 +568,16 @@ def solve(config: SolveConfig, threads: int = 1) -> SolveResult:
 
     growth = propagator(params).at(ks)
     gmax = _check_band_stability(config, growth)
-    coeffs = np.empty((ks.size, len(config.times)), dtype=np.complex128)
-    for i, t in enumerate(config.times):
-        coeffs[:, i] = 0.5 * ghat * growth ** _steps_of(params, t)
-
     xs = np.asarray(config.xs, dtype=float)
-    u = np.empty((len(config.times), xs.size), dtype=np.complex128)
-    freqs = ks / config.n
-
-    def fill_block(sl: slice) -> None:
-        u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / config.n
-
-    rows = max(1, _QUERY_BLOCK_ENTRIES // ks.size)
-    blocks = [slice(s, s + rows) for s in range(0, xs.size, rows)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_block, blocks))
-    else:
-        for sl in blocks:
-            fill_block(sl)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _uniform_step(xs)
+        coeffs = np.empty((ks.size, len(config.times)), dtype=np.complex128)
+        for i, t in enumerate(config.times):
+            coeffs[:, i] = 0.5 * ghat * growth ** _steps_of(params, t)
+        if h is None:
+            u = _matrix_query(coeffs, ks, xs, config.n, threads)
+        else:
+            u = _chirp_query(coeffs, ks, xs, h, config.n)
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_symbol_approx",
     "difference_symbol_residual",
     "gaussian_symbol_residual",
-    "propagator_residual",
     "RateReport",
     "rate_check_p",
     "rate_check_t",
@@ -267,11 +266,6 @@ def difference_symbol_residual(n: int) -> complex:
 def gaussian_symbol_residual(n: int, y: float) -> complex:
     """``gaussian_symbol_approx(n, y) - exp(-pi^2 y^2)``; O(1/n) at fixed y."""
     return complex(gaussian_symbol_approx(n, y) - math.exp(-math.pi**2 * y * y))
-
-
-def propagator_residual(n: int, y: float, t: float) -> complex:
-    """``gaussian_symbol_approx(n, y)^t - exp(-pi^2 t y^2)`` (principal branch power)."""
-    return complex(gaussian_symbol_approx(n, y) ** t - math.exp(-math.pi**2 * t * y * y))
 
 
 # -- rate reports ------------------------------------------------------------

@@ -42,3 +42,14 @@ def reference_restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarra
     for p, k in enumerate(ks):
         out[p] = np.sum(vals * np.exp(-1j * np.pi * js * k / (n * n))) / n
     return out
+
+
+def reference_query(xs: np.ndarray, ks: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Independent direct sum ``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}``.
+
+    One np.sum per point, no shared query matrix.
+    """
+    out = np.empty((coeffs.shape[1], xs.size), dtype=np.complex128)
+    for j, x in enumerate(xs):
+        out[:, j] = np.sum(coeffs * np.exp(1j * np.pi * x * ks / n)[:, None], axis=0) / n
+    return out

@@ -1,12 +1,17 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperheat
 import hyperheat.transform
 from hyperheat import oracle
-from hyperheat.cli import main, parse_boundary
+from hyperheat.cli import _write_csv, main, parse_boundary
 from hyperheat.grid import GridFunction
 
 
@@ -14,6 +19,23 @@ def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def run_cli(args):
+    """``python -m hyperheat.cli ARGS`` in a fresh interpreter that prints every warning."""
+    src = str(Path(hyperheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hyperheat.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestCsvFormat:
+    def test_cells_print_as_python_scalars(self, tmp_path):
+        out = tmp_path / "cells.csv"
+        _write_csv(str(out), ("a", "b", "c", "d", "e", "f"),
+                   [[np.float64(0.1)], [1e-05], [-0.0], [np.True_], [3], ["order"]])
+        assert out.read_bytes() == b"a,b,c,d,e,f\r\n0.1,1e-05,-0.0,True,3,order\r\n"
 
 
 class TestBoundaryParsing:
@@ -108,15 +130,25 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_fails_without_rows(self, tmp_path, capsys):
-        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows
+        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows;
+        # a point list and a uniform set (the chirp-z evaluation) both fail closed
         out = tmp_path / "u.csv"
-        assert main(["solve", "--n", "64", "--omega-prime", "20", "--times", "10",
-                     "--xs", "0,1", "--out", str(out)]) == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("solve failed: non-finite value at t=10.0, x=0.0; "
-                              "max |growth| in the band is ")
-        assert err.count("\n") == 1
+        for xs, first in (("0,1", "0.0"), ("-1:1:41", "-1.0")):
+            assert main(["solve", "--n", "64", "--omega-prime", "20", "--times", "10",
+                         f"--xs={xs}", "--out", str(out)]) == 1
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith(f"solve failed: non-finite value at t=10.0, x={first}; "
+                                  "max |growth| in the band is ")
+            assert err.count("\n") == 1
+
+    def test_non_finite_result_prints_no_numpy_warnings(self, tmp_path):
+        out = tmp_path / "u.csv"
+        proc = run_cli(["solve", "--n", "64", "--omega-prime", "20", "--times", "10",
+                        "--xs", "0,1", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "encountered in" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("solve failed: ")
 
     def test_non_closed_form_boundary_omits_oracle(self, tmp_path):
         out = tmp_path / "ind.csv"
@@ -205,6 +237,14 @@ class TestConverge:
         err = capsys.readouterr().err
         assert err.startswith("converge failed at n=32: non-finite value at t=10.0, x=0.0; ")
         assert err.count("\n") == 1
+
+    def test_non_finite_result_prints_no_numpy_warnings(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        proc = run_cli(["converge", "--n-list", "32,48,64", "--omega-prime", "20",
+                        "--times", "10", "--xs", "0,1", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "encountered in" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("converge failed at n=32: ")
 
     @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
     def test_quadrature_reference_once_per_point(self, monkeypatch, tmp_path):

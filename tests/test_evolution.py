@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +32,15 @@ from hyperheat import (
     spectral_symbols,
     step,
 )
-from hyperheat.evolution import _chirp, _restricted_forward
+from hyperheat.evolution import (
+    _chirp,
+    _chirp_query,
+    _restricted_forward,
+    _truncated_samples,
+    _uniform_step,
+)
 
-from conftest import random_grid_function, reference_restricted_forward
+from conftest import random_grid_function, reference_query, reference_restricted_forward
 
 
 def supported_random(params, lo, hi, rng):
@@ -365,10 +373,13 @@ class TestSolve:
     def test_threads_do_not_change_output(self):
         bc = gaussian()
         band = 2 * 2 * 32 + 1
-        # one block of points, then several (the block holds a bounded matrix)
-        for count in (11, 3 * (evolution._QUERY_BLOCK_ENTRIES // band) + 7):
+        many = 3 * (evolution._QUERY_BLOCK_ENTRIES // band) + 7
+        # one block of points, then several (the block holds a bounded matrix);
+        # the cubed points are not uniform, so they take the blocked matrix path
+        for xs in (np.linspace(-1, 1, 11), np.linspace(-1, 1, many),
+                   np.linspace(-1, 1, many) ** 3):
             config = SolveConfig(n=32, omega=3.0, omega_prime=2.0, boundary=bc,
-                                 times=(0.5, 1.5), xs=tuple(np.linspace(-1, 1, count)))
+                                 times=(0.5, 1.5), xs=tuple(xs))
             a = solve(config, threads=1).u
             b = solve(config, threads=3).u
             assert np.array_equal(a, b)
@@ -452,6 +463,91 @@ class TestBandTransform:
         assert peak < 64e6
         assert spectral_symbols.cache_info().currsize == cached
         assert res.first_non_finite() is None
+
+
+@st.composite
+def uniform_query_cases(draw):
+    """A grid ``n <= 256``, a window band, a uniform ``lo:hi:count`` set (either order), a seed."""
+    n = draw(st.integers(1, 256))
+    radius = draw(st.floats(0.5, 4.0))
+    # six decimals: arbitrary steps, but no subnormal range, where linspace
+    # itself strays by more than 4 ulps from an arithmetic progression
+    lo, hi = (draw(st.floats(-8.0, 8.0).map(lambda v: round(v, 6))) for _ in range(2))
+    count = draw(st.integers(evolution._MIN_CHIRP_POINTS, 600))
+    return n, radius, np.linspace(lo, hi, count), draw(st.integers(0, 2**32 - 1))
+
+
+def _matrix_path_only(monkeypatch):
+    """Make ``solve`` treat every query set as non-uniform."""
+    monkeypatch.setattr(evolution, "_uniform_step", lambda xs: None)
+
+
+def _coefficient_scale(config):
+    """``sum_k |c_k| / n`` over the solve's band coefficients at any time (``|growth| <= 1``)."""
+    js, gvals = _truncated_samples(config)
+    ks = Window(config.params, config.omega_prime).band_indices()
+    return np.abs(0.5 * _restricted_forward(js, gvals, ks, config.n)).sum() / config.n
+
+
+class TestUniformQuery:
+    @settings(max_examples=60, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(256, 4.0, np.linspace(8.0, -8.0, 600), 0))
+    @example(case=(3, 1.0, np.linspace(-0.5, 7.25, 16), 1))
+    def test_chirp_z_matches_direct_sum(self, case):
+        n, radius, xs, seed = case
+        ks = Window(GridParams(n), radius).band_indices()
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((ks.size, 2)) + 1j * rng.standard_normal((ks.size, 2))
+        h = _uniform_step(xs)
+        assert h is not None
+        got = _chirp_query(coeffs, ks, xs, h, n)
+        ref = reference_query(xs, ks, coeffs, n)
+        assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
+
+    def test_rate_chirp_exact_at_large_index(self):
+        # rate m^2 reaches 1e17 turns here; in floating point its phase would be lost
+        m = np.array([0, 1, -7, 393_217, -2_000_003, 94_906_267, 3_000_000_000])
+        for rate in (0.1 / (4 * 65536), -1 / 3, 0.2421875, 1e-12, 0.0):
+            exact = [float(Fraction(rate) * v * v % 1) for v in m.tolist()]
+            got = evolution._rate_chirp(m, rate)
+            assert np.abs(got - np.exp(2j * np.pi * np.array(exact))).max() <= 1e-15
+
+    def test_matches_matrix_path_on_large_grid(self, monkeypatch):
+        n = 1024
+        config = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                             times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 4001)))
+        got = solve(config).u
+        _matrix_path_only(monkeypatch)
+        ref = solve(config).u
+        assert np.abs(got - ref).max() <= 1e-12 * (1 + _coefficient_scale(config))
+
+    def test_gaussian_surface_is_real(self):
+        config = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                             times=tuple(np.linspace(0.25, 2, 8)),
+                             xs=tuple(np.linspace(-4, 4, 2001)))
+        assert _uniform_step(np.asarray(config.xs)) is not None
+        assert solve(config).max_imag() <= 1e-12
+
+    def test_non_uniform_sets_take_the_matrix_path(self, monkeypatch):
+        config = SolveConfig(n=256, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                             times=(0.5, 1.0), xs=tuple(np.linspace(-3, 3, 301)))
+        xs = np.asarray(config.xs)
+        perm = np.random.default_rng(5).permutation(xs.size)
+
+        def run(points):
+            return solve(dataclasses.replace(config, xs=tuple(points))).u
+
+        assert _uniform_step(xs[perm]) is None
+        uniform, shuffled = run(xs), run(xs[perm])
+        assert np.abs(shuffled - uniform[:, perm]).max() <= 1e-12 * (1 + _coefficient_scale(config))
+
+        few = [(0.3,), (-1.0, 0.5)]
+        default = [run(points) for points in few]
+        _matrix_path_only(monkeypatch)
+        assert np.array_equal(run(xs[perm]), shuffled)
+        for points, u in zip(few, default):
+            assert np.array_equal(run(points), u)
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
