@@ -21,9 +21,9 @@ xs = tuple(np.linspace(-2, 2, 9))
 config = SolveConfig(n=256, omega=4.0, omega_prime=3.0, boundary=bc, times=(T,), xs=xs)
 result = solve(config)
 print(f"{'x':>6} {'u(t,x)':>12} {'classical':>12} {'abs err':>10} {'imag diag':>10}")
-for t, x, u_re, u_im in result.rows():
-    ref = bc.closed_form(t, x).real
-    print(f"{x:>6.2f} {u_re:>12.6f} {ref:>12.6f} {abs(u_re - ref):>10.2e} {u_im:>10.2e}")
+for x, u in zip(xs, result.u[0]):
+    ref = bc.closed_form(T, x).real
+    print(f"{x:>6.2f} {u.real:>12.6f} {ref:>12.6f} {abs(u.real - ref):>10.2e} {abs(u.imag):>10.2e}")
 print(f"\nparameter-regime flag (sufficient conditions hold): {result.regime_flag}")
 
 print("\ngrid refinement (same query set, 41 points):")
@@ -32,7 +32,7 @@ errs = {}
 for n in (64, 128, 256, 512):
     cfg = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=bc, times=(T,), xs=xs41)
     res = solve(cfg)
-    errs[n] = max(abs(u - bc.closed_form(t, x).real) for t, x, u, _ in res.rows())
+    errs[n] = max(abs(u - bc.closed_form(T, x).real) for x, u in zip(xs41, res.u[0].real))
     print(f"  n={n:>4}: max error {errs[n]:.3e}")
 order = -np.polyfit(np.log(list(errs)), np.log(list(errs.values())), 1)[0]
 print(f"fitted convergence order: {order:.3f}")

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import evolution, oracle, transform
-from .grid import GridFunction, GridParams
+from . import checks, evolution, oracle
+from .grid import GridParams
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -25,6 +25,7 @@ EXIT_CONFIG = 2
 
 _VALIDATE_NS = (1, 2, 4, 8, 16)
 _VALIDATE_MAX_N = 16
+_VALIDATE_SMALL_N = 8   # the convolution and difference suites stop here
 
 
 def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
@@ -98,98 +99,29 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 # -- validate ----------------------------------------------------------------
 
 
-def _random_grid_functions(params: GridParams, count: int, rng) -> list[GridFunction]:
-    M = params.space_count
-    return [
-        GridFunction(params, rng.standard_normal(M) + 1j * rng.standard_normal(M))
-        for _ in range(count)
-    ]
-
-
-def _check_inversion(ns, rng, trials=25):
-    worst = 0.0
-    for n in ns:
-        params = GridParams(n)
-        for f in _random_grid_functions(params, trials, rng):
-            tol = 1e-9 * (1.0 + f.max_abs())
-            r = np.abs(transform.inverse(transform.forward(f)).values - 2.0 * f.values).max()
-            s = np.abs(transform.forward(transform.inverse(f)).values - 2.0 * f.values).max()
-            worst = max(worst, max(r, s) / tol)
-    return worst
-
-
-def _check_convolution(ns, rng, trials=10):
-    worst = 0.0
-    for n in ns:
-        if n > 8:
-            continue
-        params = GridParams(n)
-        fs = _random_grid_functions(params, trials, rng)
-        gs = _random_grid_functions(params, trials, rng)
-        for f, g in zip(fs, gs):
-            # |f_hat| <= 2n max|f|, so the product comparison lives at scale 4n^2
-            scale = 1.0 + 4.0 * n * n * f.max_abs() * g.max_abs()
-            worst = max(worst, evolution.check_convolution_theorem(f, g) / (1e-9 * scale))
-    return worst
-
-
-def _check_derivative_identities(ns, rng, trials=25):
-    worst = 0.0
-    for n in ns:
-        if n > 8:
-            continue
-        params = GridParams(n)
-        for f in _random_grid_functions(params, trials, rng):
-            tol1 = 1e-9 * (1.0 + n * f.max_abs())
-            tol2 = 1e-9 * (1.0 + n * n * f.max_abs())
-            worst = max(worst, transform.check_dx_identity(f) / tol1)
-            worst = max(worst, transform.check_dxx_identity(f) / tol2)
-    return worst
-
-
-def _check_stepper_spectral(rng):
-    worst = 0.0
-    for n in (2, 4):
-        params = GridParams(n)
-        steps = min(6, params.time_count - 1)
-        g = _random_grid_functions(params, 1, rng)[0]
-        field = evolution.evolve(g, steps)
-        ghat = transform.forward(g)
-        corrections = [transform.boundary_corrections(field.slice(j)).f_corr
-                       for j in range(steps)]
-        for i in range(steps + 1):
-            ref = transform.forward(field.slice(i))
-            got = evolution.spectral_hat(ghat, corrections, i)
-            scale = max(1.0, ref.max_abs())
-            worst = max(worst, np.abs(got.values - ref.values).max() / (1e-8 * scale))
-    return worst
-
-
-_VALIDATION_CHECKS = (
-    ("inversion", _check_inversion, True),
-    ("convolution-theorem", _check_convolution, True),
-    ("derivative-transform", _check_derivative_identities, True),
-    ("stepper-spectral", _check_stepper_spectral, False),
-)
-
-
-def run_validate(seed: int, max_n: int, out: str | None = None) -> int:
+def run_validate(args) -> int:
     """Exact-identity suites on random data; exit 0 iff every residual is in contract."""
-    if max_n > _VALIDATE_MAX_N:
-        raise ValueError(f"validate supports n up to {_VALIDATE_MAX_N}, got {max_n}")
-    ns = [n for n in _VALIDATE_NS if n <= max_n]
+    if args.n > _VALIDATE_MAX_N:
+        raise ValueError(f"validate supports n up to {_VALIDATE_MAX_N}, got {args.n}")
+    ns = [n for n in _VALIDATE_NS if n <= args.n]
     if not ns:
-        raise ValueError(f"no grid sizes <= {max_n}")
-    rng = np.random.default_rng(seed)
+        raise ValueError(f"no grid sizes <= {args.n}")
+    small = [n for n in ns if n <= _VALIDATE_SMALL_N]
+    rng = np.random.default_rng(args.seed)
     rows = []
     failed: str | None = None
-    for name, check, takes_ns in _VALIDATION_CHECKS:
-        ratio = check(ns, rng) if takes_ns else check(rng)
+    for name, check, check_ns, trials in (
+        ("inversion", checks.inversion, ns, 25),
+        ("convolution-theorem", checks.convolution_theorem, small, 10),
+        ("derivative-transform", checks.derivative_identities, small, 25),
+        ("stepper-spectral", checks.stepper_vs_spectral, (2, 4), 1),
+    ):
+        ratio = check(check_ns, trials, rng)
         ok = ratio <= 1.0
         rows.append((name, ratio, ok))
         if not ok and failed is None:
             failed = name
-    _write_csv(out, ("identity", "residual_over_tolerance", "pass"), zip(*rows))
+    _write_csv(args.out, ("identity", "residual_over_tolerance", "pass"), zip(*rows))
     if failed is not None:
         print(f"validation failed: {failed}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -199,9 +131,9 @@ def run_validate(seed: int, max_n: int, out: str | None = None) -> int:
 # -- solve / kernel / converge ------------------------------------------------
 
 
-def _solve_config(args, bc) -> evolution.SolveConfig:
+def _solve_config(args, bc, n: int) -> evolution.SolveConfig:
     return evolution.SolveConfig(
-        n=args.n,
+        n=n,
         omega=args.omega,
         omega_prime=args.omega_prime,
         boundary=bc,
@@ -210,35 +142,44 @@ def _solve_config(args, bc) -> evolution.SolveConfig:
     )
 
 
-def _non_finite_message(result: evolution.SolveResult) -> str | None:
-    """One line naming the first non-finite ``(t, x)`` of ``result``, or ``None``."""
+def _non_finite_message(result: evolution.SolveResult, point: str = "x") -> str | None:
+    """One line naming the first non-finite ``(t, point)`` of ``result``, or ``None``."""
     bad = result.first_non_finite()
     if bad is None:
         return None
     t, x = bad
-    return (f"non-finite value at t={t!r}, x={x!r}; "
+    return (f"non-finite value at t={t!r}, {point}={x!r}; "
             f"max |growth| in the band is {result.max_growth:.6g}")
 
 
-def run_solve(args) -> int:
-    bc = parse_boundary(args.g)
-    config = _solve_config(args, bc)
-    result = evolution.solve(config, threads=args.threads)
-    bad = _non_finite_message(result)
+def _write_table(command: str, out: str | None, result: evolution.SolveResult,
+                 header: tuple[str, ...], reference=None) -> int:
+    """Write one row ``t, point, re, |im|`` per value of ``result``.
+
+    With ``reference``, each row also gets ``oracle, abs_err`` against
+    ``reference(t, point)``.  A non-finite value fails with one line and no row.
+    """
+    bad = _non_finite_message(result, header[1])
     if bad is not None:
-        print(f"solve failed: {bad}", file=sys.stderr)
+        print(f"{command} failed: {bad}", file=sys.stderr)
         return EXIT_VALIDATION
     ts = np.repeat(result.times, len(result.xs)).tolist()
     xs = np.tile(result.xs, len(result.times)).tolist()
     u = result.u.ravel()
     columns = [ts, xs, u.real, np.abs(u.imag)]
-    header = ["t", "x", "u_re", "u_im_diag"]
-    if bc.has_closed_form:
-        ref = np.array([bc.closed_form(t, x).real for t, x in zip(ts, xs)])
+    if reference is not None:
+        ref = np.array([reference(t, x) for t, x in zip(ts, xs)])
         columns += [ref, np.abs(u.real - ref)]
-        header += ["oracle", "abs_err"]
-    _write_csv(args.out, header, columns)
+        header += ("oracle", "abs_err")
+    _write_csv(out, header, columns)
     return EXIT_OK
+
+
+def run_solve(args) -> int:
+    bc = parse_boundary(args.g)
+    result = evolution.solve(_solve_config(args, bc, args.n))
+    reference = (lambda t, x: bc.closed_form(t, x).real) if bc.has_closed_form else None
+    return _write_table("solve", args.out, result, ("t", "x", "u_re", "u_im_diag"), reference)
 
 
 def run_kernel(args) -> int:
@@ -246,16 +187,12 @@ def run_kernel(args) -> int:
     window = evolution.Window(params, args.omega_prime)
     times = _parse_floats(args.times)
     zs = _parse_floats(args.xs)
-    rows = []
-    for t in times:
-        if t <= 0:
-            raise ValueError("kernel tables need t > 0")
-        for z in zs:
-            val = evolution.kernel(t, z, window)
-            ref = oracle.gaussian_heat_kernel(t, z)
-            rows.append((t, z, val.real, abs(val.imag), ref, abs(val.real - ref)))
-    _write_csv(args.out, ("t", "z", "kernel_re", "kernel_im_diag", "oracle", "abs_err"), zip(*rows))
-    return EXIT_OK
+    if min(times) <= 0:
+        raise ValueError("kernel tables need t > 0")
+    gmax = float(np.abs(evolution.propagator(params).at(window.band_indices())).max())
+    result = evolution.SolveResult(times, zs, evolution.kernel(window, times, zs), max_growth=gmax)
+    return _write_table("kernel", args.out, result, ("t", "z", "kernel_re", "kernel_im_diag"),
+                        oracle.gaussian_heat_kernel)
 
 
 def run_converge(args) -> int:
@@ -264,11 +201,10 @@ def run_converge(args) -> int:
     n_list = [int(v) for v in args.n_list.split(",")]
     if len(n_list) < 3:
         raise ValueError("converge needs at least 3 grid sizes")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"converge needs distinct grid sizes, got {args.n_list}")
     bc = parse_boundary(args.g)
-    times = _parse_floats(args.times)
-    xs = _parse_floats(args.xs)
-    configs = [evolution.SolveConfig(n=n, omega=args.omega, omega_prime=args.omega_prime,
-                                     boundary=bc, times=times, xs=xs) for n in n_list]
+    configs = [_solve_config(args, bc, n) for n in n_list]
     # the reference does not depend on n: one evaluation per (t, x)
     reference = bc.closed_form if bc.has_closed_form else (
         lambda t, x: oracle.classical_solution(bc, t, x))
@@ -276,7 +212,7 @@ def run_converge(args) -> int:
     errs = []
     rows = []
     for config in configs:
-        result = evolution.solve(config, threads=args.threads)
+        result = evolution.solve(config)
         bad = _non_finite_message(result)
         if bad is not None:
             print(f"converge failed at n={config.n}: {bad}", file=sys.stderr)
@@ -337,58 +273,51 @@ def run_rates(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+# Each subcommand takes only the flags it reads.
+_FLAGS = {
+    "n": dict(type=int, default=256, help="grid parameter (for validate: largest n, <=16)"),
+    "n-list": dict(default=None, help="comma list of grid sizes for converge"),
+    "omega": dict(type=float, default=4.0, help="space truncation radius"),
+    "omega-prime": dict(type=float, default=3.0, help="frequency window radius"),
+    "g": dict(default="gaussian:1,1",
+              help="boundary data: gaussian:a,b | indicator:lo,hi | bump:c,w | "
+                   "sampled:FILE (x,re,im lines)"),
+    "times": dict(default="0.5", help="query times: a,b,c or lo:hi:count"),
+    "xs": dict(default="-2:2:41", help="query points: a,b,c or lo:hi:count"),
+    "out": dict(default=None, help="CSV output path (default stdout)"),
+    "seed": dict(type=int, default=0, help="seed for randomized suites"),
+}
+_SOLVE_FLAGS = ("omega", "omega-prime", "g", "times", "xs", "out")
+_COMMANDS = (
+    ("validate", run_validate, "run the exact-identity suites on random data", ("n", "seed", "out")),
+    ("solve", run_solve, "solve and tabulate u(t, x)", ("n",) + _SOLVE_FLAGS),
+    ("kernel", run_kernel, "tabulate the discrete heat kernel against the Gaussian",
+     ("n", "omega-prime", "times", "xs", "out")),
+    ("converge", run_converge, "error sweep over --n-list with fitted order", ("n-list",) + _SOLVE_FLAGS),
+    ("rates", run_rates, "bound/order verdicts for the convergence-rate estimates", ("out",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperheat",
         description="Spectral heat-equation solver on a half-frequency Fourier grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, n_default: int = 256) -> None:
-        p.add_argument("--n", type=int, default=n_default,
-                       help="grid parameter (for validate: largest n, <=16)")
-        p.add_argument("--omega", type=float, default=4.0, help="space truncation radius")
-        p.add_argument("--omega-prime", dest="omega_prime", type=float, default=3.0,
-                       help="frequency window radius")
-        p.add_argument("--g", default="gaussian:1,1",
-                       help="boundary data: gaussian:a,b | indicator:lo,hi | bump:c,w | "
-                            "sampled:FILE (x,re,im lines)")
-        p.add_argument("--times", default="0.5", help="query times: a,b,c or lo:hi:count")
-        p.add_argument("--xs", default="-2:2:41", help="query points: a,b,c or lo:hi:count")
-        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HYPERHEAT_THREADS", "1")),
-                       help="worker threads for query-point loops "
-                            "(default $HYPERHEAT_THREADS or 1)")
-        p.add_argument("--n-list", dest="n_list", default=None,
-                       help="comma list of grid sizes for converge")
-
-    for name, help_, n_default in (
-        ("validate", "run the exact-identity suites on random data", 8),
-        ("solve", "solve and tabulate u(t, x)", 256),
-        ("kernel", "tabulate the discrete heat kernel against the Gaussian", 256),
-        ("converge", "error sweep over --n-list with fitted order", 256),
-        ("rates", "bound/order verdicts for the convergence-rate estimates", 256),
-    ):
-        common(sub.add_parser(name, help=help_), n_default)
+    for name, run, help_, flags in _COMMANDS:
+        # no abbreviations: "--omega" must not stand for "--omega-prime"
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    sub.choices["validate"].set_defaults(n=8)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return run_validate(args.seed, args.n, args.out)
-        if args.command == "solve":
-            return run_solve(args)
-        if args.command == "kernel":
-            return run_kernel(args)
-        if args.command == "converge":
-            return run_converge(args)
-        if args.command == "rates":
-            return run_rates(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,9 +24,10 @@ O((omega n + |xs|) log(omega n + |xs|)) on uniform points and
 O(omega n log(omega n) + |xs| omega' n) on others, memory O(omega n + |xs|).
 Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
 window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
-which keeps the powers tame.  The full-grid views
-(:attr:`Propagator.growth`, :attr:`Window.values`) serve the exact-identity
-layer, :func:`spectral_hat` and :func:`kernel_slice`.
+which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
+kernel through the same powers and query evaluation, with the data
+transform replaced by 1.  The full-grid view :attr:`Propagator.growth`
+serves the exact-identity layer and :func:`spectral_hat`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
 ``2 n^2``); the transform turns it into a pointwise product exactly, and
@@ -37,16 +38,17 @@ the discrete heat kernel as a cross-check.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .grid import Field, GridFunction, GridParams, d_xx
-from .transform import _psi, inverse, spectral_symbols
+from .transform import _psi, forward, inverse, spectral_symbols
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -163,21 +165,6 @@ class Propagator:
         n = self.params.n
         return 1.0 + _psi(ks / n, n) ** 2 / n
 
-    def power(self, steps: int) -> GridFunction:
-        """``growth^steps`` over the full grid.
-
-        Unbounded outside the stability band: for large ``steps`` the values
-        there overflow to inf.  Windowed paths mask before powering.
-        """
-        return GridFunction(self.params, self.growth.values**steps)
-
-    def magnitude_squared_closed_form(self) -> np.ndarray:
-        """``|growth|^2 = 1 - 8 n sin^2(t/2) cos(t) + 16 n^2 sin^4(t/2)``, t = pi x/n."""
-        n = self.params.n
-        theta = np.pi * self.params.space_points() / n
-        s2 = np.sin(theta / 2.0) ** 2
-        return 1.0 - 8.0 * n * s2 * np.cos(theta) + 16.0 * n * n * s2 * s2
-
     def stability_radius(self) -> float:
         """Largest grid ``|x|`` such that ``|growth| <= 1`` for all grid points up to it."""
         n = self.params.n
@@ -237,13 +224,11 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(f.params, np.roll(circ, -(M // 2)) / f.params.n)
 
 
-def check_convolution_theorem(f: GridFunction, g: GridFunction, method: str = "auto") -> float:
+def check_convolution_theorem(f: GridFunction, g: GridFunction) -> float:
     """Max-abs residual of both ``hat(f*g) = f_hat g_hat`` and its inverse analog."""
-    from .transform import forward
-
     conv = convolve(f, g)
-    r_fwd = np.abs(forward(conv, method).values - (forward(f, method) * forward(g, method)).values).max()
-    r_inv = np.abs(inverse(conv, method).values - (inverse(f, method) * inverse(g, method)).values).max()
+    r_fwd = np.abs(forward(conv).values - (forward(f) * forward(g)).values).max()
+    r_inv = np.abs(inverse(conv).values - (inverse(f) * inverse(g)).values).max()
     return float(max(r_fwd, r_inv))
 
 
@@ -251,10 +236,10 @@ class Window:
     """Value-1/2 indicator of the frequency band ``|k| <= floor(radius * n)``.
 
     The 1/2 compensates the transform pair's round-trip constant 2.  For
-    ``radius * n < n^2`` there are exactly ``2 floor(radius n) + 1`` nonzero
-    entries, symmetric about 0; for larger radii the window covers the whole
-    grid (every entry 1/2).  :attr:`values` is the full-grid view, built on
-    first access; the solve reads only :meth:`band_indices`.
+    ``radius * n < n^2`` the band holds exactly ``2 floor(radius n) + 1``
+    frequencies, symmetric about 0; for larger radii it covers the whole
+    grid.  The window is kept as its band (:meth:`band_indices`); the weight
+    is applied where the band is used.
     """
 
     def __init__(self, params: GridParams, radius: float) -> None:
@@ -263,11 +248,6 @@ class Window:
         self.params = params
         self.radius = float(radius)
         self.cutoff = min(int(math.floor(self.radius * params.n)), params.n**2)
-
-    @cached_property
-    def values(self) -> GridFunction:
-        k = self.params.space_indices()
-        return GridFunction(self.params, np.where(np.abs(k) <= self.cutoff, 0.5, 0.0))
 
     def band_indices(self) -> np.ndarray:
         """The frequency indices carrying weight 1/2 (clipped to the grid)."""
@@ -294,24 +274,25 @@ def _windowed_symbol(window: Window, t: float) -> GridFunction:
 
 def kernel_slice(window: Window, t: float) -> GridFunction:
     """The discrete heat kernel over all grid offsets: ``inverse(window * growth^m)``."""
-    return inverse(_windowed_symbol(window, t), method="fft")
+    return inverse(_windowed_symbol(window, t))
 
 
-def kernel(t: float, z: float, window: Window) -> complex:
-    """Kernel value at a single offset ``z`` (direct sum over the band).
+def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> np.ndarray:
+    """Kernel table ``K[i, j]`` at ``times[i]`` and offsets ``zs[j]``.
 
-    Mass over offsets is exactly 1 (the round-trip constant 2 against the
-    window's 1/2); Hermitian symmetry of the band makes the value real up
-    to rounding and even in ``z``.
+    The solve's query stage with coefficients ``0.5 growth^{floor(n t)}`` on
+    the band: a chirp-z transform for a uniform ``zs``, direct summation
+    otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
+    against the window's 1/2); Hermitian symmetry of the band makes the
+    values real up to rounding.  Overflow in the powers leaves non-finite
+    values for the caller to report.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"kernel offset must be finite, got z={z}")
-    params = window.params
-    m = _steps_of(params, t)
+    zs = np.asarray(zs, dtype=float)
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise ValueError(f"kernel offset must be finite, got z={bad[0]}")
     ks = window.band_indices()
-    growth = propagator(params).at(ks)
-    phases = np.exp(1j * np.pi * (ks / params.n) * z)
-    return complex(np.sum(0.5 * growth**m * phases) / params.n)
+    return _table(window.params, ks, propagator(window.params).at(ks), 1.0, times, zs)
 
 
 @dataclass(frozen=True)
@@ -374,15 +355,6 @@ class SolveResult:
     u: np.ndarray
     regime_flag: bool = False
     max_growth: float = 0.0   # max |growth| over the frequency band
-
-    def rows(self) -> Iterator[tuple[float, float, float, float]]:
-        """Yield ``(t, x, u_re, |u_im|)`` in row-major order."""
-        for i, t in enumerate(self.times):
-            for j, x in enumerate(self.xs):
-                yield t, x, float(self.u[i, j].real), float(abs(self.u[i, j].imag))
-
-    def max_imag(self) -> float:
-        return float(np.abs(self.u.imag).max()) if self.u.size else 0.0
 
     def first_non_finite(self) -> tuple[float, float] | None:
         """The first ``(t, x)``, in row-major order, whose value is NaN or infinite."""
@@ -455,11 +427,15 @@ def _bluestein(
     one FFT convolution in O((Q + P) log(Q + P)) (Bluestein's chirp-z).
     """
     Q, P = ins.size, outs.size
-    ds = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)   # Q + P - 1 differences
-    size = 1 << (ds.size - 1).bit_length()                     # >= Q + P - 1: no wrap-around
-    a = np.fft.fft(vals * chirp(ins), size)
-    b = np.fft.fft(np.conj(chirp(ds)), size)
-    return chirp(outs) * np.fft.ifft(a * b)[..., Q - 1 : Q - 1 + P]
+    d0, d1 = outs[0] - ins[-1], outs[-1] - ins[0]              # Q + P - 1 differences
+    size = 1 << (Q + P - 2).bit_length()                       # >= Q + P - 1: no wrap-around
+    # one chirp over the hull of all three ranges (ins may stick out of the
+    # differences, e.g. for a one-frequency band), sliced three times
+    lo = min(ins[0], outs[0], d0)
+    c = chirp(np.arange(lo, max(ins[-1], outs[-1], d1) + 1))
+    a = np.fft.fft(vals * c[ins[0] - lo : ins[-1] - lo + 1], size)
+    b = np.fft.fft(np.conj(c[d0 - lo : d1 - lo + 1]), size)
+    return c[outs[0] - lo : outs[-1] - lo + 1] * np.fft.ifft(a * b)[..., Q - 1 : Q - 1 + P]
 
 
 def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
@@ -504,31 +480,54 @@ def _chirp_query(
     return _bluestein(vals, ks, ps, lambda m: _rate_chirp(m, rate)) / n
 
 
-def _matrix_query(
-    coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int, threads: int
-) -> np.ndarray:
+def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` at any points ``xs``.
 
     Builds ``exp(i pi x k / n)`` once per block of points and applies it to
-    all times in one matrix product; ``threads > 1`` spreads the blocks over
-    threads.  The blocks do not depend on the thread count, so results are
-    identical at any count.
+    all times in one matrix product.  Several blocks are spread over one
+    thread per usable CPU; the blocks do not depend on the thread count, so
+    results are identical at any count.
     """
     u = np.empty((coeffs.shape[1], xs.size), dtype=np.complex128)
     freqs = ks / n
+    err = np.geterr()                  # worker threads do not inherit the caller's np.errstate
 
     def fill_block(sl: slice) -> None:
-        u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / n
+        with np.errstate(**err):
+            u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / n
 
     rows = max(1, _QUERY_BLOCK_ENTRIES // ks.size)
     blocks = [slice(s, s + rows) for s in range(0, xs.size, rows)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # the CPUs this process may run on; sched_getaffinity is Linux-only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(blocks), cpus)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill_block, blocks))
     else:
         for sl in blocks:
             fill_block(sl)
     return u
+
+
+def _table(params: GridParams, ks: np.ndarray, growth: np.ndarray, ghat: np.ndarray | float,
+           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
+    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}``.
+
+    A uniform ``xs`` (at least ``_MIN_CHIRP_POINTS`` points in arithmetic
+    progression, as ``lo:hi:count`` gives) takes a chirp-z transform,
+    O((|xs| + |ks|) log); any other set takes direct summation, one matrix
+    product per block of points, O(|xs| |ks|).  Overflow in the powers is
+    left in the table as inf or NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.empty((ks.size, len(times)), dtype=np.complex128)
+        for i, t in enumerate(times):
+            coeffs[:, i] = 0.5 * ghat * growth ** _steps_of(params, t)
+        h = _uniform_step(xs)
+        if h is None:
+            return _matrix_query(coeffs, ks, xs, params.n)
+        return _chirp_query(coeffs, ks, xs, h, params.n)
 
 
 def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> float:
@@ -544,22 +543,17 @@ def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> float
     return gmax
 
 
-def solve(config: SolveConfig, threads: int = 1) -> SolveResult:
+def solve(config: SolveConfig) -> SolveResult:
     """Windowed spectral solution at the query points.
 
     Pipeline: sample and truncate the boundary data to ``[-omega, omega)``;
     forward-transform onto the window band only (chirp-z); multiply by the
     window and ``growth^{floor(nt)}``, one column per time; inverse-transform
-    at the query points, all times together.  A uniform query set (at least
-    ``_MIN_CHIRP_POINTS`` points in arithmetic progression, as ``lo:hi:count``
-    gives) takes a second chirp-z transform, O((|xs| + omega' n) log); any
-    other set takes direct summation, one matrix product per block of
-    points, O(|xs| omega' n).  Memory is O(omega n + |xs|); no array spans
-    the full 2n^2 grid.
-
-    ``threads > 1`` spreads the point blocks of direct summation over
-    threads; results are identical at any count.  Overflow in the powers is
-    left to :meth:`SolveResult.first_non_finite` to report.
+    at the query points, all times together (chirp-z for a uniform set,
+    O((|xs| + omega' n) log); direct summation otherwise, O(|xs| omega' n)).
+    Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
+    Overflow in the powers is left to :meth:`SolveResult.first_non_finite`
+    to report.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
@@ -568,16 +562,7 @@ def solve(config: SolveConfig, threads: int = 1) -> SolveResult:
 
     growth = propagator(params).at(ks)
     gmax = _check_band_stability(config, growth)
-    xs = np.asarray(config.xs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _uniform_step(xs)
-        coeffs = np.empty((ks.size, len(config.times)), dtype=np.complex128)
-        for i, t in enumerate(config.times):
-            coeffs[:, i] = 0.5 * ghat * growth ** _steps_of(params, t)
-        if h is None:
-            u = _matrix_query(coeffs, ks, xs, config.n, threads)
-        else:
-            u = _chirp_query(coeffs, ks, xs, h, config.n)
+    u = _table(params, ks, growth, ghat, config.times, np.asarray(config.xs, dtype=float))
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
 

@@ -114,11 +114,6 @@ class GridFunction:
         v[params.position(j)] = value
         return cls(params, v)
 
-    @classmethod
-    def from_callable(cls, params: GridParams, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        """Sample ``fn`` at the grid coordinates ``j/n`` (vectorized call)."""
-        return cls(params, np.asarray(fn(params.space_points()), dtype=np.complex128))
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -135,16 +130,6 @@ class GridFunction:
 
     def max_abs(self) -> float:
         return float(np.abs(self._values).max()) if len(self) else 0.0
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self._values).all())
-
-    def require_finite(self, context: str = "grid function") -> "GridFunction":
-        """Raise ``ValueError`` if any value is NaN or infinite."""
-        if not self.is_finite():
-            bad = int(np.flatnonzero(~np.isfinite(self._values))[0]) - self.params.n**2
-            raise ValueError(f"{context} has a non-finite value at space index {bad}")
-        return self
 
     # -- algebra (pointwise) -------------------------------------------------
 
@@ -200,10 +185,7 @@ class Field:
 
 
 def integrate(f: GridFunction) -> complex:
-    """``(1/n) * sum_j f(j/n)`` over all 2n^2 space points.
-
-    NaN/Inf propagate; use :meth:`GridFunction.require_finite` to trap them.
-    """
+    """``(1/n) * sum_j f(j/n)`` over all 2n^2 space points; NaN/Inf propagate."""
     return complex(np.sum(f.values) * f.params.dx)
 
 

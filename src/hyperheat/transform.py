@@ -26,9 +26,8 @@ first difference) at the three affected indices ``-n^2``, ``-n^2 + 1`` and
 ``n^2 - 1``.  These identities hold to rounding error at every finite ``n``;
 :func:`check_dx_identity` / :func:`check_dxx_identity` measure the residual.
 
-Two evaluation paths are provided: dense kernel summation (the reference,
-used for n <= 16) and an FFT specialisation (production).  They agree to
-~1e-13 and the test-suite pins that agreement.
+Both directions are evaluated by one FFT of period ``M``; the test-suite pins
+them to an independent per-frequency direct sum.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, GridParams, d_x
+from .grid import GridFunction, GridParams, d_x, d_xx
 
 __all__ = [
     "forward",
@@ -51,18 +50,6 @@ __all__ = [
     "check_dxx_identity",
 ]
 
-# Largest n routed to the dense-kernel path by default; beyond this the
-# M x M kernel matrix (M = 2 n^2) stops being cheap to build.
-_DIRECT_LIMIT = 16
-
-
-@lru_cache(maxsize=8)
-def _kernel_matrix(n: int, sign: int) -> np.ndarray:
-    """Dense transform kernel ``exp(sign * i pi j k / n^2)``, j,k = -n^2..n^2-1."""
-    idx = np.arange(-n * n, n * n)
-    return np.exp(sign * 1j * np.pi * np.outer(idx, idx) / (n * n))
-
-
 @lru_cache(maxsize=8)
 def _half_period_signs(n: int) -> np.ndarray:
     """``(-1)^k`` for k = -n^2..n^2-1 (phase from shifting the DFT origin)."""
@@ -70,35 +57,27 @@ def _half_period_signs(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def _transform(f: GridFunction, sign: int, method: str) -> GridFunction:
+def _transform(f: GridFunction, sign: int) -> GridFunction:
+    # Index shift j -> j + n^2 turns the kernel into a plain DFT of
+    # period M = 2 n^2, at the price of the (-1)^k prefactor.
     n = f.params.n
-    if method == "auto":
-        method = "direct" if n <= _DIRECT_LIMIT else "fft"
-    if method == "direct":
-        out = (_kernel_matrix(n, sign) @ f.values) / n
-    elif method == "fft":
-        # Index shift j -> j + n^2 turns the kernel into a plain DFT of
-        # period M = 2 n^2, at the price of the (-1)^k prefactor.
-        M = f.params.space_count
-        if sign < 0:
-            spec = np.fft.fft(f.values)
-        else:
-            spec = M * np.fft.ifft(f.values)
-        k = np.arange(-n * n, n * n)
-        out = (_half_period_signs(n) * spec[k % M]) / n
+    M = f.params.space_count
+    if sign < 0:
+        spec = np.fft.fft(f.values)
     else:
-        raise ValueError(f"unknown transform method {method!r}")
-    return GridFunction(f.params, out)
+        spec = M * np.fft.ifft(f.values)
+    k = np.arange(-n * n, n * n)
+    return GridFunction(f.params, (_half_period_signs(n) * spec[k % M]) / n)
 
 
-def forward(f: GridFunction, method: str = "auto") -> GridFunction:
+def forward(f: GridFunction) -> GridFunction:
     """Transform with kernel ``e^{-i pi x y}`` and weight ``1/n``."""
-    return _transform(f, -1, method)
+    return _transform(f, -1)
 
 
-def inverse(f: GridFunction, method: str = "auto") -> GridFunction:
+def inverse(f: GridFunction) -> GridFunction:
     """Transform with kernel ``e^{+i pi x y}``; ``inverse(forward(f)) == 2 f``."""
-    return _transform(f, +1, method)
+    return _transform(f, +1)
 
 
 @dataclass(frozen=True)
@@ -133,23 +112,19 @@ def spectral_symbols(params: GridParams) -> SpectralSymbols:
 class BoundaryCorrections:
     """Frequency-side boundary terms of the difference-transform identities.
 
-    All seven are built from three scalars of the source slice: its value at
-    the bottom index ``-n^2``, its value at the top index ``n^2 - 1``, and
-    its forward difference at the bottom index.  A slice vanishing at space
-    indices ``{-n^2, -n^2+1, n^2-1}`` therefore has all corrections == 0.
+    ``e`` enters the ``d_x`` identity and ``f_corr`` the ``d_xx`` identity.
+    Both are built from three scalars of the source slice: its value at the
+    bottom index ``-n^2``, its value at the top index ``n^2 - 1``, and its
+    forward difference at the bottom index.  A slice vanishing at space
+    indices ``{-n^2, -n^2+1, n^2-1}`` therefore has both corrections == 0.
     """
 
-    c: GridFunction
-    d: GridFunction
-    c_prime: GridFunction
-    d_prime: GridFunction
     e: GridFunction
-    e_prime: GridFunction
     f_corr: GridFunction
 
 
 def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
-    """Evaluate all seven correction functions on the full frequency grid."""
+    """Evaluate both correction functions on the full frequency grid."""
     params = slice_.params
     n = params.n
     sym = spectral_symbols(params)
@@ -171,31 +146,26 @@ def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     c_prime = -df_bot * exp_bot
     d_prime = -(1.0 / n) * df_bot * exp_cell * exp_bot
     e = phi * d - c
-    e_prime = phi * d_prime - c_prime
     f_corr = psi * phi * d - psi * c + phi * d_prime - c_prime
-
-    g = lambda a: GridFunction(params, a)
-    return BoundaryCorrections(g(c), g(d), g(c_prime), g(d_prime), g(e), g(e_prime), g(f_corr))
+    return BoundaryCorrections(GridFunction(params, e), GridFunction(params, f_corr))
 
 
-def check_dx_identity(slice_: GridFunction, method: str = "auto") -> float:
+def check_dx_identity(slice_: GridFunction) -> float:
     """Max-abs residual of ``forward(d_x f) - (psi * forward(f) - e)``.
 
-    Exact up to rounding: stays below ``1e-9 * (1 + n * max|f|)`` for n <= 8.
+    Exact up to rounding; :func:`hyperheat.checks.derivative_ratio` holds the tolerance.
     """
     sym = spectral_symbols(slice_.params)
     corr = boundary_corrections(slice_)
-    lhs = forward(d_x(slice_), method=method)
-    rhs = sym.psi * forward(slice_, method=method) - corr.e
+    lhs = forward(d_x(slice_))
+    rhs = sym.psi * forward(slice_) - corr.e
     return float(np.abs(lhs.values - rhs.values).max())
 
 
-def check_dxx_identity(slice_: GridFunction, method: str = "auto") -> float:
+def check_dxx_identity(slice_: GridFunction) -> float:
     """Max-abs residual of ``forward(d_xx f) - (psi^2 * forward(f) - f_corr)``."""
-    from .grid import d_xx
-
     sym = spectral_symbols(slice_.params)
     corr = boundary_corrections(slice_)
-    lhs = forward(d_xx(slice_), method=method)
-    rhs = sym.psi * sym.psi * forward(slice_, method=method) - corr.f_corr
+    lhs = forward(d_xx(slice_))
+    rhs = sym.psi * sym.psi * forward(slice_) - corr.f_corr
     return float(np.abs(lhs.values - rhs.values).max())

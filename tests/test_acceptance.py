@@ -11,31 +11,21 @@ import numpy as np
 import pytest
 
 from hyperheat import (
-    GridFunction,
     GridParams,
     SolveConfig,
     Window,
-    boundary_corrections,
-    check_convolution_theorem,
-    check_dx_identity,
-    check_dxx_identity,
-    evolve,
-    forward,
+    checks,
     gaussian,
     gaussian_heat_kernel,
     integrate,
-    inverse,
     kernel_slice,
     propagator,
     quadrature_rate_check,
     rate_check_p,
     rate_check_t,
     solve,
-    spectral_hat,
     tail_bound_check,
 )
-
-from conftest import random_grid_function
 
 
 def _report(num: int, description: str, ok: bool, detail: str, elapsed: float,
@@ -49,75 +39,30 @@ def _report(num: int, description: str, ok: bool, detail: str, elapsed: float,
 
 def test_criterion_1_inversion_constant(rng):
     t0 = time.monotonic()
-    worst = 0.0
-    for n in (1, 2, 4, 8, 16):
-        p = GridParams(n)
-        for _ in range(100):
-            f = random_grid_function(p, rng)
-            tol = 1e-9 * (1 + f.max_abs())
-            r = np.abs(inverse(forward(f)).values - 2 * f.values).max()
-            worst = max(worst, r / tol)
+    worst = checks.inversion((1, 2, 4, 8, 16), 100, rng)
     _report(1, "round trip is exactly twice the identity", worst <= 1.0,
             f"max residual/tolerance = {worst:.2e}", time.monotonic() - t0, 10)
 
 
 def test_criterion_2_convolution_theorem(rng):
     t0 = time.monotonic()
-    worst = 0.0
-    for n in (1, 2, 4, 8, 16):
-        p = GridParams(n)
-        for _ in range(100):
-            f = random_grid_function(p, rng)
-            g = random_grid_function(p, rng)
-            scale = 1 + np.abs(forward(f).values * forward(g).values).max()
-            worst = max(worst, check_convolution_theorem(f, g) / (1e-9 * scale))
+    worst = checks.convolution_theorem((1, 2, 4, 8, 16), 100, rng)
     _report(2, "transform factorises convolutions (both directions)", worst <= 1.0,
             f"max residual/tolerance = {worst:.2e}", time.monotonic() - t0, 10)
 
 
 def test_criterion_3_derivative_transform_identities(rng):
     t0 = time.monotonic()
-    worst = 0.0
-    for n in (1, 2, 4, 8):
-        p = GridParams(n)
-        for _ in range(100):
-            f = random_grid_function(p, rng)
-            worst = max(worst, check_dx_identity(f) / (1e-9 * (1 + n * f.max_abs())))
-            worst = max(worst, check_dxx_identity(f) / (1e-9 * (1 + n * n * f.max_abs())))
+    worst = checks.derivative_identities((1, 2, 4, 8), 100, rng)
     _report(3, "difference transforms equal symbol times transform minus corrections",
             worst <= 1.0, f"max residual/tolerance = {worst:.2e}", time.monotonic() - t0, 10)
 
 
 def test_criterion_4_spectral_formula_vs_stepper(rng):
     t0 = time.monotonic()
-    worst = 0.0
-    # with corrections: arbitrary data (steps capped by the n^2-slice time grid)
-    for n in (2, 4):
-        p = GridParams(n)
-        steps = min(6, p.time_count - 1)
-        g = random_grid_function(p, rng)
-        field = evolve(g, steps)
-        corr = [boundary_corrections(field.slice(j)).f_corr for j in range(steps)]
-        ghat = forward(g)
-        for i in range(steps + 1):
-            ref = forward(field.slice(i))
-            got = spectral_hat(ghat, corr, i)
-            worst = max(worst, np.abs(got.values - ref.values).max()
-                        / (1e-8 * max(1.0, ref.max_abs())))
-    # without corrections: data supported away from the boundary rows
-    for n in (2, 4, 8):
-        p = GridParams(n)
-        for steps in range(0, min(9, p.time_count)):
-            lo, hi = -n * n + 2 + 2 * steps, n * n - 3
-            if lo > hi:
-                continue
-            v = np.zeros(p.space_count, dtype=complex)
-            v[p.position(lo): p.position(hi) + 1] = rng.standard_normal(hi - lo + 1)
-            g = GridFunction(p, v)
-            ref = forward(evolve(g, steps).slice(steps))
-            got = spectral_hat(forward(g), None, steps)
-            worst = max(worst, np.abs(got.values - ref.values).max()
-                        / (1e-8 * max(1.0, ref.max_abs())))
+    # with corrections: arbitrary data at n = 2, 4; without: data supported
+    # away from the boundary rows at n = 2, 4, 8
+    worst = checks.stepper_vs_spectral((2, 4), 1, rng, supported_ns=(2, 4, 8))
     _report(4, "closed-form frequency solution matches the explicit stepper",
             worst <= 1.0, f"max residual/tolerance = {worst:.2e}", time.monotonic() - t0, 30)
 
@@ -165,8 +110,8 @@ def test_criterion_7_end_to_end_solution():
         config = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=bc,
                              times=(0.5,), xs=xs)
         res = solve(config)
-        errors[n] = max(abs(u_re - bc.closed_form(t, x).real)
-                        for t, x, u_re, _ in res.rows())
+        errors[n] = max(abs(u_re - bc.closed_form(0.5, x).real)
+                        for x, u_re in zip(xs, res.u[0].real))
     order = float(-np.polyfit(np.log(list(errors)), np.log(list(errors.values())), 1)[0])
     ok = errors[256] <= 2e-2 and 0.7 <= order <= 1.3
     _report(7, "solution matches the classical closed form and converges",

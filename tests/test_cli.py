@@ -85,8 +85,8 @@ class TestValidate:
     def test_fault_injection_names_inversion(self, monkeypatch, capsys):
         real_inverse = hyperheat.transform.inverse
 
-        def corrupted(f, method="auto"):
-            out = real_inverse(f, method)
+        def corrupted(f):
+            out = real_inverse(f)
             return GridFunction(out.params, out.values * 1.001)
 
         monkeypatch.setattr(hyperheat.transform, "inverse", corrupted)
@@ -171,25 +171,10 @@ class TestSolve:
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["solve", "--n", "64", "--times", "0.25,0.5", "--xs=-1:1:9", "--seed", "7"]
+        args = ["solve", "--n", "64", "--times", "0.25,0.5", "--xs=-1:1:9"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_threads_flag_matches_single_thread(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["solve", "--n", "64", "--times", "0.5", "--xs=-1:1:13"]
-        assert main(base + ["--out", str(a), "--threads", "1"]) == 0
-        assert main(base + ["--out", str(b), "--threads", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_threads_default_comes_from_env(self, monkeypatch):
-        from hyperheat.cli import build_parser
-
-        monkeypatch.setenv("HYPERHEAT_THREADS", "4")
-        assert build_parser().parse_args(["solve"]).threads == 4
-        monkeypatch.delenv("HYPERHEAT_THREADS")
-        assert build_parser().parse_args(["solve"]).threads == 1
 
 
 class TestKernelCommand:
@@ -205,6 +190,17 @@ class TestKernelCommand:
 
     def test_rejects_t_zero(self):
         assert main(["kernel", "--n", "64", "--times", "0", "--xs", "0"]) == 2
+
+    def test_non_finite_result_fails_without_rows(self, tmp_path):
+        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows
+        out = tmp_path / "k.csv"
+        proc = run_cli(["kernel", "--n", "64", "--omega-prime", "20", "--times", "10",
+                        "--xs", "0,1", "--out", str(out)])
+        assert proc.returncode == 1
+        assert not out.exists()
+        assert proc.stderr.startswith("kernel failed: non-finite value at t=10.0, z=0.0; "
+                                      "max |growth| in the band is ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestConverge:
@@ -227,6 +223,13 @@ class TestConverge:
     def test_needs_three_sizes(self):
         assert main(["converge", "--n-list", "32,64"]) == 2
         assert main(["converge"]) == 2
+
+    def test_rejects_repeated_sizes(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--n-list", "64,64,64", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "configuration error: converge needs distinct grid sizes, got 64,64,64\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_fails_without_rows(self, tmp_path, capsys):
@@ -262,6 +265,17 @@ class TestConverge:
         assert len(calls) == 7 and len(set(calls)) == 7
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["32", "64", "128", "order"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [["kernel", "--omega", "2"], ["rates", "--g", "bump"],
+                                      ["validate", "--xs", "0"], ["solve", "--seed", "7"],
+                                      ["converge", "--n", "64"]])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRates:

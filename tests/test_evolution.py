@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from hyperheat.evolution import (
     _restricted_forward,
     _truncated_samples,
     _uniform_step,
+    _windowed_symbol,
 )
 
 from conftest import random_grid_function, reference_query, reference_restricted_forward
@@ -197,23 +199,26 @@ class TestConvolve:
 
 
 class TestWindow:
+    # the windowed symbol at t = 0 (growth^0 = 1) is the window over the full grid
     def test_band_count_and_value(self):
         p = GridParams(4)
         w = Window(p, 2.5)
-        nonzero = np.flatnonzero(w.values.values)
+        values = _windowed_symbol(w, 0.0).values
+        nonzero = np.flatnonzero(values)
         assert nonzero.size == 2 * math.floor(2.5 * 4) + 1
-        assert np.all(w.values.values[nonzero] == 0.5)
+        assert np.all(values[nonzero] == 0.5)
+        assert np.array_equal(nonzero - p.n**2, w.band_indices())
 
     def test_even(self):
         p = GridParams(4)
-        w = Window(p, 1.75)
+        values = _windowed_symbol(Window(p, 1.75), 0.0)
         for k in range(1, p.n**2):
-            assert w.values.value_at(-k) == w.values.value_at(k)
+            assert values.value_at(-k) == values.value_at(k)
 
     def test_full_grid_case(self):
         p = GridParams(3)
         w = Window(p, p.n)  # radius n covers every frequency
-        assert np.all(w.values.values == 0.5)
+        assert np.all(_windowed_symbol(w, 0.0).values == 0.5)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
@@ -224,13 +229,17 @@ class TestPropagator:
     def test_growth_at_zero_and_power_zero(self):
         prop = propagator(GridParams(8))
         assert prop.growth.value_at(0) == 1.0
-        assert np.all(prop.power(0).values == 1.0)
+        # exact everywhere, so the windowed symbol at t = 0 is the bare window
+        assert np.all(prop.growth.values ** 0 == 1.0)
 
     def test_magnitude_closed_form(self):
+        # |growth|^2 = 1 - 8 n sin^2(t/2) cos(t) + 16 n^2 sin^4(t/2), t = pi x/n
         for n in (4, 64):
             prop = propagator(GridParams(n))
             direct = np.abs(prop.growth.values) ** 2
-            closed = prop.magnitude_squared_closed_form()
+            theta = np.pi * prop.params.space_points() / n
+            s2 = np.sin(theta / 2.0) ** 2
+            closed = 1.0 - 8.0 * n * s2 * np.cos(theta) + 16.0 * n * n * s2 * s2
             assert np.abs(direct - closed).max() <= 1e-12 * (1 + closed.max())
 
     def test_band_values_bit_identical_to_full_grid(self):
@@ -271,27 +280,37 @@ class TestKernel:
         for n in (64, 128):
             p = GridParams(n)
             w = Window(p, 3.0)
-            odd = 0.0
-            for z in (0.0, 0.5, 1.25):
-                a = kernel(0.5, z, w)
-                b = kernel(0.5, -z, w)
-                assert abs(a.imag) <= 1e-10
-                assert abs(b.imag) <= 1e-10
-                odd = max(odd, abs(a - b))
-            assert odd <= 1.0 / n
+            zs = np.array([0.0, 0.5, 1.25])
+            a, b = kernel(w, (0.5,), zs)[0], kernel(w, (0.5,), -zs)[0]
+            assert np.abs(a.imag).max() <= 1e-10
+            assert np.abs(b.imag).max() <= 1e-10
+            assert np.abs(a - b).max() <= 1.0 / n
 
     def test_point_evaluation_matches_full_slice(self):
         p = GridParams(8)
         w = Window(p, 2.0)
         sl = kernel_slice(w, 0.75)
-        for j in (-16, -3, 0, 5):
-            assert abs(kernel(0.75, j / p.n, w) - sl.value_at(j)) <= 1e-12
+        js = (-16, -3, 0, 5)
+        table = kernel(w, (0.75,), [j / p.n for j in js])
+        for j, value in zip(js, table[0]):
+            assert abs(value - sl.value_at(j)) <= 1e-12
+
+    @pytest.mark.parametrize("zs", [np.linspace(-3, 3, 61), np.array([0.0, 0.7, -2.25])])
+    def test_table_matches_reference_query(self, zs):
+        # 61 uniform offsets take the chirp-z evaluation, 3 the query matrix
+        n, times = 256, (0.25, 1.0)
+        w = Window(GridParams(n), 3.0)
+        ks = w.band_indices()
+        growth = propagator(w.params).at(ks)
+        coeffs = np.stack([0.5 * growth ** math.floor(n * t) for t in times], axis=1)
+        assert (_uniform_step(zs) is None) == (zs.size == 3)
+        assert np.abs(kernel(w, times, zs) - reference_query(zs, ks, coeffs, n)).max() <= 1e-12
 
     def test_gaussian_shape_moderate_grid(self):
         # n=64 is already close to the classical kernel near the origin
         p = GridParams(64)
         w = Window(p, 3.0)
-        err = abs(kernel(0.5, 0.0, w).real - gaussian_heat_kernel(0.5, 0.0))
+        err = abs(kernel(w, (0.5,), (0.0,))[0, 0].real - gaussian_heat_kernel(0.5, 0.0))
         assert err <= 2e-2
 
     def test_truncation_ringing_stays_small_in_l1(self):
@@ -306,13 +325,13 @@ class TestKernel:
     def test_rejects_time_outside_range(self):
         w = Window(GridParams(4), 1.0)
         with pytest.raises(ValueError):
-            kernel(-0.5, 0.0, w)
+            kernel(w, (-0.5,), (0.0,))
 
     def test_rejects_non_finite_offset(self):
         w = Window(GridParams(4), 1.0)
         for z in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                kernel(0.5, z, w)
+                kernel(w, (0.5,), (0.0, z))
 
 
 class TestSolveConfig:
@@ -351,9 +370,9 @@ class TestSolve:
         config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=bc,
                              times=(0.5,), xs=xs)
         res = solve(config)
-        worst = max(abs(u_re - bc.closed_form(t, x).real) for t, x, u_re, _ in res.rows())
-        assert worst <= 1e-2
-        assert res.max_imag() <= 1e-10
+        ref = np.array([[bc.closed_form(t, x).real for x in xs] for t in res.times])
+        assert np.abs(res.u.real - ref).max() <= 1e-2
+        assert np.abs(res.u.imag).max() <= 1e-10
 
     def test_linear_in_boundary_data(self, rng):
         xs = (0.0, 0.5, -1.0)
@@ -370,7 +389,7 @@ class TestSolve:
         parts = 2.0 * run(g1) - 1.5 * run(g2)
         assert np.abs(combined - parts).max() <= 1e-10 * (1 + np.abs(parts).max())
 
-    def test_threads_do_not_change_output(self):
+    def test_threads_do_not_change_output(self, monkeypatch):
         bc = gaussian()
         band = 2 * 2 * 32 + 1
         many = 3 * (evolution._QUERY_BLOCK_ENTRIES // band) + 7
@@ -380,9 +399,23 @@ class TestSolve:
                    np.linspace(-1, 1, many) ** 3):
             config = SolveConfig(n=32, omega=3.0, omega_prime=2.0, boundary=bc,
                                  times=(0.5, 1.5), xs=tuple(xs))
-            a = solve(config, threads=1).u
-            b = solve(config, threads=3).u
+            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0})
+            a = solve(config).u
+            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            b = solve(config).u
             assert np.array_equal(a, b)
+
+    def test_overflow_on_worker_threads_prints_no_numpy_warnings(self, monkeypatch):
+        # growth^640 overflows; the 400 non-uniform points span several blocks,
+        # which run on worker threads
+        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        config = SolveConfig(n=64, omega=4.0, omega_prime=20.0, boundary=gaussian(),
+                             times=(10.0,), xs=tuple(np.linspace(-1, 1, 400) ** 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve(config)
+        assert res.first_non_finite() is not None
+        assert not [w for w in caught if "encountered in" in str(w.message)]
 
     def test_warns_outside_stability_band(self):
         # band at n=16 is sqrt(32)/pi ~ 1.8; a radius-4 window pokes out of it
@@ -456,7 +489,7 @@ class TestBandTransform:
         tracemalloc.start()
         try:
             res = solve(config)
-            kernel(0.5, 0.0, Window(GridParams(n), 3.0))
+            kernel(Window(GridParams(n), 3.0), (0.5, 1.0), np.linspace(-3, 3, 61))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -527,7 +560,7 @@ class TestUniformQuery:
                              times=tuple(np.linspace(0.25, 2, 8)),
                              xs=tuple(np.linspace(-4, 4, 2001)))
         assert _uniform_step(np.asarray(config.xs)) is not None
-        assert solve(config).max_imag() <= 1e-12
+        assert np.abs(solve(config).u.imag).max() <= 1e-12
 
     def test_non_uniform_sets_take_the_matrix_path(self, monkeypatch):
         config = SolveConfig(n=256, omega=4.0, omega_prime=3.0, boundary=gaussian(),
@@ -588,8 +621,7 @@ class TestSolveViaConvolution:
         config = SolveConfig(n=n, omega=1.0, omega_prime=2.0, boundary=boundary,
                              times=(0.5,), xs=(0.0, 0.25, -0.5))
         res = solve_via_convolution(config)
-        for t, x, u_re, _ in res.rows():
-            assert abs(u_re - kernel(t, x, w).real) <= 1e-10
+        assert np.abs(res.u.real - kernel(w, config.times, config.xs).real).max() <= 1e-10
 
     def test_size_guard(self):
         config = SolveConfig(n=128, omega=2.0, omega_prime=2.0,

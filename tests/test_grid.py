@@ -42,12 +42,6 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_require_finite(self):
-        p = GridParams(1)
-        GridFunction(p, [1.0, 2.0]).require_finite()
-        with pytest.raises(ValueError, match="space index 0"):
-            GridFunction(p, [1.0, np.nan]).require_finite()
-
     def test_value_at_uses_grid_indices(self):
         f = GridFunction(GridParams(1), [3.0, 4.0])
         assert f.value_at(-1) == 3.0
