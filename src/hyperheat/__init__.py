@@ -40,6 +40,7 @@ from .evolution import (
 from .oracle import (
     BoundaryCondition,
     bump,
+    classical_column,
     classical_solution,
     gaussian,
     gaussian_heat_kernel,

@@ -157,7 +157,8 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
     """Write one row ``t, point, re, |im|`` per value of ``result``.
 
     With ``reference``, each row also gets ``oracle, abs_err`` against
-    ``reference(t, point)``.  A non-finite value fails with one line and no row.
+    ``reference(t, points)``, called once per time with all of ``result.xs``.
+    A non-finite value fails with one line and no row.
     """
     bad = _non_finite_message(result, header[1])
     if bad is not None:
@@ -168,7 +169,7 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
     u = result.u.ravel()
     columns = [ts, xs, u.real, np.abs(u.imag)]
     if reference is not None:
-        ref = np.array([reference(t, x) for t, x in zip(ts, xs)])
+        ref = np.concatenate([reference(t, result.xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]
         header += ("oracle", "abs_err")
     _write_csv(out, header, columns)
@@ -205,10 +206,10 @@ def run_converge(args) -> int:
         raise ValueError(f"converge needs distinct grid sizes, got {args.n_list}")
     bc = parse_boundary(args.g)
     configs = [_solve_config(args, bc, n) for n in n_list]
-    # the reference does not depend on n: one evaluation per (t, x)
+    # the reference does not depend on n: one evaluation per time, over all points
     reference = bc.closed_form if bc.has_closed_form else (
-        lambda t, x: oracle.classical_solution(bc, t, x))
-    refs = np.array([[reference(t, x).real for x in configs[0].xs] for t in configs[0].times])
+        lambda t, xs: oracle.classical_column(bc, t, xs))
+    refs = np.array([reference(t, configs[0].xs).real for t in configs[0].times])
     errs = []
     rows = []
     for config in configs:

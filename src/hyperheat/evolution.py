@@ -166,14 +166,25 @@ class Propagator:
         return 1.0 + _psi(ks / n, n) ** 2 / n
 
     def stability_radius(self) -> float:
-        """Largest grid ``|x|`` such that ``|growth| <= 1`` for all grid points up to it."""
+        """Largest grid ``|x|`` such that ``|growth| <= 1`` for all grid points up to it.
+
+        ``2n sin^2(theta/2) <= cos(theta)`` is ``cos(theta) >= n/(n+1)``, so the
+        edge index is ``floor(n^2 arccos(n/(n+1)) / pi)``; its neighbours are
+        then checked against the inequality itself, as evaluated in floats.
+        """
         n = self.params.n
-        k = np.arange(0, n * n)
-        theta = np.pi * k / (n * n)
-        ok = 2.0 * n * np.sin(theta / 2.0) ** 2 <= np.cos(theta)
-        # the stable set is an interval around 0, so the first failure ends it
-        bad = np.flatnonzero(~ok)
-        k_edge = (bad[0] - 1) if bad.size else (n * n - 1)
+        nn = n * n
+
+        def stable(k: int) -> bool:
+            theta = np.pi * k / nn
+            return bool(2.0 * n * np.sin(theta / 2.0) ** 2 <= np.cos(theta))
+
+        # the stable set is an interval around 0 (k = 0 is in it): step to its last index
+        k_edge = int(nn * math.acos(n / (n + 1)) / math.pi)
+        while k_edge + 1 < nn and stable(k_edge + 1):
+            k_edge += 1
+        while not stable(k_edge):
+            k_edge -= 1
         return k_edge / n
 
 

@@ -250,19 +250,20 @@ class TestConverge:
         assert proc.stderr.splitlines()[-1].startswith("converge failed at n=32: ")
 
     @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
-    def test_quadrature_reference_once_per_point(self, monkeypatch, tmp_path):
+    def test_quadrature_reference_once_per_time(self, monkeypatch, tmp_path):
         calls = []
-        real = oracle.classical_solution
+        real = oracle.classical_column
 
-        def counting(bc, t, x):
-            calls.append((t, x))
-            return real(bc, t, x)
+        def counting(bc, t, xs):
+            calls.append((t, tuple(np.asarray(xs).tolist())))
+            return real(bc, t, xs)
 
-        monkeypatch.setattr(oracle, "classical_solution", counting)
+        monkeypatch.setattr(oracle, "classical_column", counting)
         out = tmp_path / "conv.csv"
-        assert main(["converge", "--n-list", "32,64,128", "--g", "bump:0,1", "--times", "0.5",
+        assert main(["converge", "--n-list", "32,64,128", "--g", "bump:0,1", "--times", "0.5,1",
                      "--xs=-1.5:1.5:7", "--out", str(out)]) == 0
-        assert len(calls) == 7 and len(set(calls)) == 7
+        assert [t for t, _ in calls] == [0.5, 1.0]
+        assert all(len(set(xs)) == 7 for _, xs in calls)
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["32", "64", "128", "order"]
 

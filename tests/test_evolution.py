@@ -249,6 +249,17 @@ class TestPropagator:
                 ks = np.arange(max(lo, -n * n), min(hi, n * n - 1) + 1)
                 assert np.array_equal(prop.at(ks), prop.growth.values[ks + n * n])
 
+    def test_stability_radius_closed_form_matches_scan(self):
+        def scanned(n):
+            k = np.arange(0, n * n)
+            theta = np.pi * k / (n * n)
+            ok = 2.0 * n * np.sin(theta / 2.0) ** 2 <= np.cos(theta)
+            bad = np.flatnonzero(~ok)
+            return ((bad[0] - 1) if bad.size else (n * n - 1)) / n
+
+        for n in range(1, 513):
+            assert propagator(GridParams(n)).stability_radius() == scanned(n), n
+
     def test_stability_radius_matches_band_to_first_order(self):
         for n in (64, 256):
             prop = propagator(GridParams(n))

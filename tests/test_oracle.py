@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from hyperheat import oracle
 from hyperheat.oracle import (
     bump,
+    classical_column,
     classical_solution,
     compound_growth,
     difference_symbol,
@@ -113,6 +115,106 @@ class TestClassicalSolution:
         # the kernel is linear, so the imag/real ratio of the data is preserved
         assert val.imag == pytest.approx(2 * val.real, rel=1e-6)
         assert val.real == pytest.approx(1 / math.sqrt(3), abs=1e-8)
+
+
+def per_point_quad(g, t, x):
+    """The scalar route the column oracle replaced: two ``quad`` calls over ``x -/+ L``."""
+    L = oracle._integration_halfwidth(g, t, x)
+
+    def kernel_times_data(y, part):
+        return math.exp(-((x - y) ** 2) / (4.0 * t)) * part(complex(np.atleast_1d(g(y))[0]))
+
+    re, _ = quad(kernel_times_data, x - L, x + L, args=(np.real,), epsabs=1e-10, epsrel=1e-12, limit=400)
+    im, _ = quad(kernel_times_data, x - L, x + L, args=(np.imag,), epsabs=1e-10, epsrel=1e-12, limit=400)
+    return complex(re, im) / math.sqrt(4.0 * math.pi * t)
+
+
+def step_solution(t, x, lo, hi):
+    """Exact heat flow of the indicator of ``[lo, hi)`` (``lo``/``hi`` may be infinite)."""
+    r = 2.0 * math.sqrt(t)
+    return 0.5 * (erf((x - lo) / r) - erf((x - hi) / r))
+
+
+def bump_over_support(t, x, center=0.0, width=1.0):
+    """``bump(center, width)`` convolved with the kernel by ``quad`` over its support only."""
+    g = bump(center, width)
+    val, _ = quad(lambda y: math.exp(-((x - y) ** 2) / (4.0 * t)) * g(y).real,
+                  center - width, center + width, epsabs=1e-14, epsrel=1e-13, limit=400)
+    return val / math.sqrt(4.0 * math.pi * t)
+
+
+XS21 = np.linspace(-2.0, 2.0, 21)
+
+
+class TestClassicalColumn:
+    @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+    def test_compact_support_found_at_large_time(self, t):
+        # without breakpoints the window (|y - x| <= 10 sqrt(t) and more) can
+        # hide [-1, 1] between the quadrature nodes: the integral was 0.0
+        ind = classical_column(indicator(-1.0, 1.0), t, XS21)
+        assert np.abs(ind - [step_solution(t, x, -1.0, 1.0) for x in XS21]).max() <= 1e-12
+        bmp = classical_column(bump(0.0, 1.0), t, XS21)
+        assert np.abs(bmp - [bump_over_support(t, x) for x in XS21]).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+    def test_narrow_support_found_one_point_at_a_time(self, t):
+        # one query point splits the window only at itself, so here the
+        # boundary's own breakpoints are what finds the support
+        ind = [classical_solution(indicator(0.05, 0.15), t, x) for x in XS21]
+        assert np.abs(np.subtract(ind, [step_solution(t, x, 0.05, 0.15) for x in XS21])).max() <= 1e-12
+        bmp = [classical_solution(bump(0.1, 0.05), t, x) for x in XS21]
+        ref = [bump_over_support(t, x, 0.1, 0.05) for x in XS21]
+        assert np.abs(np.subtract(bmp, ref)).max() <= 1e-12
+
+    # the per-point route is itself off by up to 1e-10 (its tolerance) for
+    # the bump at t=0.05 and 0.25, so the bump is pinned to it where it is
+    # accurate and to the quadrature over its support everywhere
+    @pytest.mark.parametrize("g, t", [(gaussian(1.3, 0.8), 0.1), (gaussian(1.3, 0.8), 0.25),
+                                      (gaussian(1.3, 0.8), 0.5), (bump(0.0, 1.0), 0.1),
+                                      (bump(0.0, 1.0), 0.5)])
+    def test_smooth_data_matches_per_point_quad(self, g, t):
+        col = classical_column(g, t, XS21)
+        assert np.abs(col - [per_point_quad(g, t, x) for x in XS21]).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.05, 0.25, 0.5])
+    def test_bump_matches_quadrature_over_its_support(self, t):
+        bmp = classical_column(bump(0.0, 1.0), t, XS21)
+        assert np.abs(bmp - [bump_over_support(t, x) for x in XS21]).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.3])
+    def test_step_data_matches_erf_sums(self, t):
+        ind = classical_column(indicator(-0.7, 1.1), t, XS21)
+        assert np.abs(ind - [step_solution(t, x, -0.7, 1.1) for x in XS21]).max() <= 1e-12
+        samples = [(-1.5, 1.0), (-0.25, 2.0 - 1.0j), (0.5, -0.5), (1.75, 0.5j)]
+        sx = [p[0] for p in samples]
+        edges = [-math.inf] + [(a + b) / 2 for a, b in zip(sx, sx[1:])] + [math.inf]
+        exact = [sum(v * step_solution(t, x, a, b) for (_, v), a, b in zip(samples, edges, edges[1:]))
+                 for x in XS21]
+        assert np.abs(classical_column(sampled(samples), t, XS21) - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-6])
+    def test_narrow_kernels_between_scattered_points(self, t):
+        # at small t each kernel is far narrower than the gaps between points
+        g = gaussian()
+        xs = np.array([-2.9, -0.4, 0.37, 2.6])
+        assert np.abs(classical_column(g, t, xs) - g.closed_form(t, xs)).max() <= 1e-12
+
+    def test_breakpoints(self):
+        assert bump(0.5, 2.0).breakpoints == (-1.5, 2.5)
+        assert indicator(-1.0, 3.0).breakpoints == (-1.0, 3.0)
+        assert sampled([(1.0, 2.0), (0.0, 1.0), (3.0, 0.0)]).breakpoints == (0.5, 2.0)
+        assert gaussian().breakpoints == ()
+
+    def test_scalar_call_is_the_one_point_column(self):
+        g = bump(0.0, 1.0)
+        assert classical_solution(g, 0.7, 0.3) == classical_column(g, 0.7, [0.3])[0]
+
+    def test_closed_forms_take_arrays(self):
+        g = gaussian(1.3, 0.8)
+        zs = np.linspace(-3.0, 3.0, 13)
+        assert np.allclose(g.closed_form(0.5, zs), [g.closed_form(0.5, z) for z in zs], rtol=0, atol=1e-16)
+        assert np.allclose(gaussian_heat_kernel(0.5, zs), [gaussian_heat_kernel(0.5, z) for z in zs],
+                           rtol=0, atol=1e-16)
 
 
 class TestGaussianTransformIdentity:
