@@ -39,7 +39,7 @@ window = Window(params, RADIUS)
 print(f"\nkernel profile at n=256 against the Gaussian (t={T}):")
 print(f"{'z':>6} {'kernel':>12} {'gaussian':>12} {'diff':>10}")
 zs = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-for z, k in zip(zs, kernel(window, (T,), zs)[0].real):
+for z, k in zip(zs, kernel(window, (T,), zs).u[0].real):
     g = gaussian_heat_kernel(T, z)
     print(f"{z:>6.2f} {k:>12.6f} {g:>12.6f} {k - g:>10.2e}")
 
@@ -49,5 +49,5 @@ print("so kernel(t,z) - kernel(t,-z) also shrinks like 1/n:")
 zs = np.array([0.5, 1.0, 2.0])
 for n in (64, 128, 256):
     w = Window(GridParams(n), RADIUS)
-    odd = np.abs(kernel(w, (T,), zs) - kernel(w, (T,), -zs)).max()
+    odd = np.abs(kernel(w, (T,), zs).u - kernel(w, (T,), -zs).u).max()
     print(f"  n={n:>4}: max odd component {odd:.2e}")

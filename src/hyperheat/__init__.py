@@ -9,13 +9,10 @@ factor, invert at the query points, and compare against the classical
 Gaussian-kernel solution.
 """
 
-from .grid import Field, GridFunction, GridParams, d_t, d_x, d_xx, integrate
+from .grid import GridFunction, GridParams, d_t, d_x, d_xx, integrate
 from .transform import (
     BoundaryCorrections,
-    SpectralSymbols,
     boundary_corrections,
-    check_dx_identity,
-    check_dxx_identity,
     forward,
     inverse,
     spectral_symbols,
@@ -26,7 +23,6 @@ from .evolution import (
     SolveConfig,
     SolveResult,
     Window,
-    check_convolution_theorem,
     convolve,
     evolve,
     kernel,

@@ -1,10 +1,11 @@
 """Randomised checks of the four exact identities (acceptance criteria 1-4).
 
 Each ``*_ratio`` function judges one draw of data, as residual over
-tolerance (at most 1 when the identity holds), and holds its criterion's
-only tolerance.  Each criterion function returns the worst ratio over
-``trials`` random complex grid functions per ``n`` in ``ns``, drawn from
-``rng``; ``hyperheat validate`` and the acceptance suite both run them.
+tolerance (at most 1 when the identity holds): it computes its identity's
+residual and holds its criterion's only tolerance.  Each criterion function
+returns the worst ratio over ``trials`` random complex grid functions per
+``n`` in ``ns``, drawn from ``rng``; ``hyperheat validate`` and the
+acceptance suite both run them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from . import transform
-from .evolution import check_convolution_theorem, evolve, spectral_hat
-from .grid import GridFunction, GridParams
+from .evolution import convolve, evolve, spectral_hat
+from .grid import GridFunction, GridParams, d_x, d_xx
 
 __all__ = [
     "inversion_ratio",
@@ -36,27 +37,39 @@ def inversion_ratio(f: GridFunction) -> float:
 
 
 def convolution_ratio(f: GridFunction, g: GridFunction) -> float:
-    """:func:`check_convolution_theorem`, tolerance ``1e-9 (1 + max|f_hat g_hat|)``."""
-    scale = 1.0 + np.abs(transform.forward(f).values * transform.forward(g).values).max()
-    return check_convolution_theorem(f, g) / (1e-9 * scale)
+    """``hat(f*g) = f_hat g_hat`` and its inverse analogue, tolerance ``1e-9 (1 + max|f_hat g_hat|)``."""
+    conv = convolve(f, g)
+    fg_hat = transform.forward(f).values * transform.forward(g).values
+    r_fwd = np.abs(transform.forward(conv).values - fg_hat).max()
+    r_inv = np.abs(transform.inverse(conv).values
+                   - transform.inverse(f).values * transform.inverse(g).values).max()
+    return float(max(r_fwd, r_inv)) / (1e-9 * (1.0 + np.abs(fg_hat).max()))
 
 
 def derivative_ratio(f: GridFunction) -> float:
-    """Both difference identities, tolerances ``1e-9 (1 + n max|f|)`` and ``1e-9 (1 + n^2 max|f|)``."""
+    """``hat(d_x f) = psi f_hat - e`` and ``hat(d_xx f) = psi^2 f_hat - f_corr``.
+
+    Tolerances ``1e-9 (1 + n max|f|)`` and ``1e-9 (1 + n^2 max|f|)``.
+    """
     n = f.params.n
-    return max(transform.check_dx_identity(f) / (1e-9 * (1.0 + n * f.max_abs())),
-               transform.check_dxx_identity(f) / (1e-9 * (1.0 + n * n * f.max_abs())))
+    psi = transform.spectral_symbols(f.params).values
+    f_hat = transform.forward(f).values
+    corr = transform.boundary_corrections(f)
+    r_dx = np.abs(transform.forward(d_x(f)).values - (psi * f_hat - corr.e.values)).max()
+    r_dxx = np.abs(transform.forward(d_xx(f)).values - (psi * psi * f_hat - corr.f_corr.values)).max()
+    return max(float(r_dx) / (1e-9 * (1.0 + n * f.max_abs())),
+               float(r_dxx) / (1e-9 * (1.0 + n * n * f.max_abs())))
 
 
 def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
     # relative tolerance 1e-8: the stepper amplifies by up to 1 + 4n per step
-    field = evolve(g, steps)
-    corrections = ([transform.boundary_corrections(field.slice(j)).f_corr for j in range(steps)]
+    slices = evolve(g, steps)
+    corrections = ([transform.boundary_corrections(s).f_corr for s in slices[:steps]]
                    if corrected else None)
     ghat = transform.forward(g)
     worst = 0.0
-    for i in range(steps + 1):
-        ref = transform.forward(field.slice(i))
+    for i, s in enumerate(slices):
+        ref = transform.forward(s)
         got = spectral_hat(ghat, corrections, i)
         worst = max(worst, np.abs(got.values - ref.values).max() / (1e-8 * max(1.0, ref.max_abs())))
     return float(worst)

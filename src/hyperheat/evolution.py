@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Field, GridFunction, GridParams, d_xx
-from .transform import _psi, forward, inverse, spectral_symbols
+from .grid import GridFunction, GridParams, d_xx
+from .transform import _psi, inverse, spectral_symbols
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -59,7 +59,6 @@ __all__ = [
     "propagator",
     "spectral_hat",
     "convolve",
-    "check_convolution_theorem",
     "Window",
     "kernel",
     "kernel_slice",
@@ -101,36 +100,28 @@ def step(slice_: GridFunction) -> GridFunction:
     return slice_ + (1.0 / slice_.params.n) * d_xx(slice_)
 
 
-def evolve(g: GridFunction, steps: int) -> Field:
-    """Iterate :func:`step` from boundary data ``g``; slice 0 is ``g`` itself.
+def evolve(g: GridFunction, steps: int) -> list[GridFunction]:
+    """The slices ``0 .. steps`` of :func:`step` iterated from boundary data ``g``; slice 0 is ``g``.
 
-    Slices are produced on demand through a cursor (sequential access is
-    O(1) per slice; jumping backwards restarts from ``g``), so memory stays
-    O(n^2).  Producing a slice whose max modulus exceeds ``OVERFLOW_LIMIT``
+    All ``steps + 1`` slices are kept, which suits the short validation runs
+    the stepper is for.  A slice whose max modulus exceeds ``OVERFLOW_LIMIT``
     raises :class:`EvolutionOverflowError` with the offending step index.
     """
     params = g.params
     if not 0 <= steps <= params.time_count - 1:
         raise ValueError(f"steps must lie in [0, {params.time_count - 1}], got {steps}")
-    cursor = {"i": 0, "slice": g}
-
-    def producer(i: int) -> GridFunction:
-        if i < cursor["i"]:
-            cursor["i"], cursor["slice"] = 0, g
-        while cursor["i"] < i:
-            nxt = step(cursor["slice"])
-            cursor["i"] += 1
-            cursor["slice"] = nxt
-            m = nxt.max_abs()
-            if not np.isfinite(m) or m > OVERFLOW_LIMIT:
-                raise EvolutionOverflowError(
-                    f"explicit step {cursor['i']}: max modulus {m:.3e} exceeds "
-                    f"{OVERFLOW_LIMIT:.0e}; the scheme amplifies by up to 1+4n "
-                    f"per step (n={params.n}) and is meant for short validation runs"
-                )
-        return cursor["slice"]
-
-    return Field(params, producer, max_index=steps)
+    slices = [g]
+    for i in range(1, steps + 1):
+        nxt = step(slices[-1])
+        m = nxt.max_abs()
+        if not np.isfinite(m) or m > OVERFLOW_LIMIT:
+            raise EvolutionOverflowError(
+                f"explicit step {i}: max modulus {m:.3e} exceeds "
+                f"{OVERFLOW_LIMIT:.0e}; the scheme amplifies by up to 1+4n "
+                f"per step (n={params.n}) and is meant for short validation runs"
+            )
+        slices.append(nxt)
+    return slices
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,7 @@ class Propagator:
     @cached_property
     def growth(self) -> GridFunction:
         """``1 + psi^2 / n`` over all 2n^2 frequencies (``psi`` from :func:`spectral_symbols`)."""
-        return GridFunction(self.params, 1.0 + spectral_symbols(self.params).psi.values**2 / self.params.n)
+        return GridFunction(self.params, 1.0 + spectral_symbols(self.params).values**2 / self.params.n)
 
     def at(self, ks: np.ndarray) -> np.ndarray:
         """Growth factor at frequency indices ``ks``.
@@ -235,14 +226,6 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(f.params, np.roll(circ, -(M // 2)) / f.params.n)
 
 
-def check_convolution_theorem(f: GridFunction, g: GridFunction) -> float:
-    """Max-abs residual of both ``hat(f*g) = f_hat g_hat`` and its inverse analog."""
-    conv = convolve(f, g)
-    r_fwd = np.abs(forward(conv).values - (forward(f) * forward(g)).values).max()
-    r_inv = np.abs(inverse(conv).values - (inverse(f) * inverse(g)).values).max()
-    return float(max(r_fwd, r_inv))
-
-
 class Window:
     """Value-1/2 indicator of the frequency band ``|k| <= floor(radius * n)``.
 
@@ -262,9 +245,8 @@ class Window:
 
     def band_indices(self) -> np.ndarray:
         """The frequency indices carrying weight 1/2 (clipped to the grid)."""
-        lo = max(-self.cutoff, -self.params.n**2)
         hi = min(self.cutoff, self.params.n**2 - 1)
-        return np.arange(lo, hi + 1)
+        return np.arange(-self.cutoff, hi + 1)
 
 
 def _steps_of(params: GridParams, t: float) -> int:
@@ -288,22 +270,26 @@ def kernel_slice(window: Window, t: float) -> GridFunction:
     return inverse(_windowed_symbol(window, t))
 
 
-def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> np.ndarray:
-    """Kernel table ``K[i, j]`` at ``times[i]`` and offsets ``zs[j]``.
+def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
+    """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
     The solve's query stage with coefficients ``0.5 growth^{floor(n t)}`` on
     the band: a chirp-z transform for a uniform ``zs``, direct summation
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
     against the window's 1/2); Hermitian symmetry of the band makes the
-    values real up to rounding.  Overflow in the powers leaves non-finite
-    values for the caller to report.
+    values real up to rounding.  ``max_growth`` is the largest ``|growth|``
+    in the band.  Overflow in the powers leaves non-finite values for
+    :meth:`SolveResult.first_non_finite` to report.
     """
     zs = np.asarray(zs, dtype=float)
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise ValueError(f"kernel offset must be finite, got z={bad[0]}")
     ks = window.band_indices()
-    return _table(window.params, ks, propagator(window.params).at(ks), 1.0, times, zs)
+    growth = propagator(window.params).at(ks)
+    u = _table(window.params, ks, growth, 1.0, times, zs)
+    return SolveResult(tuple(map(float, times)), tuple(zs.tolist()), u,
+                       max_growth=float(np.abs(growth).max()))
 
 
 @dataclass(frozen=True)
@@ -380,8 +366,7 @@ def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
     """Indices ``j`` with ``j/n`` in ``[-omega, omega)`` and the boundary values there."""
     n = config.n
     lo = int(math.ceil(-config.omega * n))
-    hi = int(math.ceil(config.omega * n))  # exclusive
-    lo, hi = max(lo, -n * n), min(hi, n * n)
+    hi = int(math.ceil(config.omega * n))  # exclusive; omega < n keeps both inside the grid
     js = np.arange(lo, hi)
     vals = np.asarray(config.boundary(js / n), dtype=np.complex128)
     if vals.shape != js.shape:

@@ -17,14 +17,13 @@ exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "GridParams",
     "GridFunction",
-    "Field",
     "integrate",
     "d_x",
     "d_xx",
@@ -161,29 +160,6 @@ class GridFunction:
         return f"GridFunction(n={self.params.n}, max|f|={self.max_abs():.3g})"
 
 
-class Field:
-    """Time-indexed family of grid functions, produced one slice at a time.
-
-    ``producer(i)`` must return the slice at time index ``i``.  The field
-    never stores more than what the producer keeps alive, so memory stays
-    O(n^2) regardless of how many slices are visited.
-    """
-
-    def __init__(self, params: GridParams, producer: Callable[[int], GridFunction],
-                 max_index: int | None = None) -> None:
-        self.params = params
-        self._producer = producer
-        self.max_index = params.time_count - 1 if max_index is None else max_index
-
-    def slice(self, i: int) -> GridFunction:
-        if not 0 <= i <= self.max_index:
-            raise IndexError(f"time index {i} outside [0, {self.max_index}]")
-        out = self._producer(i)
-        if out.params != self.params:
-            raise ValueError("producer returned a slice on a different grid")
-        return out
-
-
 def integrate(f: GridFunction) -> complex:
     """``(1/n) * sum_j f(j/n)`` over all 2n^2 space points; NaN/Inf propagate."""
     return complex(np.sum(f.values) * f.params.dx)
@@ -213,12 +189,11 @@ def d_xx(f: GridFunction) -> GridFunction:
     return d_x(d_x(f))
 
 
-def d_t(f: Field, i: int) -> GridFunction:
-    """Forward time difference ``n*(f(i+1,.) - f(i,.))``, zero at the last index."""
-    if not 0 <= i <= f.params.time_count - 1:
-        raise IndexError(f"time index {i} outside [0, {f.params.time_count - 1}]")
-    if i == f.params.time_count - 1:
-        return GridFunction.zeros(f.params)
-    a = f.slice(i)
-    b = f.slice(i + 1)
-    return GridFunction(f.params, f.params.n * (b.values - a.values))
+def d_t(slices: Sequence[GridFunction], i: int) -> GridFunction:
+    """Forward time difference ``n*(f(i+1,.) - f(i,.))`` of ``slices``, zero at index ``n^2 - 1``."""
+    params = slices[0].params
+    if not 0 <= i <= params.time_count - 1:
+        raise IndexError(f"time index {i} outside [0, {params.time_count - 1}]")
+    if i == params.time_count - 1:
+        return GridFunction.zeros(params)
+    return GridFunction(params, params.n * (slices[i + 1].values - slices[i].values))

@@ -119,10 +119,6 @@ class BoundaryCondition:
             self._closed_form_residual = resid
         return self.closed_form_fn(t, x)
 
-    def check_certificate(self, lo: float = -12.0, hi: float = 12.0, count: int = 4001) -> bool:
-        y = np.linspace(lo, hi, count)
-        return bool(np.all(np.abs(self(y)) <= self.certificate.bound(y) + 1e-12))
-
 
 def gaussian(a: float = 1.0, b: float = 1.0) -> BoundaryCondition:
     """``g(y) = a exp(-b y^2)`` with the exact solution known in closed form."""
@@ -177,6 +173,10 @@ def sampled(points: Sequence[tuple[float, complex]]) -> BoundaryCondition:
         raise ValueError("sampled boundary needs at least one point")
     xs = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts], dtype=np.complex128)
+    finite = np.isfinite(xs) & np.isfinite(vs)
+    if not finite.all():
+        x, v = pts[int(np.argmin(finite))]
+        raise ValueError(f"sampled boundary needs finite samples, got x={x}, value={v}")
 
     def fn(y) -> np.ndarray:
         y1 = np.atleast_1d(np.asarray(y, dtype=float))
@@ -337,10 +337,6 @@ class RateReport:
         if self.fitted_order is None or not math.isfinite(self.fitted_order):
             return False
         return self.bracket[0] <= self.fitted_order <= self.bracket[1]
-
-    @property
-    def passed(self) -> bool:
-        return self.bounds_hold and self.order_in_bracket
 
 
 def _fit_decay_order(params: Sequence[float], errors: Sequence[float]) -> float:

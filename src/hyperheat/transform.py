@@ -1,4 +1,4 @@
-r"""Half-frequency discrete Fourier pair and its exact difference identities.
+r"""Half-frequency discrete Fourier pair, difference symbol and boundary corrections.
 
 The transform pair on the grid of ``M = 2 n^2`` points is
 
@@ -24,7 +24,7 @@ where ``psi(x) = n (e^{i\pi x/n} - 1)`` is the symbol of the forward
 difference and ``e``, ``f_corr`` collect the values of the slice (and of its
 first difference) at the three affected indices ``-n^2``, ``-n^2 + 1`` and
 ``n^2 - 1``.  These identities hold to rounding error at every finite ``n``;
-:func:`check_dx_identity` / :func:`check_dxx_identity` measure the residual.
+:func:`hyperheat.checks.derivative_ratio` measures the residual.
 
 Both directions are evaluated by one FFT of period ``M``; the test-suite pins
 them to an independent per-frequency direct sum.
@@ -37,17 +37,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, GridParams, d_x, d_xx
+from .grid import GridFunction, GridParams, d_x
 
 __all__ = [
     "forward",
     "inverse",
-    "SpectralSymbols",
     "spectral_symbols",
     "BoundaryCorrections",
     "boundary_corrections",
-    "check_dx_identity",
-    "check_dxx_identity",
 ]
 
 @lru_cache(maxsize=8)
@@ -80,32 +77,20 @@ def inverse(f: GridFunction) -> GridFunction:
     return _transform(f, +1)
 
 
-@dataclass(frozen=True)
-class SpectralSymbols:
-    """Symbols of the forward difference on the frequency grid.
-
-    ``psi(x) = n (e^{+i pi x/n} - 1)`` and ``phi(x) = n (e^{-i pi x/n} - 1)``;
-    on the (real) grid ``phi = conj(psi)``, ``psi(0) = 0`` and
-    ``|psi(x)| = 2 n |sin(pi x / 2n)| <= 2n``.
-    """
-
-    params: GridParams
-    psi: GridFunction
-    phi: GridFunction
-
-
 def _psi(x: np.ndarray, n: int) -> np.ndarray:
     """``psi(x) = n (e^{i pi x/n} - 1)`` at the frequencies ``x``."""
     return n * (np.exp(1j * np.pi * x / n) - 1.0)
 
 
 @lru_cache(maxsize=8)
-def spectral_symbols(params: GridParams) -> SpectralSymbols:
-    n = params.n
-    x = params.space_points()
-    psi = _psi(x, n)
-    phi = n * (np.exp(-1j * np.pi * x / n) - 1.0)
-    return SpectralSymbols(params, GridFunction(params, psi), GridFunction(params, phi))
+def spectral_symbols(params: GridParams) -> GridFunction:
+    """The forward-difference symbol ``psi`` on the frequency grid.
+
+    ``psi(0) = 0`` and ``|psi(x)| = 2 n |sin(pi x / 2n)| <= 2n``; the
+    backward-difference symbol ``n (e^{-i pi x/n} - 1)`` is ``conj(psi)``,
+    bit for bit.
+    """
+    return GridFunction(params, _psi(params.space_points(), params.n))
 
 
 @dataclass(frozen=True)
@@ -127,8 +112,8 @@ def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     """Evaluate both correction functions on the full frequency grid."""
     params = slice_.params
     n = params.n
-    sym = spectral_symbols(params)
-    psi, phi = sym.psi.values, sym.phi.values
+    psi = spectral_symbols(params).values
+    phi = np.conj(psi)                              # backward-difference symbol
 
     f_top = slice_.values[-1]                       # value at (n^2-1)/n
     f_bot = slice_.values[0]                        # value at -n
@@ -148,24 +133,3 @@ def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     e = phi * d - c
     f_corr = psi * phi * d - psi * c + phi * d_prime - c_prime
     return BoundaryCorrections(GridFunction(params, e), GridFunction(params, f_corr))
-
-
-def check_dx_identity(slice_: GridFunction) -> float:
-    """Max-abs residual of ``forward(d_x f) - (psi * forward(f) - e)``.
-
-    Exact up to rounding; :func:`hyperheat.checks.derivative_ratio` holds the tolerance.
-    """
-    sym = spectral_symbols(slice_.params)
-    corr = boundary_corrections(slice_)
-    lhs = forward(d_x(slice_))
-    rhs = sym.psi * forward(slice_) - corr.e
-    return float(np.abs(lhs.values - rhs.values).max())
-
-
-def check_dxx_identity(slice_: GridFunction) -> float:
-    """Max-abs residual of ``forward(d_xx f) - (psi^2 * forward(f) - f_corr)``."""
-    sym = spectral_symbols(slice_.params)
-    corr = boundary_corrections(slice_)
-    lhs = forward(d_xx(slice_))
-    rhs = sym.psi * sym.psi * forward(slice_) - corr.f_corr
-    return float(np.abs(lhs.values - rhs.values).max())

@@ -63,6 +63,19 @@ class TestBoundaryParsing:
         assert err.count("\n") == 1
         assert err.startswith("configuration error: cannot read boundary file")
 
+    @pytest.mark.parametrize("line", ["0,nan,0", "inf,1,0"], ids=["nan-value", "inf-x"])
+    @pytest.mark.parametrize("argv", [["solve", "--n", "64"], ["converge", "--n-list", "64,128,256"]],
+                             ids=["solve", "converge"])
+    def test_non_finite_sample_is_config_error(self, tmp_path, capsys, line, argv):
+        f = tmp_path / "data.csv"
+        f.write_text(f"{line}\n0.5,1,0\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--g", f"sampled:{f}", "--xs", "0,0.5", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: sampled boundary needs finite samples")
+
 
 class TestValidate:
     def test_fresh_build_passes(self, capsys):
@@ -248,6 +261,19 @@ class TestConverge:
         assert proc.returncode == 1
         assert "encountered in" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("converge failed at n=32: ")
+
+    def test_quadrature_failure_is_one_line(self, tmp_path):
+        # samples of size 1e200 defeat the oracle's adaptive quadrature
+        f = tmp_path / "huge.csv"
+        f.write_text("-1,1e200,0\n0,1,0\n1,1e200,0\n", encoding="utf-8")
+        out = tmp_path / "conv.csv"
+        proc = run_cli(["converge", "--n-list", "64,128,256", "--omega-prime", "2",
+                        "--g", f"sampled:{f}", "--times", "0.5", "--xs", "0,0.5", "--out", str(out)])
+        assert proc.returncode == 1
+        assert not out.exists()
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("converge failed: quadrature did not converge")
 
     @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
     def test_quadrature_reference_once_per_time(self, monkeypatch, tmp_path):

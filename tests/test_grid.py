@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperheat import Field, GridFunction, GridParams, d_t, d_x, d_xx, evolve, integrate, step
+from hyperheat import GridFunction, GridParams, d_t, d_x, d_xx, evolve, integrate, step
 
 from conftest import random_grid_function
 
@@ -132,12 +132,10 @@ class TestLinearity:
         slices_f = [random_grid_function(p, rng) for _ in range(3)]
         slices_g = [random_grid_function(p, rng) for _ in range(3)]
         a, b = 0.5 + 1j, -2.0
-        combined = Field(p, lambda i: a * slices_f[i] + b * slices_g[i], max_index=2)
-        ff = Field(p, lambda i: slices_f[i], max_index=2)
-        fg = Field(p, lambda i: slices_g[i], max_index=2)
+        combined = [a * f + b * g for f, g in zip(slices_f, slices_g)]
         for i in (0, 1):
             lhs = d_t(combined, i).values
-            rhs = a * d_t(ff, i).values + b * d_t(fg, i).values
+            rhs = a * d_t(slices_f, i).values + b * d_t(slices_g, i).values
             assert np.abs(lhs - rhs).max() <= 1e-12 * (1 + np.abs(rhs).max())
 
 
@@ -145,14 +143,14 @@ class TestField:
     def test_constant_field_has_zero_time_derivative(self):
         p = GridParams(2)
         c = GridFunction(p, np.full(8, 3.0 - 1j))
-        f = Field(p, lambda i: c)
+        f = [c] * p.time_count
         for i in (0, 1, 3):
             assert np.all(d_t(f, i).values == 0)
 
     def test_linear_in_time_field(self):
         # slice i holds the constant value i/n: time slope is exactly 1
         p = GridParams(2)
-        f = Field(p, lambda i: GridFunction(p, np.full(8, i / p.n)))
+        f = [GridFunction(p, np.full(8, i / p.n)) for i in range(p.time_count)]
         for i in range(p.time_count - 1):
             assert np.all(d_t(f, i).values == 1.0)
         assert np.all(d_t(f, p.time_count - 1).values == 0)
@@ -160,16 +158,17 @@ class TestField:
     def test_stepper_time_derivative_example(self):
         p = GridParams(2)
         g = GridFunction.delta(p, j=0)
-        fld = evolve(g, 1)
-        out = d_t(fld, 0).values
+        out = d_t(evolve(g, 1), 0).values
         assert out[p.position(-2)] == 4
         assert out[p.position(-1)] == -8
         assert out[p.position(0)] == 4
 
     def test_index_errors(self):
         p = GridParams(2)
-        f = Field(p, lambda i: GridFunction.zeros(p))
+        f = [GridFunction.zeros(p)] * p.time_count
         with pytest.raises(IndexError):
-            f.slice(-1)
+            d_t(f, -1)
         with pytest.raises(IndexError):
             d_t(f, p.time_count)
+        with pytest.raises(IndexError):
+            d_t(f[:2], 1)  # needs slice 2

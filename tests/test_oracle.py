@@ -31,7 +31,8 @@ class TestBoundaryConditions:
         g = gaussian(2.0, 0.5)
         assert g(0.0) == pytest.approx(2.0)
         assert g(np.array([1.0]))[0] == pytest.approx(2.0 * math.exp(-0.5))
-        assert g.check_certificate()
+        y = np.linspace(-12.0, 12.0, 4001)
+        assert np.all(np.abs(g(y)) <= g.certificate.bound(y) + 1e-12)
 
     def test_indicator_halfopen(self):
         g = indicator(-1.0, 1.0)
@@ -261,7 +262,7 @@ class TestRateChecks:
         assert rep.observed[-1] <= 2.29e-4  # instantiated bound at n=1e6
         fit = rate_check_p([100, 1000, 10**4, 10**5, 10**6])
         assert 0.8 <= fit.fitted_order <= 1.2
-        assert fit.passed
+        assert fit.bounds_hold and fit.order_in_bracket
 
     def test_t_order_fit(self):
         (rep,) = rate_check_t([1.0], [100, 1000, 10**4])
@@ -271,7 +272,7 @@ class TestRateChecks:
     def test_t_vanishing_large_argument(self):
         (rep,) = rate_check_t([5.0], [10**4])
         assert rep.observed[0] <= 1e-3
-        assert rep.passed
+        assert rep.bounds_hold and rep.order_in_bracket
 
     def test_t_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -304,7 +305,7 @@ class TestQuadratureCheck:
         assert rep.floor_noise
         assert max(rep.observed) <= 1e-12
         assert not rep.order_in_bracket
-        assert not rep.passed
+        assert not (rep.bounds_hold and rep.order_in_bracket)
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
