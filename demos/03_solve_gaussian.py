@@ -11,7 +11,7 @@ rounding on grid-aligned queries.
 
 import numpy as np
 
-from hyperheat import SolveConfig, gaussian, solve, solve_via_convolution
+from hyperheat import SolveConfig, checks, gaussian, solve, solve_via_convolution
 
 bc = gaussian(1.0, 1.0)
 T = 0.5
@@ -34,7 +34,7 @@ for n in (64, 128, 256, 512):
     res = solve(cfg)
     errs[n] = max(abs(u - bc.closed_form(T, x).real) for x, u in zip(xs41, res.u[0].real))
     print(f"  n={n:>4}: max error {errs[n]:.3e}")
-order = -np.polyfit(np.log(list(errs)), np.log(list(errs.values())), 1)[0]
+order = checks.fitted_order(list(errs), list(errs.values()))
 print(f"fitted convergence order: {order:.3f}")
 
 print("\ncross-check via the kernel-convolution route at n=32 (grid queries):")

@@ -11,41 +11,23 @@ it -- an upper bound is not an asymptotic).
 
 import math
 
-import numpy as np
+from hyperheat.checks import rate_verdicts
+from hyperheat.oracle import difference_symbol_residual, gaussian_symbol_residual, lattice_error
 
-from hyperheat import quadrature_rate_check, rate_check_p, rate_check_t, tail_bound_check
-from hyperheat.oracle import difference_symbol_residual, gaussian_transform_identity
+print("every rate verdict (the rows `hyperheat rates` writes):")
+for check, param, observed, bound, ok in rate_verdicts():
+    print(f"  {check:<15} {param:<22} {observed:>12.4e}  {bound:<14} {'ok' if ok else 'FAILS'}")
+print(f"\nexact first term: residual(1) = {difference_symbol_residual(1):.6f} = -2 - i*pi")
 
-print("difference-symbol residual |n(e^{i pi/n}-1) - i pi| against pi^2 e^pi / n:")
-rep = rate_check_p([1, 10, 100, 1000, 10**4, 10**5, 10**6])
-for n, obs, bnd in zip(rep.params, rep.observed, rep.bounds):
-    print(f"  n={int(n):>8}: |residual| = {obs:.4e}  <=  {bnd:.4e}  {'ok' if obs <= bnd else 'VIOLATED'}")
-print(f"fitted decay order: {rep.fitted_order:.3f} (bracket [0.8, 1.2])")
-print(f"exact first term: residual(1) = {difference_symbol_residual(1):.6f} = -2 - i*pi\n")
+print("\ngaussian-symbol residual |(1+s_n^2/n)^n - e^{-pi^2 y^2}| at y=1:")
+for n in (100, 1000, 10**4):
+    print(f"  n={n:>6}: {abs(gaussian_symbol_residual(n, 1.0)):.4e}")
 
-print("gaussian-symbol residual |(1+s_n^2/n)^n - e^{-pi^2 y^2}| at y=1:")
-(trep,) = rate_check_t([1.0], [100, 1000, 10**4])
-for n, obs in zip(trep.params, trep.observed):
-    print(f"  n={int(n):>6}: {obs:.4e}")
-print(f"fitted decay order: {trep.fitted_order:.3f}")
-(vrep,) = rate_check_t([5.0], [10**4])
-print(f"large-argument vanishing: |approx(n=1e4, y=5)| = {vrep.observed[0]:.2e}\n")
-
-print("grid Gaussian tail bound (cut at |x| >= threshold):")
-for t, thr in ((1.0, 1.0), (0.25, 2.0)):
-    left, right = tail_bound_check(t, thr, 100)
-    print(f"  t={t}, threshold={thr}: tail sum {left:.3e} <= bound {right:.3e}")
-
-print("\ngrid transform of the exact Gaussian symbol vs its closed form:")
-qrep = quadrature_rate_check(1.0, 0.0, [64, 128, 256])
-for n, obs in zip(qrep.params, qrep.observed):
-    print(f"  n={int(n):>4}: error {obs:.2e}")
+print("\ngrid transform of the exact Gaussian symbol vs its closed form (t=1, z=0):")
+for n in (64, 128, 256):
+    print(f"  n={n:>4}: error {lattice_error(1.0, 0.0, n):.2e}")
 print("the lattice sum of an analytic Gaussian is a full trapezoidal rule,")
 print("so its true error is O(exp(-n^2/t)) -- these numbers are rounding")
 print("noise, far below any 1/n curve.  A decay-order fit on them is")
-print(f"meaningless (report flags floor_noise={qrep.floor_noise}).")
-
-print("\nthe transform identity itself, by quadrature:")
-for t, z in ((1.0, 0.0), (0.5, 1.0)):
-    print(f"  t={t}, z={z}: |quad - closed form| = {gaussian_transform_identity(t, z):.2e}")
-print(f"  (t=1, z=0 integral is 1/sqrt(pi) = {1 / math.sqrt(math.pi):.5f})")
+print("meaningless, which is why the quad_order verdict above fails.")
+print(f"\n(t=1, z=0 transform integral is 1/sqrt(pi) = {1 / math.sqrt(math.pi):.5f})")

@@ -42,9 +42,6 @@ from .oracle import (
     gaussian_heat_kernel,
     gaussian_transform_identity,
     indicator,
-    quadrature_rate_check,
-    rate_check_p,
-    rate_check_t,
     sampled,
     tail_bound_check,
 )

@@ -1,20 +1,22 @@
-"""Randomised checks of the four exact identities (acceptance criteria 1-4).
+"""The verdicts of the library, each tolerance, bound and bracket written once.
 
-Each ``*_ratio`` function judges one draw of data, as residual over
-tolerance (at most 1 when the identity holds): it computes its identity's
-residual and holds its criterion's only tolerance.  Each criterion function
-returns the worst ratio over ``trials`` random complex grid functions per
-``n`` in ``ns``, drawn from ``rng``; ``hyperheat validate`` and the
-acceptance suite both run them.
+Exact identities (criteria 1-4): each ``*_ratio`` function judges one draw
+of data as residual over its identity's only tolerance (at most 1 when it
+holds); each criterion function returns the worst ratio over ``trials``
+random complex grid functions per ``n`` in ``ns``, drawn from ``rng``.
+Rate estimates (criterion 8) carry existence-only constants, so
+:func:`rate_verdicts` judges shapes: a fitted decay order inside a bracket,
+or a concrete bound evaluated numerically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import transform
+from . import oracle, transform
 from .evolution import convolve, evolve, spectral_hat
 from .grid import GridFunction, GridParams, d_x, d_xx
 
@@ -26,6 +28,8 @@ __all__ = [
     "convolution_theorem",
     "derivative_identities",
     "stepper_vs_spectral",
+    "fitted_order",
+    "rate_verdicts",
 ]
 
 
@@ -119,3 +123,53 @@ def stepper_vs_spectral(ns: Iterable[int], trials: int, rng, supported_ns: Itera
             v[p.position(lo): p.position(hi) + 1] = rng.standard_normal(hi - lo + 1)
             worst = max(worst, _stepper_ratio(GridFunction(p, v), steps, False))
     return worst
+
+
+def fitted_order(params: Sequence[float], errors: Sequence[float]) -> float:
+    """Least-squares slope of ``-log(err)`` against ``log(param)``; a zero error counts as 1e-300."""
+    p = np.log(np.asarray(params, dtype=float))
+    e = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+    return float(-np.polyfit(p, e, 1)[0])
+
+
+def rate_verdicts() -> list[tuple[str, str, float, str, bool]]:
+    """Rows ``(check, param, observed, bound_or_bracket, pass)``, one per rate verdict.
+
+    A bound row passes when ``observed <= limit`` and reads ``<=limit``; a
+    bracket row passes when ``lo <= observed <= hi`` and reads ``[lo,hi]``.
+    ``quad_order`` fails: the lattice sum is exact to the float floor, so no
+    decay order is observable (see :func:`oracle.lattice_error`).
+    """
+    rows = []
+
+    def bound(check: str, param: str, observed: float, limit: float) -> None:
+        rows.append((check, param, observed, f"<={limit:.6g}", observed <= limit))
+
+    def bracket(check: str, param: str, observed: float, lo: float, hi: float) -> None:
+        rows.append((check, param, observed, f"[{lo},{hi}]", lo <= observed <= hi))
+
+    # |n (e^{i pi/n} - 1) - i pi| <= pi^2 e^pi / n, at rate 1/n
+    p_ns = (1, 10, 100, 1000, 10_000, 100_000, 1_000_000)
+    p_errs = [abs(oracle.difference_symbol_residual(n)) for n in p_ns]
+    for n, err in zip(p_ns, p_errs):
+        bound("p_bound", f"n={n}", err, math.pi**2 * math.exp(math.pi) / n)
+    bracket("p_order", "n=1e2..1e6", fitted_order(p_ns[2:], p_errs[2:]), 0.8, 1.2)
+
+    for t, thr in ((1.0, 1.0), (0.25, 2.0)):
+        left, right = oracle.tail_bound_check(t, thr, 100)
+        bound("tail_bound", f"t={t},thr={thr},n=100", left, right)
+
+    # the compounded growth tends to exp(-pi^2 y^2) at rate 1/n, and vanishes at large y
+    t_ns = (100, 1000, 10_000)
+    bracket("t_order", "y=1",
+            fitted_order(t_ns, [abs(oracle.gaussian_symbol_residual(n, 1.0)) for n in t_ns]), 0.8, 1.2)
+    bound("t_vanish", "y=5,n=1e4", abs(oracle.gaussian_symbol_approx(10_000, 5.0)), 1e-3)
+
+    q_ns = (64, 128, 256)
+    bracket("quad_order", "t=1,z=0",
+            fitted_order(q_ns, [oracle.lattice_error(1.0, 0.0, n) for n in q_ns]), 0.8, 1.5)
+    bound("quad_error", "t=1,z=1,n=256", oracle.lattice_error(1.0, 1.0, 256), 1e-2)
+
+    for t, z in ((1.0, 0.0), (0.5, 1.0)):
+        bound("gauss_transform", f"t={t},z={z}", oracle.gaussian_transform_identity(t, z), 1e-8)
+    return rows

@@ -218,10 +218,10 @@ def run_converge(args) -> int:
         if bad is not None:
             print(f"converge failed at n={config.n}: {bad}", file=sys.stderr)
             return EXIT_VALIDATION
-        err = float(np.abs(result.u.real - refs).max(initial=0.0))
+        err = float(np.abs(result.u.real - refs).max())
         errs.append(err)
         rows.append((config.n, err, config.regime_flag))
-    order = float(-np.polyfit(np.log(n_list), np.log(errs), 1)[0])
+    order = checks.fitted_order(n_list, errs)
     rows.append(("order", order, ""))
     _write_csv(args.out, ("n", "max_err", "regime_flag"), zip(*rows))
     print(f"fitted convergence order: {order:.4f}", file=sys.stderr)
@@ -232,41 +232,12 @@ def run_converge(args) -> int:
 
 
 def run_rates(args) -> int:
-    """One row per bound/order verdict; exit 0 iff all pass."""
-    rows = []
-
-    def add(check: str, param: str, observed: float, bound: str, ok: bool) -> None:
-        rows.append((check, param, observed, bound, ok))
-
-    p_ns = [1, 10, 100, 1000, 10_000, 100_000, 1_000_000]
-    rep = oracle.rate_check_p(p_ns)
-    for n, obs, bnd in zip(rep.params, rep.observed, rep.bounds):
-        add("p_bound", f"n={int(n)}", obs, f"<={bnd:.6g}", obs <= bnd)
-    fit = oracle.rate_check_p([n for n in p_ns if n >= 100])
-    add("p_order", "n=1e2..1e6", fit.fitted_order, "[0.8,1.2]", fit.order_in_bracket)
-
-    for t, thr in ((1.0, 1.0), (0.25, 2.0)):
-        left, right = oracle.tail_bound_check(t, thr, 100)
-        add("tail_bound", f"t={t},thr={thr},n=100", left, f"<={right:.6g}", left <= right)
-
-    (trep,) = oracle.rate_check_t([1.0], [100, 1000, 10_000])
-    add("t_order", "y=1", trep.fitted_order, "[0.8,1.2]", trep.order_in_bracket)
-    (vrep,) = oracle.rate_check_t([5.0], [10_000])
-    add("t_vanish", "y=5,n=1e4", vrep.observed[0], "<=0.001", vrep.observed[0] <= 1e-3)
-
-    qrep = oracle.quadrature_rate_check(1.0, 0.0, [64, 128, 256])
-    add("quad_order", "t=1,z=0", qrep.fitted_order, "[0.8,1.5]", qrep.order_in_bracket)
-    qerr = oracle.quadrature_rate_check(1.0, 1.0, [256])
-    add("quad_error", "t=1,z=1,n=256", qerr.observed[0], "<=0.01", qerr.observed[0] <= 1e-2)
-
-    for t, z in ((1.0, 0.0), (0.5, 1.0)):
-        resid = oracle.gaussian_transform_identity(t, z)
-        add("gauss_transform", f"t={t},z={z}", resid, "<=1e-08", resid <= 1e-8)
-
+    """One row per verdict of :func:`checks.rate_verdicts`; exit 0 iff all pass."""
+    rows = checks.rate_verdicts()
     _write_csv(args.out, ("check", "param", "observed", "bound_or_bracket", "pass"), zip(*rows))
-    bad = [r[0] for r in rows if not r[4]]
+    bad = sorted({check for check, *_, ok in rows if not ok})
     if bad:
-        print(f"rate checks failed: {', '.join(sorted(set(bad)))}", file=sys.stderr)
+        print(f"rate checks failed: {', '.join(bad)}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

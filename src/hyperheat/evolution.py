@@ -282,6 +282,8 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     :meth:`SolveResult.first_non_finite` to report.
     """
     zs = np.asarray(zs, dtype=float)
+    if not zs.size:
+        raise ValueError("need at least one kernel offset")
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise ValueError(f"kernel offset must be finite, got z={bad[0]}")
@@ -321,6 +323,8 @@ class SolveConfig:
         for t in self.times:
             if not 0.0 < t < self.n:
                 raise ValueError(f"query times must lie in (0, n); got t={t}")
+        if not self.xs:
+            raise ValueError("need at least one query point")
         for x in self.xs:
             if not math.isfinite(x):
                 raise ValueError(f"query points must be finite; got x={x}")

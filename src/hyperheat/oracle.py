@@ -1,9 +1,9 @@
-"""Classical Gaussian-kernel reference solution and convergence-rate checks.
+"""Classical Gaussian-kernel reference solution and the scalars behind the rate estimates.
 
 Everything here is deliberately independent of the discrete solver: the
 classical solution is evaluated by adaptive quadrature of the heat kernel
 (closed forms are only used after being validated against that quadrature),
-and the sequence/rate checks work on scalar sequences.  Together they are
+and the rate estimates are scalar sequences and sums.  Together they are
 the yardstick the grid pipeline is measured against.
 
 The quadrature works on columns: :func:`classical_column` integrates every
@@ -11,10 +11,8 @@ query point of one time in a single adaptive pass, split at the data's
 breakpoints (support edges and jumps) and at the query points, so that no
 compact support or narrow kernel can slip between the quadrature nodes.
 
-The rate checks follow one discipline: the underlying inequalities carry
-existence-only constants, so what is verified empirically is the *shape*
-(a fitted decay order within a stated bracket, or a concrete two-sided
-bound evaluated numerically), never a guessed constant.
+The bounds and brackets of the rate estimates, and the verdicts on them,
+are in :func:`hyperheat.checks.rate_verdicts`.
 """
 
 from __future__ import annotations
@@ -42,11 +40,8 @@ __all__ = [
     "gaussian_symbol_approx",
     "difference_symbol_residual",
     "gaussian_symbol_residual",
-    "RateReport",
-    "rate_check_p",
-    "rate_check_t",
     "tail_bound_check",
-    "quadrature_rate_check",
+    "lattice_error",
 ]
 
 _QUAD_ABS_TOL = 1e-10
@@ -167,30 +162,28 @@ def bump(center: float = 0.0, width: float = 1.0) -> BoundaryCondition:
 
 
 def sampled(points: Sequence[tuple[float, complex]]) -> BoundaryCondition:
-    """Piecewise-constant data: each query takes the value of the nearest sample."""
-    pts = sorted((float(x), complex(v)) for x, v in points)
-    if not pts:
+    """Piecewise-constant data: each query takes the value of the nearest sample, the left one on a tie."""
+    if not points:
         raise ValueError("sampled boundary needs at least one point")
-    xs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts], dtype=np.complex128)
+    xs = np.array([float(x) for x, _ in points])
+    vs = np.array([complex(v) for _, v in points], dtype=np.complex128)
     finite = np.isfinite(xs) & np.isfinite(vs)
     if not finite.all():
-        x, v = pts[int(np.argmin(finite))]
-        raise ValueError(f"sampled boundary needs finite samples, got x={x}, value={v}")
+        i = int(np.argmin(finite))
+        raise ValueError(f"sampled boundary needs finite samples, got x={xs[i]}, value={vs[i]}")
+    order = np.argsort(xs)
+    xs, vs = xs[order], vs[order]
+    repeated = xs[1:][xs[1:] == xs[:-1]]
+    if repeated.size:
+        raise ValueError(f"sampled boundary needs distinct x, got x={repeated[0]} more than once")
+    mids = (xs[:-1] + xs[1:]) / 2
 
     def fn(y) -> np.ndarray:
-        y1 = np.atleast_1d(np.asarray(y, dtype=float))
-        pos = np.searchsorted(xs, y1)
-        pos = np.clip(pos, 1, xs.size - 1) if xs.size > 1 else np.zeros_like(pos)
-        left = np.maximum(pos - 1, 0)
-        nearest = np.where(np.abs(y1 - xs[left]) <= np.abs(xs[np.minimum(pos, xs.size - 1)] - y1),
-                           left, np.minimum(pos, xs.size - 1))
-        out = vs[nearest]
-        return out if np.ndim(y) else out[0]
+        return vs[np.searchsorted(mids, y)]
 
     return BoundaryCondition(
         "sampled", fn, GrowthCertificate(float(np.abs(vs).max()), 0.0, 1.0),
-        f"sampled({len(pts)} pts)", breakpoints=tuple(((xs[:-1] + xs[1:]) / 2).tolist())
+        f"sampled({xs.size} pts)", breakpoints=tuple(mids.tolist())
     )
 
 
@@ -300,97 +293,6 @@ def gaussian_symbol_residual(n: int, y: float) -> complex:
     return complex(gaussian_symbol_approx(n, y) - math.exp(-math.pi**2 * y * y))
 
 
-# -- rate reports ------------------------------------------------------------
-
-
-@dataclass
-class RateReport:
-    """Outcome of one empirical rate/bound check.
-
-    ``observed[i]`` corresponds to ``params[i]``; ``bounds`` (when present)
-    are pointwise upper bounds that must hold; ``fitted_order`` is the decay
-    order from a log-log least-squares fit (positive = decaying like
-    ``param**-order``) and must land inside ``bracket`` when one is given.
-    ``floor_noise`` flags observations at the double-precision floor, where
-    no decay order is resolvable.
-    """
-
-    label: str
-    params: list[float]
-    observed: list[float]
-    bounds: list[float] | None = None
-    fitted_order: float | None = None
-    bracket: tuple[float, float] | None = None
-    floor_noise: bool = False
-    notes: str = ""
-
-    @property
-    def bounds_hold(self) -> bool:
-        if self.bounds is None:
-            return True
-        return all(o <= b for o, b in zip(self.observed, self.bounds))
-
-    @property
-    def order_in_bracket(self) -> bool:
-        if self.bracket is None:
-            return True
-        if self.fitted_order is None or not math.isfinite(self.fitted_order):
-            return False
-        return self.bracket[0] <= self.fitted_order <= self.bracket[1]
-
-
-def _fit_decay_order(params: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of -log(err) against log(param)."""
-    p = np.log(np.asarray(params, dtype=float))
-    e = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    slope = np.polyfit(p, e, 1)[0]
-    return float(-slope)
-
-
-def rate_check_p(n_values: Sequence[int]) -> RateReport:
-    """Bound and order check for the difference-symbol residual at y = 1.
-
-    Verifies ``|residual| <= pi^2 exp(pi) / n`` for every requested n and
-    fits the decay order (expected ~1).
-    """
-    n_values = list(n_values)
-    observed = [abs(difference_symbol_residual(n)) for n in n_values]
-    bounds = [math.pi**2 * math.exp(math.pi) / n for n in n_values]
-    order = _fit_decay_order(n_values, observed) if len(n_values) >= 2 else None
-    return RateReport("difference-symbol residual", [float(n) for n in n_values],
-                      observed, bounds, order, (0.8, 1.2))
-
-
-def rate_check_t(y_values: Sequence[float], n_values: Sequence[int]) -> list[RateReport]:
-    """Gaussian-symbol residual checks, one report per y.
-
-    At moderate ``y`` (target above the double floor) the residual
-    ``|approx - exp(-pi^2 y^2)|`` is fitted for decay order ~1.  At large
-    ``y`` the target is numerically 0, so the check becomes a vanishing
-    bound ``|approx| <= 1/|y|`` evaluated at the supplied n with n > |y|^3
-    (below that the compound growth is outside its contraction region).
-    """
-    reports = []
-    for y in y_values:
-        if y == 0:
-            raise ValueError("rate check needs y != 0 (the residual is identically 0 there)")
-        target = math.exp(-math.pi**2 * y * y)
-        if target > 1e-12:
-            errs = [abs(gaussian_symbol_residual(n, y)) for n in n_values]
-            order = _fit_decay_order(n_values, errs) if len(n_values) >= 2 else None
-            reports.append(RateReport(f"gaussian-symbol residual y={y}",
-                                      [float(n) for n in n_values], errs,
-                                      None, order, (0.8, 1.2)))
-        else:
-            ns = [n for n in n_values if n > abs(y) ** 3]
-            vals = [abs(gaussian_symbol_approx(n, y)) for n in ns]
-            reports.append(RateReport(f"gaussian-symbol vanishing y={y}",
-                                      [float(n) for n in ns], vals,
-                                      [1.0 / abs(y)] * len(ns),
-                                      notes="large-argument regime, n > |y|^3"))
-    return reports
-
-
 def tail_bound_check(t: float, threshold: float, n: int) -> tuple[float, float]:
     """Both sides of the grid Gaussian tail bound at cut ``|x| >= threshold``.
 
@@ -413,33 +315,21 @@ def tail_bound_check(t: float, threshold: float, n: int) -> tuple[float, float]:
     return left, right
 
 
-def quadrature_rate_check(t: float, z: float, n_values: Sequence[int]) -> RateReport:
+def lattice_error(t: float, z: float, n: int) -> float:
     """Error of the grid transform of the Gaussian symbol against its closed form.
 
-    Computes ``(1/n) sum_k exp(-pi^2 t (k/n)^2 + i pi (k/n) z)`` on each grid
-    and compares with ``(pi t)^{-1/2} exp(-z^2/4t)``, fitting the decay order
-    against the stated bracket [0.8, 1.5].
+    Computes ``(1/n) sum_k exp(-pi^2 t (k/n)^2 + i pi (k/n) z)`` over the
+    grid and returns its distance from ``(pi t)^{-1/2} exp(-z^2/4t)``.
 
-    In practice the grid sum is a full-lattice trapezoidal rule of an
-    analytic, rapidly decaying integrand, so its true error is
-    O(exp(-(n - z/2)^2 / t)) -- far below double precision for any usable n.
-    The observations then sit at the rounding floor and carry no measurable
-    decay order; ``floor_noise`` is set so callers can see why the bracket
-    verdict failed.
+    The grid sum is a full-lattice trapezoidal rule of an analytic, rapidly
+    decaying integrand, so its true error is O(exp(-(n - z/2)^2 / t)) -- far
+    below double precision for any usable n.  What it returns is then
+    rounding noise at the floor (~1e-16), with no measurable decay order.
     """
     if t <= 0:
         raise ValueError("needs t > 0")
     target = math.exp(-z * z / (4.0 * t)) / math.sqrt(math.pi * t)
-    errs = []
-    for n in n_values:
-        k = np.arange(-n * n, n * n)
-        x = k / n
-        s = np.sum(np.exp(-math.pi**2 * t * x * x) * np.exp(1j * math.pi * x * z)) / n
-        errs.append(abs(complex(s) - target))
-    floor = max(errs) < 1e-12
-    order = _fit_decay_order(n_values, errs) if len(n_values) >= 2 else None
-    return RateReport(f"gaussian-symbol quadrature t={t} z={z}",
-                      [float(n) for n in n_values], errs, None, order,
-                      (0.8, 1.5), floor_noise=floor,
-                      notes="errors at the double-precision floor; no resolvable rate"
-                      if floor else "")
+    k = np.arange(-n * n, n * n)
+    x = k / n
+    s = np.sum(np.exp(-math.pi**2 * t * x * x) * np.exp(1j * math.pi * x * z)) / n
+    return abs(complex(s) - target)

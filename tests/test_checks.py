@@ -1,4 +1,5 @@
-"""Property tests of the exact identities, judged by the tolerances in ``hyperheat.checks``."""
+"""Property tests of the exact identities, judged by the tolerances in ``hyperheat.checks``,
+and the consistency of the rate verdicts with the bounds they print."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,3 +39,14 @@ class TestIdentityProperties:
     def test_difference_identities(self, fs):
         assert checks.derivative_ratio(*fs) <= 1.0
 
+
+
+def test_rate_bound_text_agrees_with_verdict():
+    rows = checks.rate_verdicts()
+    assert len(rows) == 16
+    for check, param, observed, bound, ok in rows:
+        if bound.startswith("<="):
+            assert ok == (observed <= float(bound[2:])), (check, param)
+        else:
+            lo, hi = (float(v) for v in bound.strip("[]").split(","))
+            assert ok == (lo <= observed <= hi), (check, param)

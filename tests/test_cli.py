@@ -76,6 +76,15 @@ class TestBoundaryParsing:
         assert err.count("\n") == 1
         assert err.startswith("configuration error: sampled boundary needs finite samples")
 
+    def test_repeated_sample_x_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "data.csv"
+        f.write_text("0,1,0\n0,2,0\n1,1,0\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--n", "64", "--g", f"sampled:{f}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "configuration error: sampled boundary needs distinct x, got x=0.0 more than once\n")
+
 
 class TestValidate:
     def test_fresh_build_passes(self, capsys):
@@ -292,6 +301,20 @@ class TestConverge:
         assert all(len(set(xs)) == 7 for _, xs in calls)
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["32", "64", "128", "order"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "need at least one query point"),
+    (["kernel"], "need at least one kernel offset"),
+    (["converge", "--n-list", "16,32,64"], "need at least one query point"),
+    (["converge", "--n-list", "16,32,64", "--g", "bump:0,1"], "need at least one query point"),
+], ids=["solve", "kernel", "converge-gaussian", "converge-bump"])
+def test_empty_query_set_is_config_error(tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    proc = run_cli([*argv, "--xs=0:1:0", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 class TestFlags:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from hyperheat import oracle
+from hyperheat import checks, oracle
 from hyperheat.oracle import (
     bump,
     classical_column,
@@ -16,11 +16,10 @@ from hyperheat.oracle import (
     gaussian,
     gaussian_heat_kernel,
     gaussian_symbol_approx,
+    gaussian_symbol_residual,
     gaussian_transform_identity,
     indicator,
-    quadrature_rate_check,
-    rate_check_p,
-    rate_check_t,
+    lattice_error,
     sampled,
     tail_bound_check,
 )
@@ -51,6 +50,29 @@ class TestBoundaryConditions:
         assert g(0.8) == 3.0
         assert g(-5.0) == 1.0 + 1j
         assert np.array_equal(g(np.array([0.0, 1.0])), np.array([1 + 1j, 3.0]))
+
+    def test_sampled_lookup_matches_nearest_distance(self):
+        rng = np.random.default_rng(5)
+        xs = np.sort(rng.uniform(-3.0, 3.0, 101))
+        vs = rng.standard_normal(101) + 1j * rng.standard_normal(101)
+        g = sampled(list(zip(xs, vs)))
+        mids = np.array(g.breakpoints)
+        y = rng.uniform(-4.0, 4.0, 20_000)
+        y = y[np.abs(y[:, None] - mids).min(axis=1) > 1e-12]   # away from the jumps
+        # nearest sample by distance, the left one on a tie
+        nearest = np.abs(y[:, None] - xs).argmin(axis=1)
+        assert np.array_equal(g(y), vs[nearest])
+        assert g(y[0]) == vs[nearest[0]]
+
+    def test_sampled_tie_takes_left_sample(self):
+        g = sampled([(1.0, 10.0), (0.0, 1.0), (3.0, 30.0)])
+        assert g.breakpoints == (0.5, 2.0)
+        assert np.array_equal(g(np.array([0.5, 2.0])), [1.0, 10.0])
+        assert g(np.nextafter(0.5, 1.0)) == 10.0 and g(np.nextafter(2.0, 3.0)) == 30.0
+
+    def test_sampled_rejects_repeated_x(self):
+        with pytest.raises(ValueError, match=r"distinct x, got x=0\.0"):
+            sampled([(0.0, 1.0), (0.0, 2.0), (1.0, 1.0)])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -254,29 +276,36 @@ class TestSequences:
             assert gaussian_symbol_approx(n, 0.0) == 1.0
 
 
+@pytest.fixture(scope="module")
+def verdicts():
+    """``checks.rate_verdicts()`` grouped by check name."""
+    by_check = {}
+    for check, param, observed, bound, ok in checks.rate_verdicts():
+        by_check.setdefault(check, []).append((param, observed, bound, ok))
+    return by_check
+
+
 class TestRateChecks:
-    def test_p_bounds_and_order(self):
-        rep = rate_check_p([1, 10, 100, 1000, 10**4, 10**5, 10**6])
-        assert rep.bounds_hold
-        assert rep.observed[0] == pytest.approx(math.sqrt(4 + math.pi**2))
-        assert rep.observed[-1] <= 2.29e-4  # instantiated bound at n=1e6
-        fit = rate_check_p([100, 1000, 10**4, 10**5, 10**6])
-        assert 0.8 <= fit.fitted_order <= 1.2
-        assert fit.bounds_hold and fit.order_in_bracket
+    def test_p_bounds_and_order(self, verdicts):
+        rows = verdicts["p_bound"]
+        assert [param for param, *_ in rows] == [f"n={10**k}" for k in range(7)]
+        assert all(ok for *_, ok in rows)
+        assert rows[0][1] == pytest.approx(math.sqrt(4 + math.pi**2))
+        assert rows[-1][1] <= 2.29e-4  # instantiated bound at n=1e6
+        ((param, order, bracket, ok),) = verdicts["p_order"]
+        assert param == "n=1e2..1e6" and bracket == "[0.8,1.2]"
+        assert 0.8 <= order <= 1.2 and ok
 
-    def test_t_order_fit(self):
-        (rep,) = rate_check_t([1.0], [100, 1000, 10**4])
-        assert all(a > b for a, b in zip(rep.observed, rep.observed[1:]))
-        assert 0.8 <= rep.fitted_order <= 1.2
+    def test_t_order_fit(self, verdicts):
+        errs = [abs(gaussian_symbol_residual(n, 1.0)) for n in (100, 1000, 10**4)]
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+        ((_, order, _, ok),) = verdicts["t_order"]
+        assert 0.8 <= order <= 1.2 and ok
 
-    def test_t_vanishing_large_argument(self):
-        (rep,) = rate_check_t([5.0], [10**4])
-        assert rep.observed[0] <= 1e-3
-        assert rep.bounds_hold and rep.order_in_bracket
-
-    def test_t_rejects_zero(self):
-        with pytest.raises(ValueError):
-            rate_check_t([0.0], [100])
+    def test_t_vanishing_large_argument(self, verdicts):
+        assert abs(gaussian_symbol_approx(10**4, 5.0)) <= 1e-3
+        ((_, observed, bound, ok),) = verdicts["t_vanish"]
+        assert observed <= 1e-3 and bound == "<=0.001" and ok
 
 
 class TestTailBound:
@@ -294,22 +323,22 @@ class TestTailBound:
 
 
 class TestQuadratureCheck:
-    def test_absolute_error_tiny(self):
-        rep = quadrature_rate_check(1.0, 1.0, [256])
-        assert rep.observed[0] <= 1e-2
+    def test_absolute_error_tiny(self, verdicts):
+        assert lattice_error(1.0, 1.0, 256) <= 1e-2
+        ((_, observed, _, ok),) = verdicts["quad_error"]
+        assert observed <= 1e-2 and ok
 
-    def test_errors_sit_at_float_floor(self):
+    def test_errors_sit_at_float_floor(self, verdicts):
         # the lattice sum of an analytic Gaussian is spectrally exact, so no
-        # 1/n rate is measurable: the report must say so rather than pretend
-        rep = quadrature_rate_check(1.0, 0.0, [64, 128, 256])
-        assert rep.floor_noise
-        assert max(rep.observed) <= 1e-12
-        assert not rep.order_in_bracket
-        assert not (rep.bounds_hold and rep.order_in_bracket)
+        # 1/n rate is measurable: the order verdict must fail rather than pretend
+        assert max(lattice_error(1.0, 0.0, n) for n in (64, 128, 256)) <= 1e-12
+        ((_, order, bracket, ok),) = verdicts["quad_order"]
+        assert bracket == "[0.8,1.5]"
+        assert not 0.8 <= order <= 1.5 and not ok
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
-            quadrature_rate_check(0.0, 0.0, [64])
+            lattice_error(0.0, 0.0, 64)
 
 
 class TestCertificate:
