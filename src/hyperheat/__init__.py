@@ -19,7 +19,6 @@ from .transform import (
 )
 from .evolution import (
     EvolutionOverflowError,
-    Propagator,
     SolveConfig,
     SolveResult,
     Window,
@@ -31,6 +30,7 @@ from .evolution import (
     solve,
     solve_via_convolution,
     spectral_hat,
+    stability_radius,
     step,
 )
 from .oracle import (

@@ -92,8 +92,11 @@ def _load_sampled(path: str) -> oracle.BoundaryCondition:
 def _parse_floats(text: str) -> tuple[float, ...]:
     """Comma list ``a,b,c`` or linspace sugar ``lo:hi:count``."""
     if ":" in text:
-        lo, hi, count = text.split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(count)))
+        try:
+            lo, hi, count = text.split(":")
+            return tuple(np.linspace(float(lo), float(hi), int(count)))
+        except ValueError:
+            raise ValueError(f"expected lo:hi:count with a whole count >= 0, got {text!r}") from None
     return tuple(float(p) for p in text.split(","))
 
 
@@ -185,13 +188,9 @@ def run_solve(args) -> int:
 
 
 def run_kernel(args) -> int:
-    params = GridParams(args.n)
-    window = evolution.Window(params, args.omega_prime)
-    times = _parse_floats(args.times)
-    zs = _parse_floats(args.xs)
-    if min(times) <= 0:
-        raise ValueError("kernel tables need t > 0")
-    return _write_table("kernel", args.out, evolution.kernel(window, times, zs),
+    window = evolution.Window(GridParams(args.n), args.omega_prime)
+    result = evolution.kernel(window, _parse_floats(args.times), _parse_floats(args.xs))
+    return _write_table("kernel", args.out, result,
                         ("t", "z", "kernel_re", "kernel_im_diag"),
                         oracle.gaussian_heat_kernel)
 
@@ -219,6 +218,10 @@ def run_converge(args) -> int:
             print(f"converge failed at n={config.n}: {bad}", file=sys.stderr)
             return EXIT_VALIDATION
         err = float(np.abs(result.u.real - refs).max())
+        if err == 0.0:
+            print(f"converge failed at n={config.n}: the error is exactly 0, "
+                  f"so no convergence order can be fitted", file=sys.stderr)
+            return EXIT_VALIDATION
         errs.append(err)
         rows.append((config.n, err, config.regime_flag))
     order = checks.fitted_order(n_list, errs)

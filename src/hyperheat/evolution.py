@@ -26,8 +26,9 @@ Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
 window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
 which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
 kernel through the same powers and query evaluation, with the data
-transform replaced by 1.  The full-grid view :attr:`Propagator.growth`
-serves the exact-identity layer and :func:`spectral_hat`.
+transform replaced by 1.  :func:`propagator` gives the growth factor at
+any set of frequency indices: the band here, the full grid in
+:func:`spectral_hat`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
 ``2 n^2``); the transform turns it into a pointwise product exactly, and
@@ -42,21 +43,20 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .grid import GridFunction, GridParams, d_xx
-from .transform import _psi, inverse, spectral_symbols
+from .transform import _psi, inverse
 
 __all__ = [
     "OVERFLOW_LIMIT",
     "EvolutionOverflowError",
     "step",
     "evolve",
-    "Propagator",
     "propagator",
+    "stability_radius",
     "spectral_hat",
     "convolve",
     "Window",
@@ -124,64 +124,40 @@ def evolve(g: GridFunction, steps: int) -> list[GridFunction]:
     return slices
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Per-frequency growth factor of the explicit scheme.
+def propagator(n: int, ks: np.ndarray) -> np.ndarray:
+    """Per-frequency growth factor ``1 + psi(k/n)^2 / n`` of one explicit step, at indices ``ks``.
 
-    ``growth(x) = 1 + psi(x)^2 / n``; after ``m`` steps a frequency is
-    multiplied by ``growth(x)^m``.  ``|growth(x)| <= 1`` holds exactly for
-    ``2 n sin^2(theta/2) <= cos(theta)`` with ``theta = pi x / n``, i.e. up
-    to :meth:`stability_radius` (which is ``sqrt(2n)/pi`` up to an O(1/n)
-    correction -- the closed-form radius itself overshoots the discrete
-    band edge by a couple of grid points).
-
-    :meth:`at` evaluates the factor on a set of frequency indices only;
-    :attr:`growth` is the full-grid view, built on first access.
+    After ``m`` steps a frequency is multiplied by ``growth^m``.  The
+    arithmetic is that of :func:`spectral_symbols`, so on the full grid
+    (``ks = params.space_indices()``) the values are bit-identical to
+    ``1 + spectral_symbols(params).values**2 / n``.
     """
-
-    params: GridParams
-
-    @cached_property
-    def growth(self) -> GridFunction:
-        """``1 + psi^2 / n`` over all 2n^2 frequencies (``psi`` from :func:`spectral_symbols`)."""
-        return GridFunction(self.params, 1.0 + spectral_symbols(self.params).values**2 / self.params.n)
-
-    def at(self, ks: np.ndarray) -> np.ndarray:
-        """Growth factor at frequency indices ``ks``.
-
-        Same elementwise arithmetic as :func:`spectral_symbols` and
-        :attr:`growth`, so the values are bit-identical to
-        ``growth.values[ks + n^2]``.
-        """
-        n = self.params.n
-        return 1.0 + _psi(ks / n, n) ** 2 / n
-
-    def stability_radius(self) -> float:
-        """Largest grid ``|x|`` such that ``|growth| <= 1`` for all grid points up to it.
-
-        ``2n sin^2(theta/2) <= cos(theta)`` is ``cos(theta) >= n/(n+1)``, so the
-        edge index is ``floor(n^2 arccos(n/(n+1)) / pi)``; its neighbours are
-        then checked against the inequality itself, as evaluated in floats.
-        """
-        n = self.params.n
-        nn = n * n
-
-        def stable(k: int) -> bool:
-            theta = np.pi * k / nn
-            return bool(2.0 * n * np.sin(theta / 2.0) ** 2 <= np.cos(theta))
-
-        # the stable set is an interval around 0 (k = 0 is in it): step to its last index
-        k_edge = int(nn * math.acos(n / (n + 1)) / math.pi)
-        while k_edge + 1 < nn and stable(k_edge + 1):
-            k_edge += 1
-        while not stable(k_edge):
-            k_edge -= 1
-        return k_edge / n
+    return 1.0 + _psi(ks / n, n) ** 2 / n
 
 
-def propagator(params: GridParams) -> Propagator:
-    """The growth factor of the grid ``params``; builds no array until one is asked for."""
-    return Propagator(params)
+def stability_radius(n: int) -> float:
+    """Largest grid ``|x|`` such that ``|growth| <= 1`` for all grid points up to it.
+
+    ``|growth(x)| <= 1`` holds exactly for ``2 n sin^2(theta/2) <= cos(theta)``
+    with ``theta = pi x / n``, that is ``cos(theta) >= n/(n+1)``, so the edge
+    index is ``floor(n^2 arccos(n/(n+1)) / pi)``; its neighbours are then
+    checked against the inequality itself, as evaluated in floats.  The
+    radius is ``sqrt(2n)/pi`` up to an O(1/n) correction (the closed-form
+    radius overshoots the discrete band edge by a couple of grid points).
+    """
+    nn = n * n
+
+    def stable(k: int) -> bool:
+        theta = np.pi * k / nn
+        return bool(2.0 * n * np.sin(theta / 2.0) ** 2 <= np.cos(theta))
+
+    # the stable set is an interval around 0 (k = 0 is in it): step to its last index
+    k_edge = int(nn * math.acos(n / (n + 1)) / math.pi)
+    while k_edge + 1 < nn and stable(k_edge + 1):
+        k_edge += 1
+    while not stable(k_edge):
+        k_edge -= 1
+    return k_edge / n
 
 
 def spectral_hat(
@@ -201,7 +177,7 @@ def spectral_hat(
         raise ValueError(f"step index must lie in [0, {params.time_count - 1}], got {i}")
     if corrections_per_step is not None and len(corrections_per_step) < i:
         raise ValueError(f"need {i} per-step corrections, got {len(corrections_per_step)}")
-    growth = propagator(params).growth.values
+    growth = propagator(params.n, params.space_indices())
     acc = g_hat.values * growth**i
     if corrections_per_step is not None:
         for j in range(i):
@@ -237,8 +213,8 @@ class Window:
     """
 
     def __init__(self, params: GridParams, radius: float) -> None:
-        if radius <= 0:
-            raise ValueError(f"window radius must be positive, got {radius}")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"window radius must be positive and finite, got {radius}")
         self.params = params
         self.radius = float(radius)
         self.cutoff = min(int(math.floor(self.radius * params.n)), params.n**2)
@@ -261,13 +237,33 @@ def _windowed_symbol(window: Window, t: float) -> GridFunction:
     m = _steps_of(params, t)
     ks = window.band_indices()
     q = np.zeros(params.space_count, dtype=np.complex128)
-    q[ks + params.n**2] = 0.5 * propagator(params).at(ks) ** m
+    q[ks + params.n**2] = 0.5 * propagator(params.n, ks) ** m
     return GridFunction(params, q)
 
 
 def kernel_slice(window: Window, t: float) -> GridFunction:
     """The discrete heat kernel over all grid offsets: ``inverse(window * growth^m)``."""
     return inverse(_windowed_symbol(window, t))
+
+
+def _queries(n: int, times: Sequence[float], xs: Sequence[float]
+             ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``times`` and ``xs`` as float tuples, once they pass the rules of every query.
+
+    There must be at least one time and one point, each time must lie in
+    ``(0, n)`` and each point must be finite.
+    """
+    if not len(times):
+        raise ValueError("need at least one query time")
+    for t in times:
+        if not 0.0 < t < n:
+            raise ValueError(f"query times must lie in (0, n); got t={t}")
+    if not len(xs):
+        raise ValueError("need at least one query point")
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"query points must be finite; got x={x}")
+    return tuple(map(float, times)), tuple(map(float, xs))
 
 
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
@@ -278,20 +274,16 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
     against the window's 1/2); Hermitian symmetry of the band makes the
     values real up to rounding.  ``max_growth`` is the largest ``|growth|``
-    in the band.  Overflow in the powers leaves non-finite values for
-    :meth:`SolveResult.first_non_finite` to report.
+    in the band.  ``times`` and ``zs`` obey the query rules of
+    :class:`SolveConfig`.  Overflow in the powers leaves non-finite values
+    for :meth:`SolveResult.first_non_finite` to report.
     """
-    zs = np.asarray(zs, dtype=float)
-    if not zs.size:
-        raise ValueError("need at least one kernel offset")
-    bad = zs[~np.isfinite(zs)]
-    if bad.size:
-        raise ValueError(f"kernel offset must be finite, got z={bad[0]}")
+    params = window.params
+    times, zs = _queries(params.n, times, zs)
     ks = window.band_indices()
-    growth = propagator(window.params).at(ks)
-    u = _table(window.params, ks, growth, 1.0, times, zs)
-    return SolveResult(tuple(map(float, times)), tuple(zs.tolist()), u,
-                       max_growth=float(np.abs(growth).max()))
+    growth = propagator(params.n, ks)
+    u = _table(params, ks, growth, 1.0, times, np.asarray(zs))
+    return SolveResult(times, zs, u, max_growth=float(np.abs(growth).max()))
 
 
 @dataclass(frozen=True)
@@ -318,18 +310,9 @@ class SolveConfig:
             raise ValueError(f"need 0 < omega < n, got omega={self.omega}, n={self.n}")
         if not 0 < self.omega_prime <= self.n:
             raise ValueError(f"need 0 < omega_prime <= n, got {self.omega_prime}")
-        if not self.times:
-            raise ValueError("need at least one query time")
-        for t in self.times:
-            if not 0.0 < t < self.n:
-                raise ValueError(f"query times must lie in (0, n); got t={t}")
-        if not self.xs:
-            raise ValueError("need at least one query point")
-        for x in self.xs:
-            if not math.isfinite(x):
-                raise ValueError(f"query points must be finite; got x={x}")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
+        times, xs = _queries(self.n, self.times, self.xs)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "xs", xs)
 
     @property
     def params(self) -> GridParams:
@@ -560,7 +543,7 @@ def solve(config: SolveConfig) -> SolveResult:
     ks = Window(params, config.omega_prime).band_indices()
     ghat = _restricted_forward(js, gvals, ks, config.n)
 
-    growth = propagator(params).at(ks)
+    growth = propagator(config.n, ks)
     gmax = _check_band_stability(config, growth)
     u = _table(params, ks, growth, ghat, config.times, np.asarray(config.xs, dtype=float))
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
@@ -584,7 +567,7 @@ def solve_via_convolution(config: SolveConfig) -> SolveResult:
     full[js + params.n**2] = gvals
     g = GridFunction(params, full)
     window = Window(params, config.omega_prime)
-    gmax = _check_band_stability(config, propagator(params).at(window.band_indices()))
+    gmax = _check_band_stability(config, propagator(config.n, window.band_indices()))
 
     positions = [params.position(int(math.floor(config.n * x))) for x in config.xs]
     u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)

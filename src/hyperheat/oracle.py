@@ -147,8 +147,8 @@ def indicator(lo: float, hi: float) -> BoundaryCondition:
 
 def bump(center: float = 0.0, width: float = 1.0) -> BoundaryCondition:
     """Smooth compactly supported mollifier, value 1 at ``center``, 0 outside ``|y-center| >= width``."""
-    if width <= 0:
-        raise ValueError("bump needs width > 0")
+    if not (math.isfinite(center) and 0 < width < math.inf):
+        raise ValueError(f"bump needs a finite center and a finite width > 0, got {center},{width}")
 
     def fn(y: np.ndarray) -> np.ndarray:
         u = (np.atleast_1d(np.asarray(y, dtype=float)) - center) / width

@@ -133,7 +133,7 @@ def test_criterion_9_stability_band():
     worst = 0.0
     for n in (64, 256):
         p = GridParams(n)
-        g = np.abs(propagator(p).growth.values)
+        g = np.abs(propagator(n, p.space_indices()))
         x = p.space_points()
         worst = max(worst, float(g[np.abs(x) <= 3.0].max()))
     _report(9, "growth factor contracts inside the radius-3 window", worst <= 1.0,

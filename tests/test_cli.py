@@ -242,6 +242,16 @@ class TestConverge:
         order = [float(r[1]) for r in rows if r[0] == "order"]
         assert len(order) == 1 and 0.7 <= order[0] <= 1.3
 
+    def test_exact_zero_error_fails_without_rows(self, tmp_path, capsys):
+        # zero data is solved exactly, and an order fitted through zero errors means
+        # nothing; omega'=1 keeps n=16 inside the stability band, so nothing warns
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--n-list", "16,32,64", "--omega-prime", "1", "--g", "gaussian:0,1",
+                     "--xs=0,1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "converge failed at n=16: the error is exactly 0, so no convergence order can be fitted\n")
+
     def test_needs_three_sizes(self):
         assert main(["converge", "--n-list", "32,64"]) == 2
         assert main(["converge"]) == 2
@@ -305,7 +315,7 @@ class TestConverge:
 
 @pytest.mark.parametrize("argv, message", [
     (["solve"], "need at least one query point"),
-    (["kernel"], "need at least one kernel offset"),
+    (["kernel"], "need at least one query point"),
     (["converge", "--n-list", "16,32,64"], "need at least one query point"),
     (["converge", "--n-list", "16,32,64", "--g", "bump:0,1"], "need at least one query point"),
 ], ids=["solve", "kernel", "converge-gaussian", "converge-bump"])
@@ -314,6 +324,29 @@ def test_empty_query_set_is_config_error(tmp_path, argv, message):
     proc = run_cli([*argv, "--xs=0:1:0", "--out", str(out)])
     assert proc.returncode == 2
     assert proc.stderr == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--omega-prime", "inf"], "window radius must be positive and finite, got inf"),
+    (["kernel", "--omega-prime", "nan"], "window radius must be positive and finite, got nan"),
+    (["kernel", "--times=0:1:0"], "need at least one query time"),
+    (["solve", "--g", "bump:0,nan"], "bump needs a finite center and a finite width > 0, got 0.0,nan"),
+    (["solve", "--g", "bump:inf,1"], "bump needs a finite center and a finite width > 0, got inf,1.0"),
+], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center"])
+def test_bad_input_is_one_line_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["1:2", "0:1:2.5", "0:1:-1"])
+def test_malformed_range_names_its_syntax(tmp_path, capsys, spec):
+    out = tmp_path / "out.csv"
+    assert main(["solve", f"--xs={spec}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: expected lo:hi:count with a whole count >= 0, got {spec!r}\n")
     assert not out.exists()
 
 

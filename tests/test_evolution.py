@@ -30,6 +30,7 @@ from hyperheat import (
     solve_via_convolution,
     spectral_hat,
     spectral_symbols,
+    stability_radius,
     step,
 )
 from hyperheat.evolution import (
@@ -218,33 +219,38 @@ class TestWindow:
         assert np.all(_windowed_symbol(w, 0.0).values == 0.5)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            Window(GridParams(2), 0.0)
+        for radius in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Window(GridParams(2), radius)
 
 
 class TestPropagator:
     def test_growth_at_zero_and_power_zero(self):
-        prop = propagator(GridParams(8))
-        assert prop.growth.value_at(0) == 1.0
+        p = GridParams(8)
+        growth = propagator(p.n, p.space_indices())
+        assert growth[p.position(0)] == 1.0
         # exact everywhere, so the windowed symbol at t = 0 is the bare window
-        assert np.all(prop.growth.values ** 0 == 1.0)
+        assert np.all(growth ** 0 == 1.0)
 
     def test_magnitude_closed_form(self):
         # |growth|^2 = 1 - 8 n sin^2(t/2) cos(t) + 16 n^2 sin^4(t/2), t = pi x/n
         for n in (4, 64):
-            prop = propagator(GridParams(n))
-            direct = np.abs(prop.growth.values) ** 2
-            theta = np.pi * prop.params.space_points() / n
+            p = GridParams(n)
+            direct = np.abs(propagator(n, p.space_indices())) ** 2
+            theta = np.pi * p.space_points() / n
             s2 = np.sin(theta / 2.0) ** 2
             closed = 1.0 - 8.0 * n * s2 * np.cos(theta) + 16.0 * n * n * s2 * s2
             assert np.abs(direct - closed).max() <= 1e-12 * (1 + closed.max())
 
     def test_band_values_bit_identical_to_full_grid(self):
+        # pins spectral_hat (full grid) and the band powers of solve and kernel
+        # to the growth built from the cached symbol, bit for bit
         for n in (7, 64, 129):
-            prop = propagator(GridParams(n))
+            p = GridParams(n)
+            full = 1 + spectral_symbols(p).values ** 2 / n
             for lo, hi in ((-3 * n, 3 * n), (-n * n, n * n - 1), (5 - n * n, 17)):
                 ks = np.arange(max(lo, -n * n), min(hi, n * n - 1) + 1)
-                assert np.array_equal(prop.at(ks), prop.growth.values[ks + n * n])
+                assert np.array_equal(propagator(n, ks), full[ks + n * n])
 
     def test_stability_radius_closed_form_matches_scan(self):
         def scanned(n):
@@ -255,17 +261,17 @@ class TestPropagator:
             return ((bad[0] - 1) if bad.size else (n * n - 1)) / n
 
         for n in range(1, 513):
-            assert propagator(GridParams(n)).stability_radius() == scanned(n), n
+            assert stability_radius(n) == scanned(n), n
 
     def test_stability_radius_matches_band_to_first_order(self):
         for n in (64, 256):
-            prop = propagator(GridParams(n))
-            radius = prop.stability_radius()
+            p = GridParams(n)
+            radius = stability_radius(n)
             band = math.sqrt(2 * n) / math.pi
             # the discrete edge sits just inside sqrt(2n)/pi
             assert 0 < band - radius < band / n + 2.0 / n
-            x = prop.params.space_points()
-            g = np.abs(prop.growth.values)
+            x = p.space_points()
+            g = np.abs(propagator(n, p.space_indices()))
             assert g[np.abs(x) <= radius].max() <= 1.0
             above = g[(np.abs(x) > radius) & (np.abs(x) <= band)]
             assert above.size == 0 or above.max() > 1.0
@@ -309,7 +315,7 @@ class TestKernel:
         n, times = 256, (0.25, 1.0)
         w = Window(GridParams(n), 3.0)
         ks = w.band_indices()
-        growth = propagator(w.params).at(ks)
+        growth = propagator(n, ks)
         coeffs = np.stack([0.5 * growth ** math.floor(n * t) for t in times], axis=1)
         assert (_uniform_step(zs) is None) == (zs.size == 3)
         assert np.abs(kernel(w, times, zs).u - reference_query(zs, ks, coeffs, n)).max() <= 1e-12
@@ -336,12 +342,13 @@ class TestKernel:
         res = kernel(w, np.array([0.5, 1.0]), np.array([0.0, 0.5]))
         assert res.times == (0.5, 1.0) and res.xs == (0.0, 0.5)
         assert all(type(v) is float for v in res.times + res.xs)
-        assert res.max_growth == np.abs(propagator(w.params).at(w.band_indices())).max() > 1.0
+        assert res.max_growth == np.abs(propagator(64, w.band_indices())).max() > 1.0
 
     def test_rejects_time_outside_range(self):
         w = Window(GridParams(4), 1.0)
-        with pytest.raises(ValueError):
-            kernel(w, (-0.5,), (0.0,))
+        for t in (-0.5, 0.0, 4.0):
+            with pytest.raises(ValueError, match=r"query times must lie in \(0, n\)"):
+                kernel(w, (t,), (0.0,))
 
     def test_rejects_non_finite_offset(self):
         w = Window(GridParams(4), 1.0)
@@ -491,7 +498,7 @@ class TestBandTransform:
         js = np.arange(-4 * n, 4 * n)
         ks = np.arange(-3 * n, 3 * n + 1)
         ghat = reference_restricted_forward(js, bc(js / n).astype(complex), ks, n)
-        growth = propagator(GridParams(n)).growth.values[ks + n * n]
+        growth = 1 + spectral_symbols(GridParams(n)).values[ks + n * n] ** 2 / n
         for i, t in enumerate(config.times):
             q = 0.5 * ghat * growth ** math.floor(n * t)
             for j, x in enumerate(config.xs):

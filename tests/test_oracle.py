@@ -81,6 +81,9 @@ class TestBoundaryConditions:
             indicator(1.0, 1.0)
         with pytest.raises(ValueError):
             sampled([])
+        for center, width in ((0.0, 0.0), (0.0, math.nan), (0.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="bump needs"):
+                bump(center, width)
 
 
 class TestClassicalSolution:
