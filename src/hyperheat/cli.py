@@ -54,16 +54,15 @@ def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
 def parse_boundary(spec: str) -> oracle.BoundaryCondition:
     """``name:p1,p2`` builtin or a path to a sampled-data file of ``x,re,im`` lines."""
     name, _, rest = spec.partition(":")
-    params = [p for p in rest.split(",") if p] if rest else []
-    if name == "gaussian":
-        a, b = (float(p) for p in params) if params else (1.0, 1.0)
-        return oracle.gaussian(a, b)
-    if name == "indicator":
-        lo, hi = (float(p) for p in params)
-        return oracle.indicator(lo, hi)
-    if name == "bump":
-        c, w = (float(p) for p in params) if params else (0.0, 1.0)
-        return oracle.bump(c, w)
+    syntax = {"gaussian": "a,b", "indicator": "lo,hi", "bump": "c,w"}.get(name)
+    if syntax is not None:
+        if not rest and name != "indicator":
+            return getattr(oracle, name)()              # the gaussian's and the bump's defaults
+        try:
+            p, q = (float(v) for v in rest.split(","))
+        except ValueError:
+            raise ValueError(f"--g expects {name}:{syntax} (two numbers), got {spec!r}") from None
+        return getattr(oracle, name)(p, q)
     if name == "sampled":
         return _load_sampled(rest)
     if os.path.exists(spec):
@@ -80,24 +79,25 @@ def _load_sampled(path: str) -> oracle.BoundaryCondition:
     except OSError as exc:
         raise ValueError(f"cannot read boundary file {path!r}: {exc.strerror or exc}") from exc
     pts = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        x, re, im = (float(c) for c in line.split(","))
-        pts.append((x, complex(re, im)))
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                x, re, im = (float(c) for c in line.split(","))
+            except ValueError:
+                raise ValueError(f"--g file {path!r}, line {number}: expected x,re,im, got {line!r}") from None
+            pts.append((x, complex(re, im)))
     return oracle.sampled(pts)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    """Comma list ``a,b,c`` or linspace sugar ``lo:hi:count``."""
-    if ":" in text:
-        try:
+def _parse_floats(flag: str, text: str) -> tuple[float, ...]:
+    """The value of ``--flag``: comma list ``a,b,c`` or linspace sugar ``lo:hi:count``."""
+    try:
+        if ":" in text:
             lo, hi, count = text.split(":")
             return tuple(np.linspace(float(lo), float(hi), int(count)))
-        except ValueError:
-            raise ValueError(f"expected lo:hi:count with a whole count >= 0, got {text!r}") from None
-    return tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{flag} expects a,b,c or lo:hi:count with a whole count >= 0, got {text!r}") from None
 
 
 # -- validate ----------------------------------------------------------------
@@ -141,8 +141,8 @@ def _solve_config(args, bc, n: int) -> evolution.SolveConfig:
         omega=args.omega,
         omega_prime=args.omega_prime,
         boundary=bc,
-        times=_parse_floats(args.times),
-        xs=_parse_floats(args.xs),
+        times=_parse_floats("times", args.times),
+        xs=_parse_floats("xs", args.xs),
     )
 
 
@@ -189,7 +189,7 @@ def run_solve(args) -> int:
 
 def run_kernel(args) -> int:
     window = evolution.Window(GridParams(args.n), args.omega_prime)
-    result = evolution.kernel(window, _parse_floats(args.times), _parse_floats(args.xs))
+    result = evolution.kernel(window, _parse_floats("times", args.times), _parse_floats("xs", args.xs))
     return _write_table("kernel", args.out, result,
                         ("t", "z", "kernel_re", "kernel_im_diag"),
                         oracle.gaussian_heat_kernel)
@@ -198,7 +198,10 @@ def run_kernel(args) -> int:
 def run_converge(args) -> int:
     if args.n_list is None:
         raise ValueError("converge needs --n-list")
-    n_list = [int(v) for v in args.n_list.split(",")]
+    try:
+        n_list = [int(v) for v in args.n_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-list expects whole numbers a,b,c, got {args.n_list!r}") from None
     if len(n_list) < 3:
         raise ValueError("converge needs at least 3 grid sizes")
     if len(set(n_list)) < len(n_list):

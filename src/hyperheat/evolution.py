@@ -20,8 +20,9 @@ the value-1/2 frequency window and ``growth^{floor(nt)}`` on that band, and
 inverse-transforms at the query points only: by a second chirp-z transform
 when they are uniformly spaced, by direct summation otherwise.  It never
 builds an array over the full 2n^2 grid: time is
-O((omega n + |xs|) log(omega n + |xs|)) on uniform points and
-O(omega n log(omega n) + |xs| omega' n) on others, memory O(omega n + |xs|).
+O((omega n + |xs|) log(omega n + |xs|)) on uniform points; on others it is
+O(omega n log(omega n)) plus O(|xs| sqrt(omega' n)) exponentials and one
+matrix product of O(|xs| omega' n |times|).  Memory is O(omega n + |xs|).
 Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
 window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
 which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
@@ -39,9 +40,7 @@ the discrete heat kernel as a cross-check.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,12 +76,12 @@ _CONVOLUTION_N_LIMIT = 64
 # Largest n at which the chirp's exact phase reduction (intermediates < 8 n^2) fits in int64.
 _INT64_CHIRP_N = math.isqrt((2**63 - 1) // 8)
 
-# Complex entries in one block of the query matrix exp(i pi x k / n): 4 MiB.
+# Complex entries in one block of the factored query product (points x coarse x times): 4 MiB.
 _QUERY_BLOCK_ENTRIES = 1 << 18
 
-# Uniform query sets of this many points take the chirp-z evaluation.  The
-# query matrix is cheaper below about 12 points at n = 64..65536 (any two
-# points are trivially uniform); at 16 the chirp-z wins or ties at every n.
+# Uniform query sets of this many points take the chirp-z evaluation.  16 keeps
+# lo:hi:count output on it, though the factored matrix is faster up to about 100
+# uniform points at n = 256 and 400 at n = 8192 (41 at n = 65536: 5 ms vs 109 ms).
 _MIN_CHIRP_POINTS = 16
 
 
@@ -466,30 +465,26 @@ def _chirp_query(
 def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` at any points ``xs``.
 
-    Builds ``exp(i pi x k / n)`` once per block of points and applies it to
-    all times in one matrix product.  Several blocks are spread over one
-    thread per usable CPU; the blocks do not depend on the thread count, so
-    results are identical at any count.
+    Each band index is written ``k = ks[0] + a B + b`` with ``0 <= b < B =
+    ceil(sqrt(|ks|))``, so ``e^{i pi x k / n} = e^{i pi x (ks[0] + a B) / n}
+    e^{i pi x b / n}``.  A block of points then needs ``A + B`` exponentials
+    per point, one matrix product of the fine factors against the
+    zero-padded coefficients (all coarse indices ``a`` and times at once),
+    and one reduction over ``a`` with the coarse factors.
     """
-    u = np.empty((coeffs.shape[1], xs.size), dtype=np.complex128)
-    freqs = ks / n
-    err = np.geterr()                  # worker threads do not inherit the caller's np.errstate
-
-    def fill_block(sl: slice) -> None:
-        with np.errstate(**err):
-            u[:, sl] = (np.exp(1j * np.pi * np.outer(xs[sl], freqs)) @ coeffs).T / n
-
-    rows = max(1, _QUERY_BLOCK_ENTRIES // ks.size)
-    blocks = [slice(s, s + rows) for s in range(0, xs.size, rows)]
-    # the CPUs this process may run on; sched_getaffinity is Linux-only
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(blocks), cpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_block, blocks))
-    else:
-        for sl in blocks:
-            fill_block(sl)
+    T = coeffs.shape[1]
+    B = math.isqrt(ks.size - 1) + 1
+    A = -(-ks.size // B)
+    padded = np.pad(coeffs, ((0, A * B - ks.size), (0, 0)))      # row a B + b: k = ks[0] + a B + b
+    table = padded.reshape(A, B, T).transpose(1, 0, 2).reshape(B, A * T)      # [b, a T + t]
+    fine, coarse = np.arange(B) / n, (ks[0] + B * np.arange(A)) / n
+    u = np.empty((T, xs.size), dtype=np.complex128)
+    rows = max(1, _QUERY_BLOCK_ENTRIES // (A * T + B))
+    for s in range(0, xs.size, rows):
+        x = xs[s : s + rows]
+        partial = (np.exp(1j * np.pi * np.outer(x, fine)) @ table).reshape(x.size, A, T)
+        u[:, s : s + rows] = np.einsum("pa,pat->tp", np.exp(1j * np.pi * np.outer(x, coarse)),
+                                       partial) / n
     return u
 
 
@@ -499,8 +494,8 @@ def _table(params: GridParams, ks: np.ndarray, growth: np.ndarray, ghat: np.ndar
 
     A uniform ``xs`` (at least ``_MIN_CHIRP_POINTS`` points in arithmetic
     progression, as ``lo:hi:count`` gives) takes a chirp-z transform,
-    O((|xs| + |ks|) log); any other set takes direct summation, one matrix
-    product per block of points, O(|xs| |ks|).  Overflow in the powers is
+    O((|xs| + |ks|) log); any other set takes the factored direct sum of
+    :func:`_matrix_query`, O(|xs| |ks| |times|).  Overflow in the powers is
     left in the table as inf or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -533,7 +528,7 @@ def solve(config: SolveConfig) -> SolveResult:
     forward-transform onto the window band only (chirp-z); multiply by the
     window and ``growth^{floor(nt)}``, one column per time; inverse-transform
     at the query points, all times together (chirp-z for a uniform set,
-    O((|xs| + omega' n) log); direct summation otherwise, O(|xs| omega' n)).
+    O((|xs| + omega' n) log); direct summation otherwise, O(|xs| omega' n |times|)).
     Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
     Overflow in the powers is left to :meth:`SolveResult.first_non_finite`
     to report.

@@ -117,8 +117,8 @@ class BoundaryCondition:
 
 def gaussian(a: float = 1.0, b: float = 1.0) -> BoundaryCondition:
     """``g(y) = a exp(-b y^2)`` with the exact solution known in closed form."""
-    if b <= 0:
-        raise ValueError("gaussian boundary needs b > 0")
+    if not (math.isfinite(a) and 0 < b < math.inf):
+        raise ValueError(f"gaussian needs a finite a and a finite b > 0, got {a},{b}")
 
     def fn(y: np.ndarray) -> np.ndarray:
         return a * np.exp(-b * y * y)

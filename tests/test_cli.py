@@ -327,14 +327,38 @@ def test_empty_query_set_is_config_error(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, got", [("1,inf", "1.0,inf"), ("1,nan", "1.0,nan"),
+                                         ("inf,1", "inf,1.0"), ("1,0", "1.0,0.0")])
+def test_bad_gaussian_is_one_line_before_any_numpy_warning(tmp_path, params, got):
+    # a fresh interpreter: in-process, numpy's warnings would go to pytest, not to stderr
+    out = tmp_path / "out.csv"
+    proc = run_cli(["solve", "--g", f"gaussian:{params}", "--xs", "0,1", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: gaussian needs a finite a and a finite b > 0, got {got}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kernel", "--omega-prime", "inf"], "window radius must be positive and finite, got inf"),
     (["kernel", "--omega-prime", "nan"], "window radius must be positive and finite, got nan"),
     (["kernel", "--times=0:1:0"], "need at least one query time"),
     (["solve", "--g", "bump:0,nan"], "bump needs a finite center and a finite width > 0, got 0.0,nan"),
     (["solve", "--g", "bump:inf,1"], "bump needs a finite center and a finite width > 0, got inf,1.0"),
-], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center"])
-def test_bad_input_is_one_line_config_error(tmp_path, capsys, argv, message):
+    (["solve", "--xs=a,1"], "--xs expects a,b,c or lo:hi:count with a whole count >= 0, got 'a,1'"),
+    (["kernel", "--times=0.5,b"],
+     "--times expects a,b,c or lo:hi:count with a whole count >= 0, got '0.5,b'"),
+    (["solve", "--g", "gaussian:1"], "--g expects gaussian:a,b (two numbers), got 'gaussian:1'"),
+    (["solve", "--g", "bump:0"], "--g expects bump:c,w (two numbers), got 'bump:0'"),
+    (["solve", "--g", "indicator:0"], "--g expects indicator:lo,hi (two numbers), got 'indicator:0'"),
+    (["solve", "--g", "gaussian:1,2,3"], "--g expects gaussian:a,b (two numbers), got 'gaussian:1,2,3'"),
+    (["converge", "--n-list", "16,x,64"], "--n-list expects whole numbers a,b,c, got '16,x,64'"),
+    (["solve", "--g", "sampled:bad.csv"], "--g file 'bad.csv', line 3: expected x,re,im, got '1,2'"),
+], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center",
+        "xs-list", "times-list", "gaussian-one", "bump-one", "indicator-one", "gaussian-three",
+        "n-list", "sampled-line"])
+def test_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("0,1,0\n\n1,2\n", encoding="utf-8")   # line 3 lacks its imaginary part
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -346,7 +370,7 @@ def test_malformed_range_names_its_syntax(tmp_path, capsys, spec):
     out = tmp_path / "out.csv"
     assert main(["solve", f"--xs={spec}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"configuration error: expected lo:hi:count with a whole count >= 0, got {spec!r}\n")
+        f"configuration error: --xs expects a,b,c or lo:hi:count with a whole count >= 0, got {spec!r}\n")
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,28 +413,11 @@ class TestSolve:
         parts = 2.0 * run(g1) - 1.5 * run(g2)
         assert np.abs(combined - parts).max() <= 1e-10 * (1 + np.abs(parts).max())
 
-    def test_threads_do_not_change_output(self, monkeypatch):
-        bc = gaussian()
-        band = 2 * 2 * 32 + 1
-        many = 3 * (evolution._QUERY_BLOCK_ENTRIES // band) + 7
-        # one block of points, then several (the block holds a bounded matrix);
-        # the cubed points are not uniform, so they take the blocked matrix path
-        for xs in (np.linspace(-1, 1, 11), np.linspace(-1, 1, many),
-                   np.linspace(-1, 1, many) ** 3):
-            config = SolveConfig(n=32, omega=3.0, omega_prime=2.0, boundary=bc,
-                                 times=(0.5, 1.5), xs=tuple(xs))
-            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0})
-            a = solve(config).u
-            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-            b = solve(config).u
-            assert np.array_equal(a, b)
-
-    def test_overflow_on_worker_threads_prints_no_numpy_warnings(self, monkeypatch):
-        # growth^640 overflows; the 400 non-uniform points span several blocks,
-        # which run on worker threads
-        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    def test_overflow_in_the_query_prints_no_numpy_warnings(self):
+        # growth^640 overflows; the cubed points are not uniform, so they take
+        # the factored matrix, and 6001 of them span three blocks of this band
         config = SolveConfig(n=64, omega=4.0, omega_prime=20.0, boundary=gaussian(),
-                             times=(10.0,), xs=tuple(np.linspace(-1, 1, 400) ** 3))
+                             times=(10.0,), xs=tuple(np.linspace(-1, 1, 6001) ** 3))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = solve(config)
@@ -533,6 +517,18 @@ def uniform_query_cases(draw):
     return n, radius, np.linspace(lo, hi, count), draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def scattered_query_cases(draw):
+    """A grid ``n <= 256``, a contiguous band of up to 1600 indices with ``|k| <= 8n``
+    (perfect-square sizes drawn often), 1-3 times, up to 300 points, a block size and a seed."""
+    size = draw(st.one_of(st.integers(1, 40).map(lambda r: r * r), st.integers(1, 1600)))
+    n = draw(st.integers(max(-(-size // 16), math.isqrt(size // 2) + 1), 256))
+    start = draw(st.integers(max(-8 * n, -n * n), min(8 * n, n * n) - size))
+    times, points = draw(st.integers(1, 3)), draw(st.integers(1, 300))
+    entries = draw(st.integers(1, 4096))   # block sizes from one point up to every point at once
+    return n, np.arange(start, start + size), times, points, entries, draw(st.integers(0, 2**32 - 1))
+
+
 def _matrix_path_only(monkeypatch):
     """Make ``solve`` treat every query set as non-uniform."""
     monkeypatch.setattr(evolution, "_uniform_step", lambda xs: None)
@@ -558,6 +554,23 @@ class TestUniformQuery:
         h = _uniform_step(xs)
         assert h is not None
         got = _chirp_query(coeffs, ks, xs, h, n)
+        ref = reference_query(xs, ks, coeffs, n)
+        assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=scattered_query_cases())
+    @example(case=(32, np.arange(-64, 65), 2, 11, evolution._QUERY_BLOCK_ENTRIES, 0))
+    @example(case=(32, np.arange(-64, 65), 2, 6103, evolution._QUERY_BLOCK_ENTRIES, 1))
+    @example(case=(64, np.arange(-1280, 1281), 1, 400, evolution._QUERY_BLOCK_ENTRIES, 2))
+    @example(case=(7, np.arange(3, 4), 3, 50, 1, 3))
+    def test_factored_matrix_matches_direct_sum(self, case):
+        n, ks, times, points, entries, seed = case
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((ks.size, times)) + 1j * rng.standard_normal((ks.size, times))
+        # |x| <= 8: beyond it every route, the reference too, loses phase alike
+        xs = rng.uniform(-8.0, 8.0, points)
+        with mock.patch.object(evolution, "_QUERY_BLOCK_ENTRIES", entries):
+            got = evolution._matrix_query(coeffs, ks, xs, n)
         ref = reference_query(xs, ks, coeffs, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
 
