@@ -1,7 +1,8 @@
 """Batch command line: validation suites, solves, kernel tables, sweeps, rate checks.
 
 Exit codes: 0 success, 1 a validation/bound verdict failed or a computation
-gave up (one line ``<command> failed: ...``), 2 bad configuration.
+gave up (one line ``<command> failed: ...``) or the reader closed stdout
+(no message), 2 bad configuration.
 All tabular output is RFC 4180 CSV (UTF-8, '.' decimal, round-trip float
 formatting); identical arguments and seed give byte-identical files.
 """
@@ -12,8 +13,9 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -29,26 +31,39 @@ _VALIDATE_MAX_N = 16
 _VALIDATE_SMALL_N = 8   # the convolution and difference suites stop here
 
 
-def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
-    """Write equal-length ``columns`` under ``header``.
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The ``--out`` file, created or truncated, or stdout when ``out`` is not given.
 
-    Each column goes through ``numpy.asarray(...).tolist()``, so cells reach
-    the writer as Python scalars: floats print as their shortest round-trip
-    ``repr``, everything else via ``str()``.  A column that mixes strings
-    with numbers becomes strings, which numpy prints the same way.
+    A file that cannot be opened is a configuration error naming the path
+    and the reason.
+    """
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file {out!r}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
+
+
+def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header`` through :mod:`csv`.
+
+    For the small mixed tables (``validate``, ``converge``, ``rates``), whose
+    cells may need quoting.  Each column goes through
+    ``numpy.asarray(...).tolist()``, so cells reach the writer as Python
+    scalars: floats print as their shortest round-trip ``repr``, everything
+    else via ``str()``.  A column that mixes strings with numbers becomes
+    strings, which numpy prints the same way.
     """
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    if out:
-        fh = open(out, "w", encoding="utf-8", newline="")
-    else:
-        fh = sys.stdout
-    try:
+    with _output(out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if out:
-            fh.close()
 
 
 def parse_boundary(spec: str) -> oracle.BoundaryCondition:
@@ -162,21 +177,29 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
 
     With ``reference``, each row also gets ``oracle, abs_err`` against
     ``reference(t, points)``, called once per time with all of ``result.xs``.
-    A non-finite value fails with one line and no row.
+    A non-finite value fails with one line and no row.  Every cell is then a
+    finite float, which never needs quoting, so the text is written without
+    :mod:`csv`, in the bytes it would write: each float as its shortest
+    round-trip ``repr``, each time and point formatted once, and one
+    ``write`` per time.
     """
     bad = _non_finite_message(result, header[1])
     if bad is not None:
         print(f"{command} failed: {bad}", file=sys.stderr)
         return EXIT_VALIDATION
-    ts = np.repeat(result.times, len(result.xs)).tolist()
-    xs = np.tile(result.xs, len(result.times)).tolist()
-    u = result.u.ravel()
-    columns = [ts, xs, u.real, np.abs(u.imag)]
+    u = result.u
+    columns = [u.real, np.abs(u.imag)]
     if reference is not None:
-        ref = np.concatenate([reference(t, result.xs) for t in result.times])
+        ref = np.array([reference(t, result.xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]
         header += ("oracle", "abs_err")
-    _write_csv(out, header, columns)
+    cells = ",{!r}" * len(columns) + "\r\n"
+    points = [repr(x) for x in result.xs]
+    with _output(out) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, *values in zip(result.times, *columns):      # one row of each column
+            row = repr(t) + ",{}" + cells
+            fh.write("".join(map(row.format, points, *(v.tolist() for v in values))))
     return EXIT_OK
 
 
@@ -295,7 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop quietly.  Rows may still sit in
+        # the buffer; pointing stdout at /dev/null keeps the interpreter's last flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperheat
 import hyperheat.transform
 from hyperheat import oracle
-from hyperheat.cli import _write_csv, main, parse_boundary
+from hyperheat.cli import _write_csv, _write_table, main, parse_boundary
+from hyperheat.evolution import SolveResult
 from hyperheat.grid import GridFunction
 
 
@@ -21,13 +27,63 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def run_cli(args):
-    """``python -m hyperheat.cli ARGS`` in a fresh interpreter that prints every warning."""
+def cli_command(args):
+    """Argv and environment of ``python -m hyperheat.cli ARGS`` in a fresh interpreter
+    that prints every warning."""
     src = str(Path(hyperheat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "hyperheat.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return [sys.executable, "-m", "hyperheat.cli", *args], env
+
+
+def run_cli(args):
+    argv, env = cli_command(args)
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+def reference_table(result, header, reference):
+    """The bytes :mod:`csv` writes for ``_write_table``'s rows: full ``t`` and
+    ``x`` columns, each cell a Python float."""
+    ts = np.repeat(result.times, len(result.xs)).tolist()
+    xs = np.tile(result.xs, len(result.times)).tolist()
+    u = result.u.ravel()
+    columns = [ts, xs, u.real.tolist(), np.abs(u.imag).tolist()]
+    if reference is not None:
+        ref = np.concatenate([reference(t, result.xs) for t in result.times])
+        columns += [ref.tolist(), np.abs(u.real - ref).tolist()]
+        header += ("oracle", "abs_err")
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(zip(*columns))
+    return fh.getvalue().encode("utf-8")
+
+
+# where repr changes notation (1e-05, 1e+16), signed zero, subnormals, +-1e300 and +-1e-300
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.225e-308, 1e-05, 9.99e-05, -1e-05, 1e16, 9999999999999998.0,
+                -1.2e17, 1e-300, -3e-300, 1e300, -7.5e299, 0.1, 1.0)
+_cells = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def table_cases(draw):
+    """A result of 1-3 times and 1-50 points (drawn from a few values, so they
+    repeat), a header pair, an optional reference table and the output target."""
+    times = tuple(draw(st.lists(_cells, min_size=1, max_size=3)))
+    pool = draw(st.lists(_cells, min_size=1, max_size=6))
+    xs = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=50)))
+
+    def table():
+        return np.array(draw(st.lists(_cells, min_size=len(times) * len(xs),
+                                      max_size=len(times) * len(xs)))).reshape(len(times), len(xs))
+
+    u = np.empty((len(times), len(xs)), dtype=np.complex128)
+    u.real, u.imag = table(), table()     # set apart: re + 1j * im would lose a -0.0
+    refs = table() if draw(st.booleans()) else None
+    header = draw(st.sampled_from([("t", "x", "u_re", "u_im_diag"),
+                                   ("t", "z", "kernel_re", "kernel_im_diag")]))
+    return SolveResult(times, xs, u), header, refs, draw(st.booleans())
 
 
 class TestCsvFormat:
@@ -36,6 +92,23 @@ class TestCsvFormat:
         _write_csv(str(out), ("a", "b", "c", "d", "e", "f"),
                    [[np.float64(0.1)], [1e-05], [-0.0], [np.True_], [3], ["order"]])
         assert out.read_bytes() == b"a,b,c,d,e,f\r\n0.1,1e-05,-0.0,True,3,order\r\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=table_cases())
+    def test_table_bytes_match_the_csv_module(self, case):
+        result, header, refs, to_file = case
+        reference = None if refs is None else (lambda t, xs: refs[result.times.index(t)])
+        if to_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "table.csv")
+                assert _write_table("solve", out, result, header, reference) == 0
+                got = Path(out).read_bytes()
+        else:
+            buf = io.StringIO(newline="")
+            with contextlib.redirect_stdout(buf):
+                assert _write_table("solve", None, result, header, reference) == 0
+            got = buf.getvalue().encode("utf-8")
+        assert got == reference_table(result, header, reference)
 
 
 class TestBoundaryParsing:
@@ -363,6 +436,30 @@ def test_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, argv,
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve", "--xs", "0,1"], ["kernel", "--xs", "0"],
+                                  ["validate", "--n", "2"]], ids=["solve", "kernel", "validate"])
+def test_unwritable_out_is_one_line_config_error(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "out.csv")
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write --out file {out!r}: No such file or directory\n")
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # 16,008 rows (1.4 MB) outgrow the pipe's buffer, so the writer meets the closed end
+    argv, env = cli_command(["solve", "--n", "128", "--times", "0.25:2:8", "--xs=-4:4:2001"])
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"t,x,u_re,u_im_diag,oracle,abs_err\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""        # no traceback, and no "Exception ignored" line from the last flush
 
 
 @pytest.mark.parametrize("spec", ["1:2", "0:1:2.5", "0:1:-1"])

@@ -432,6 +432,28 @@ class TestSolve:
             solve(config)
 
 
+class TestGrowthPowers:
+    # numpy's `growth ** m` multiplies repeatedly below m = 100 and drifts to 7.6e-15
+    # of the largest power there; the powers from one logarithm stay within 2e-16
+    @pytest.mark.parametrize("n", [128, 512, 8192])
+    def test_match_extended_precision(self, n):
+        steps = np.array([1, 7, 50, 99, 100, 101, n // 2, 2 * n])
+        params = GridParams(n)
+        growth = propagator(n, Window(params, 3.0).band_indices())
+        coeffs = evolution._coefficients(params, growth, 1.0, tuple((steps + 0.5) / n))
+        exact = growth.astype(np.clongdouble)[:, None] ** steps
+        # relative to the largest power, 1 at k = 0
+        assert np.abs(2 * coeffs - exact).max() / np.abs(exact).max() <= 1e-15
+
+    def test_zero_steps_leave_the_data_transform(self, rng):
+        # t < 1/n takes m = 0 steps: the coefficients are exactly half the data transform
+        params = GridParams(64)
+        ks = Window(params, 3.0).band_indices()
+        ghat = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+        coeffs = evolution._coefficients(params, propagator(64, ks), ghat, (0.01, 0.5))
+        assert np.array_equal(coeffs[:, 0], 0.5 * ghat)
+
+
 @st.composite
 def band_cases(draw):
     """A grid ``n <= 64``, contiguous sample and frequency ranges on it, and a data seed."""
