@@ -13,6 +13,9 @@ compact support or narrow kernel can slip between the quadrature nodes.
 
 The bounds and brackets of the rate estimates, and the verdicts on them,
 are in :func:`hyperheat.checks.rate_verdicts`.
+
+``scipy.integrate`` is imported at the first quadrature, not with the
+package, so a caller that only solves never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 __all__ = [
     "GrowthCertificate",
@@ -209,6 +211,7 @@ def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     subdivision starts at the boundary's breakpoints inside the window and
     at the query points.
     """
+    from scipy.integrate import quad_vec
     if t <= 0:
         raise ValueError(f"classical solution defined for t > 0, got t={t}")
     xs = np.asarray(xs, dtype=float)
@@ -254,6 +257,7 @@ def gaussian_transform_identity(t: float, z: float) -> float:
     The left side is evaluated by quadrature (real and imaginary parts
     separately; the imaginary part integrates to ~0 by oddness).
     """
+    from scipy.integrate import quad
     if t <= 0:
         raise ValueError("identity holds for t > 0")
     L = math.sqrt(40.0 / (math.pi**2 * t))

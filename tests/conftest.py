@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hyperheat
 from hyperheat import GridFunction, GridParams
+
+
+def fresh_env() -> dict:
+    """Environment of a new interpreter that imports this ``hyperheat`` and prints every warning."""
+    src = str(Path(hyperheat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONWARNINGS="default",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter (see :func:`fresh_env`)."""
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

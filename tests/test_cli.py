@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperheat
 import hyperheat.transform
+from conftest import fresh_env, run_fresh
 from hyperheat import oracle
 from hyperheat.cli import _write_csv, _write_table, main, parse_boundary
 from hyperheat.evolution import SolveResult
@@ -30,10 +30,7 @@ def read_csv(path):
 def cli_command(args):
     """Argv and environment of ``python -m hyperheat.cli ARGS`` in a fresh interpreter
     that prints every warning."""
-    src = str(Path(hyperheat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONWARNINGS="default",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return [sys.executable, "-m", "hyperheat.cli", *args], env
+    return [sys.executable, "-m", "hyperheat.cli", *args], fresh_env()
 
 
 def run_cli(args):
@@ -460,6 +457,25 @@ def test_closed_stdout_pipe_ends_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == ""        # no traceback, and no "Exception ignored" line from the last flush
+
+
+def test_solving_commands_load_no_scipy(tmp_path):
+    # only the quadrature oracle needs scipy; a solve that never integrates must not load it
+    samples = tmp_path / "g.csv"
+    samples.write_text("-1,0,0\n0,1,0\n1,0,0\n", encoding="utf-8")
+    loaded = run_fresh(f"""
+import sys
+import hyperheat, hyperheat.cli
+from hyperheat import cli, evolution, oracle
+evolution.solve(evolution.SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=oracle.gaussian(),
+                                      times=(0.5, 1.0), xs=(-1.0, 0.0, 0.5)))
+out = {str(tmp_path / "out.csv")!r}
+assert cli.main(["kernel", "--n", "64", "--times", "0.5,1", "--xs=-1:1:5", "--out", out]) == 0
+for g in ("indicator:-1,1", {f"sampled:{samples}"!r}):
+    assert cli.main(["solve", "--n", "64", "--g", g, "--xs", "0,0.5", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+""")
+    assert loaded == "[]\n"
 
 
 @pytest.mark.parametrize("spec", ["1:2", "0:1:2.5", "0:1:-1"])

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from conftest import run_fresh
 from hyperheat import checks, oracle
 from hyperheat.oracle import (
     bump,
@@ -353,3 +354,23 @@ class TestCertificate:
         c = oracle.GrowthCertificate(2.0, 0.5, 1.0)
         assert c.bound(0.0) == pytest.approx(2.0)
         assert c.bound(2.0) == pytest.approx(2.0 * math.exp(1.0))
+
+
+@pytest.mark.parametrize("call", [
+    "oracle.classical_column(oracle.bump(0.0, 1.0), 0.5, [-1.5, 0.0, 0.3, 2.0])",
+    "oracle.classical_solution(oracle.indicator(-1.0, 1.0), 0.25, 0.7)",
+    "oracle.gaussian_transform_identity(0.5, 1.2)",
+    "oracle.gaussian(2.0, 0.5).closed_form(0.5, np.array([-1.0, 0.0, 0.4]))",   # runs its cross-check
+], ids=["classical_column", "classical_solution", "gaussian_transform_identity", "closed_form"])
+def test_first_quadrature_in_a_fresh_interpreter(call):
+    # scipy.integrate is imported by the first quadrature; that cold call gives the same bits
+    cold = run_fresh(f"""
+import sys
+import numpy as np
+from hyperheat import oracle
+assert not any(m.partition(".")[0] == "scipy" for m in sys.modules)
+value = {call}
+assert "scipy.integrate" in sys.modules
+print(np.asarray(value).tobytes().hex())
+""")
+    assert cold == np.asarray(eval(call)).tobytes().hex() + "\n"
