@@ -1,9 +1,11 @@
 """The verdicts of the library, each tolerance, bound and bracket written once.
 
 Exact identities (criteria 1-4): each ``*_ratio`` function judges one draw
-of data as residual over its identity's only tolerance (at most 1 when it
-holds); each criterion function returns the worst ratio over ``trials``
-random complex grid functions per ``n`` in ``ns``, drawn from ``rng``.
+of data, or a stack of draws, as residual over its identity's only tolerance
+(at most 1 when it holds), taken per slice; each criterion function returns
+the worst ratio over ``trials`` random complex grid functions per ``n`` in
+``ns``, drawn from ``rng``.  Criteria 1-3 judge the ``trials`` draws of one
+``n`` as one stack, so each transform runs once per ``n``.
 Rate estimates (criterion 8) carry existence-only constants, so
 :func:`rate_verdicts` judges shapes: a fitted decay order inside a bracket,
 or a concrete bound evaluated numerically.
@@ -33,21 +35,35 @@ __all__ = [
 ]
 
 
+def _peak(values: np.ndarray) -> np.ndarray:
+    """``max|values|`` of each slice: over the last axis, never across a stack."""
+    return np.abs(values).max(axis=-1)
+
+
 def inversion_ratio(f: GridFunction) -> float:
     """Both round trips against ``2 f``, tolerance ``1e-9 (1 + max|f|)``."""
-    r = np.abs(transform.inverse(transform.forward(f)).values - 2.0 * f.values).max()
-    s = np.abs(transform.forward(transform.inverse(f)).values - 2.0 * f.values).max()
-    return float(max(r, s) / (1e-9 * (1.0 + f.max_abs())))
+    r = _peak(transform.inverse(transform.forward(f)).values - 2.0 * f.values)
+    s = _peak(transform.forward(transform.inverse(f)).values - 2.0 * f.values)
+    return float((np.maximum(r, s) / (1e-9 * (1.0 + _peak(f.values)))).max())
 
 
 def convolution_ratio(f: GridFunction, g: GridFunction) -> float:
-    """``hat(f*g) = f_hat g_hat`` and its inverse analogue, tolerance ``1e-9 (1 + max|f_hat g_hat|)``."""
-    conv = convolve(f, g)
+    """``hat(f*g) = f_hat g_hat`` and its inverse analogue, tolerance ``1e-9 (1 + max|f_hat g_hat|)``.
+
+    ``f`` and ``g`` are stacks of one shape; :func:`convolve` takes one pair
+    of slices at a time, the transforms the whole stack.
+    """
+    if f.values.shape != g.values.shape:
+        raise ValueError(f"stack shapes differ: {f.values.shape} and {g.values.shape}")
+    p = f.params
+    pairs = zip(f.values.reshape(-1, p.space_count), g.values.reshape(-1, p.space_count))
+    conv = GridFunction(p, np.reshape([convolve(GridFunction(p, a), GridFunction(p, b)).values
+                                       for a, b in pairs], f.values.shape))
     fg_hat = transform.forward(f).values * transform.forward(g).values
-    r_fwd = np.abs(transform.forward(conv).values - fg_hat).max()
-    r_inv = np.abs(transform.inverse(conv).values
-                   - transform.inverse(f).values * transform.inverse(g).values).max()
-    return float(max(r_fwd, r_inv)) / (1e-9 * (1.0 + np.abs(fg_hat).max()))
+    r_fwd = _peak(transform.forward(conv).values - fg_hat)
+    r_inv = _peak(transform.inverse(conv).values
+                  - transform.inverse(f).values * transform.inverse(g).values)
+    return float((np.maximum(r_fwd, r_inv) / (1e-9 * (1.0 + _peak(fg_hat)))).max())
 
 
 def derivative_ratio(f: GridFunction) -> float:
@@ -59,10 +75,11 @@ def derivative_ratio(f: GridFunction) -> float:
     psi = transform.spectral_symbols(f.params).values
     f_hat = transform.forward(f).values
     corr = transform.boundary_corrections(f)
-    r_dx = np.abs(transform.forward(d_x(f)).values - (psi * f_hat - corr.e.values)).max()
-    r_dxx = np.abs(transform.forward(d_xx(f)).values - (psi * psi * f_hat - corr.f_corr.values)).max()
-    return max(float(r_dx) / (1e-9 * (1.0 + n * f.max_abs())),
-               float(r_dxx) / (1e-9 * (1.0 + n * n * f.max_abs())))
+    peak = _peak(f.values)
+    r_dx = _peak(transform.forward(d_x(f)).values - (psi * f_hat - corr.e.values))
+    r_dxx = _peak(transform.forward(d_xx(f)).values - (psi * psi * f_hat - corr.f_corr.values))
+    return float(np.maximum(r_dx / (1e-9 * (1.0 + n * peak)),
+                            r_dxx / (1e-9 * (1.0 + n * n * peak))).max())
 
 
 def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
@@ -80,12 +97,17 @@ def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
 
 
 def _worst(ratio, arity: int, ns: Iterable[int], trials: int, rng) -> float:
-    """Largest ``ratio`` over ``trials`` draws of ``arity`` random functions per ``n``."""
-    def draw(p: GridParams) -> GridFunction:
-        return GridFunction(p, rng.standard_normal(p.space_count) + 1j * rng.standard_normal(p.space_count))
+    """Largest ``ratio`` over ``trials`` draws of ``arity`` random functions per ``n``.
 
-    return max((ratio(*(draw(GridParams(n)) for _ in range(arity))) for n in ns for _ in range(trials)),
-               default=0.0)
+    Each of the ``arity`` arguments is a stack of ``trials`` slices, one per
+    draw.  The generator is read in the order of one draw at a time: per
+    draw, per function, the real parts and then the imaginary parts.
+    """
+    def draw(p: GridParams) -> list[GridFunction]:
+        z = rng.standard_normal((trials, arity, 2, p.space_count))
+        return [GridFunction(p, z[:, a, 0] + 1j * z[:, a, 1]) for a in range(arity)]
+
+    return max((ratio(*draw(GridParams(n))) for n in ns if trials > 0), default=0.0)
 
 
 def inversion(ns: Iterable[int], trials: int, rng) -> float:
@@ -111,8 +133,11 @@ def stepper_vs_spectral(ns: Iterable[int], trials: int, rng, supported_ns: Itera
     real slice per step count ``s < 9`` on ``[-n^2 + 2 + 2s, n^2 - 3]``, off
     the boundary rows for all ``s`` steps, without corrections.
     """
-    worst = _worst(lambda g: _stepper_ratio(g, min(6, g.params.time_count - 1), True),
-                   1, ns, trials, rng)
+    def per_draw(g: GridFunction) -> float:
+        steps = min(6, g.params.time_count - 1)
+        return max(_stepper_ratio(GridFunction(g.params, v), steps, True) for v in g.values)
+
+    worst = _worst(per_draw, 1, ns, trials, rng)
     for n in supported_ns:
         p = GridParams(n)
         for steps in range(min(9, p.time_count)):

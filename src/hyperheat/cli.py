@@ -122,6 +122,8 @@ def run_validate(args) -> int:
     """Exact-identity suites on random data; exit 0 iff every residual is in contract."""
     if args.n > _VALIDATE_MAX_N:
         raise ValueError(f"validate supports n up to {_VALIDATE_MAX_N}, got {args.n}")
+    if args.seed < 0:
+        raise ValueError(f"--seed expects a whole number >= 0, got {args.seed}")
     ns = [n for n in _VALIDATE_NS if n <= args.n]
     if not ns:
         raise ValueError(f"no grid sizes <= {args.n}")

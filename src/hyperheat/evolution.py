@@ -273,16 +273,18 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
     against the window's 1/2); Hermitian symmetry of the band makes the
     values real up to rounding.  ``max_growth`` is the largest ``|growth|``
-    in the band.  ``times`` and ``zs`` obey the query rules of
-    :class:`SolveConfig`.  Overflow in the powers leaves non-finite values
-    for :meth:`SolveResult.first_non_finite` to report.
+    in the band; above 1 it is warned about as in :func:`solve`.  ``times``
+    and ``zs`` obey the query rules of :class:`SolveConfig`.  Overflow in
+    the powers leaves non-finite values for
+    :meth:`SolveResult.first_non_finite` to report.
     """
     params = window.params
     times, zs = _queries(params.n, times, zs)
     ks = window.band_indices()
     growth = propagator(params.n, ks)
+    gmax = _check_band_stability(params.n, window.radius, growth)
     u = _table(params, ks, growth, 1.0, times, np.asarray(zs))
-    return SolveResult(times, zs, u, max_growth=float(np.abs(growth).max()))
+    return SolveResult(times, zs, u, max_growth=gmax)
 
 
 @dataclass(frozen=True)
@@ -526,13 +528,13 @@ def _table(params: GridParams, ks: np.ndarray, growth: np.ndarray, ghat: np.ndar
         return _chirp_query(coeffs, ks, xs, h, params.n)
 
 
-def _check_band_stability(config: SolveConfig, growth_band: np.ndarray) -> float:
+def _check_band_stability(n: int, omega_prime: float, growth_band: np.ndarray) -> float:
     """Warn when ``|growth|`` exceeds 1 inside the window; return its maximum."""
     gmax = float(np.abs(growth_band).max())
     if gmax > 1.0 + 1e-12:
         warnings.warn(
             f"|growth| reaches {gmax:.6g} inside the frequency window "
-            f"(omega_prime={config.omega_prime}, n={config.n}); powers will grow",
+            f"(omega_prime={omega_prime}, n={n}); powers will grow",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -557,7 +559,7 @@ def solve(config: SolveConfig) -> SolveResult:
     ghat = _restricted_forward(js, gvals, ks, config.n)
 
     growth = propagator(config.n, ks)
-    gmax = _check_band_stability(config, growth)
+    gmax = _check_band_stability(config.n, config.omega_prime, growth)
     u = _table(params, ks, growth, ghat, config.times, np.asarray(config.xs, dtype=float))
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
@@ -580,7 +582,8 @@ def solve_via_convolution(config: SolveConfig) -> SolveResult:
     full[js + params.n**2] = gvals
     g = GridFunction(params, full)
     window = Window(params, config.omega_prime)
-    gmax = _check_band_stability(config, propagator(config.n, window.band_indices()))
+    gmax = _check_band_stability(config.n, config.omega_prime,
+                                 propagator(config.n, window.band_indices()))
 
     positions = [params.position(int(math.floor(config.n * x))) for x in config.xs]
     u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)

@@ -12,6 +12,10 @@ function on the cell ``[j/n, (j+1)/n)``.  All derivatives are forward
 differences with the value at the topmost index forced to zero, which is
 what makes the summation-by-parts identities in :mod:`hyperheat.transform`
 exact rather than approximate.
+
+A grid function holds one slice, or a stack of slices on the same grid with
+values of shape ``(..., 2n^2)``.  The space differences act on the last
+axis, so a stack goes through the same code as one slice.
 """
 
 from __future__ import annotations
@@ -80,7 +84,11 @@ class GridParams:
 
 
 class GridFunction:
-    """A complex-valued function on one time slice of the space grid.
+    """A complex-valued function on one time slice of the space grid, or a stack of them.
+
+    The values have shape ``(2n^2,)`` for one slice and ``(..., 2n^2)`` for
+    a stack; the space index is always the last axis.  Pointwise algebra
+    broadcasts as numpy does.
 
     Immutable: the value buffer is write-protected after construction and
     every operation returns a fresh instance, so instances can be shared
@@ -91,9 +99,10 @@ class GridFunction:
 
     def __init__(self, params: GridParams, values: np.ndarray) -> None:
         arr = np.asarray(values, dtype=np.complex128)
-        if arr.shape != (params.space_count,):
+        if arr.ndim == 0 or arr.shape[-1] != params.space_count:
             raise ValueError(
-                f"expected {params.space_count} values for n={params.n}, got shape {arr.shape}"
+                f"expected {params.space_count} values on the last axis for n={params.n}, "
+                f"got shape {arr.shape}"
             )
         arr = arr.copy()
         arr.setflags(write=False)
@@ -117,17 +126,18 @@ class GridFunction:
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only value buffer in ascending index order ``j = -n^2 .. n^2-1``."""
+        """Read-only value buffer, last axis in ascending index order ``j = -n^2 .. n^2-1``."""
         return self._values
 
     def value_at(self, j: int) -> complex:
-        """Value at space index ``j``."""
-        return complex(self._values[self.params.position(j)])
+        """Value at space index ``j`` of one slice."""
+        return complex(self._values[..., self.params.position(j)])
 
     def __len__(self) -> int:
         return self.params.space_count
 
     def max_abs(self) -> float:
+        """Largest modulus over every value, of a whole stack too."""
         return float(np.abs(self._values).max()) if len(self) else 0.0
 
     # -- algebra (pointwise) -------------------------------------------------
@@ -161,8 +171,8 @@ class GridFunction:
 
 
 def integrate(f: GridFunction) -> complex:
-    """``(1/n) * sum_j f(j/n)`` over all 2n^2 space points; NaN/Inf propagate."""
-    return complex(np.sum(f.values) * f.params.dx)
+    """``(1/n) * sum_j f(j/n)`` over all 2n^2 space points of one slice; NaN/Inf propagate."""
+    return complex(np.sum(f.values, axis=-1) * f.params.dx)
 
 
 def d_x(f: GridFunction) -> GridFunction:
@@ -174,8 +184,8 @@ def d_x(f: GridFunction) -> GridFunction:
     """
     v = f.values
     out = np.empty_like(v)
-    out[:-1] = f.params.n * (v[1:] - v[:-1])
-    out[-1] = 0.0
+    out[..., :-1] = f.params.n * (v[..., 1:] - v[..., :-1])
+    out[..., -1] = 0.0
     return GridFunction(f.params, out)
 
 

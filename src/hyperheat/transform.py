@@ -27,7 +27,11 @@ first difference) at the three affected indices ``-n^2``, ``-n^2 + 1`` and
 :func:`hyperheat.checks.derivative_ratio` measures the residual.
 
 Both directions are evaluated by one FFT of period ``M``; the test-suite pins
-them to an independent per-frequency direct sum.
+them to an independent per-frequency direct sum.  The transforms and the
+boundary corrections act on the last axis, so a stacked
+:class:`~hyperheat.grid.GridFunction` of shape ``(..., M)`` is transformed
+slice by slice in one batched FFT call, with the same result as each slice
+on its own.
 """
 
 from __future__ import annotations
@@ -60,11 +64,11 @@ def _transform(f: GridFunction, sign: int) -> GridFunction:
     n = f.params.n
     M = f.params.space_count
     if sign < 0:
-        spec = np.fft.fft(f.values)
+        spec = np.fft.fft(f.values, axis=-1)
     else:
-        spec = M * np.fft.ifft(f.values)
+        spec = M * np.fft.ifft(f.values, axis=-1)
     k = np.arange(-n * n, n * n)
-    return GridFunction(f.params, (_half_period_signs(n) * spec[k % M]) / n)
+    return GridFunction(f.params, (_half_period_signs(n) * spec[..., k % M]) / n)
 
 
 def forward(f: GridFunction) -> GridFunction:
@@ -98,7 +102,7 @@ class BoundaryCorrections:
     """Frequency-side boundary terms of the difference-transform identities.
 
     ``e`` enters the ``d_x`` identity and ``f_corr`` the ``d_xx`` identity.
-    Both are built from three scalars of the source slice: its value at the
+    Both are built from three scalars of each source slice: its value at the
     bottom index ``-n^2``, its value at the top index ``n^2 - 1``, and its
     forward difference at the bottom index.  A slice vanishing at space
     indices ``{-n^2, -n^2+1, n^2-1}`` therefore has both corrections == 0.
@@ -109,15 +113,16 @@ class BoundaryCorrections:
 
 
 def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
-    """Evaluate both correction functions on the full frequency grid."""
+    """Evaluate both correction functions on the full frequency grid, per slice of a stack."""
     params = slice_.params
     n = params.n
     psi = spectral_symbols(params).values
     phi = np.conj(psi)                              # backward-difference symbol
 
-    f_top = slice_.values[-1]                       # value at (n^2-1)/n
-    f_bot = slice_.values[0]                        # value at -n
-    df_bot = d_x(slice_).values[0]                  # forward difference at -n
+    # one column per slice, broadcast against the frequency grid
+    f_top = slice_.values[..., -1:]                 # value at (n^2-1)/n
+    f_bot = slice_.values[..., :1]                  # value at -n
+    df_bot = d_x(slice_).values[..., :1]            # forward difference at -n
 
     k = params.space_indices()
     # e^{-i pi ((n^2-1)/n) x} and e^{-i pi (-n) x} at frequency x = k/n; the

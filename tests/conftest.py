@@ -38,6 +38,17 @@ def random_grid_function(params: GridParams, rng, real=False) -> GridFunction:
     return GridFunction(params, v)
 
 
+def random_stack(params: GridParams, rng, rows: int = 3) -> GridFunction:
+    """``rows`` random complex slices on one grid, as one grid function of shape ``(rows, 2n^2)``."""
+    shape = (rows, params.space_count)
+    return GridFunction(params, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and dtype, and equal bit for bit (so ``-0.0`` differs from ``0.0``)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def reference_forward(f: GridFunction) -> np.ndarray:
     """Independent direct-sum transform: per-frequency np.sum, no shared kernel matrix."""
     n = f.params.n

@@ -284,15 +284,36 @@ class TestKernelCommand:
         assert main(["kernel", "--n", "64", "--times", "0", "--xs", "0"]) == 2
 
     def test_non_finite_result_fails_without_rows(self, tmp_path):
-        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows
+        # omega'=20 lies far outside the stability band at n=64: growth^640 overflows.
+        # stderr holds the unstable-window warning (its message and source line) and
+        # then the one failure line, nothing else
         out = tmp_path / "k.csv"
         proc = run_cli(["kernel", "--n", "64", "--omega-prime", "20", "--times", "10",
                         "--xs", "0,1", "--out", str(out)])
         assert proc.returncode == 1
         assert not out.exists()
-        assert proc.stderr.startswith("kernel failed: non-finite value at t=10.0, z=0.0; "
-                                      "max |growth| in the band is ")
-        assert proc.stderr.count("\n") == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3
+        assert "RuntimeWarning: |growth| reaches 56.3376 inside the frequency window" in lines[0]
+        assert lines[2].startswith("kernel failed: non-finite value at t=10.0, z=0.0; "
+                                   "max |growth| in the band is ")
+
+    def test_unstable_window_warns_as_solve_does(self, tmp_path):
+        window = ["--n", "64", "--omega-prime", "20", "--times", "0.5", "--xs", "0,1"]
+        warned = []
+        for command in ("kernel", "solve"):
+            proc = run_cli([command, *window, "--out", str(tmp_path / f"{command}.csv")])
+            assert proc.returncode == 0
+            warned.append(proc.stderr.splitlines()[0].partition(" RuntimeWarning: ")[2])
+        assert warned[0] == warned[1] == ("|growth| reaches 56.3376 inside the frequency window "
+                                          "(omega_prime=20.0, n=64); powers will grow")
+
+    def test_stable_window_prints_nothing(self, tmp_path):
+        # the kernel table of the benchmark's verification sweep
+        proc = run_cli(["kernel", "--n", "256", "--omega-prime", "3", "--times", "0.25,1",
+                        "--xs=-3:3:61", "--out", str(tmp_path / "k.csv")])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestConverge:
@@ -423,9 +444,10 @@ def test_bad_gaussian_is_one_line_before_any_numpy_warning(tmp_path, params, got
     (["solve", "--g", "gaussian:1,2,3"], "--g expects gaussian:a,b (two numbers), got 'gaussian:1,2,3'"),
     (["converge", "--n-list", "16,x,64"], "--n-list expects whole numbers a,b,c, got '16,x,64'"),
     (["solve", "--g", "sampled:bad.csv"], "--g file 'bad.csv', line 3: expected x,re,im, got '1,2'"),
+    (["validate", "--seed", "-1"], "--seed expects a whole number >= 0, got -1"),
 ], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center",
         "xs-list", "times-list", "gaussian-one", "bump-one", "indicator-one", "gaussian-three",
-        "n-list", "sampled-line"])
+        "n-list", "sampled-line", "negative-seed"])
 def test_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("0,1,0\n\n1,2\n", encoding="utf-8")   # line 3 lacks its imaginary part

@@ -3,7 +3,7 @@ import pytest
 
 from hyperheat import GridFunction, GridParams, d_t, d_x, d_xx, evolve, integrate, step
 
-from conftest import random_grid_function
+from conftest import random_grid_function, random_stack, same_bits
 
 
 class TestGridParams:
@@ -36,6 +36,16 @@ class TestGridFunction:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             GridFunction(GridParams(2), np.zeros(7))
+
+    @pytest.mark.parametrize("shape", [(3, 9), (8, 3), (3, 2, 7), ()])
+    def test_last_axis_enforced_for_stacks(self, shape):
+        # n=2: the last axis must hold 2n^2 = 8 values
+        with pytest.raises(ValueError, match="8 values on the last axis"):
+            GridFunction(GridParams(2), np.zeros(shape))
+
+    def test_stack_keeps_its_shape(self):
+        f = GridFunction(GridParams(2), np.ones((3, 2, 8)))
+        assert f.values.shape == (3, 2, 8) and f.values.dtype == np.complex128
 
     def test_values_are_immutable(self):
         f = GridFunction.delta(GridParams(2))
@@ -86,6 +96,18 @@ class TestDx:
             total = integrate(d_x(f))
             expect = f.values[-1] - f.values[0]
             assert abs(total - expect) <= 1e-12 * (1 + abs(expect))
+
+
+class TestStackedDifferences:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rows_equal_single_slices_bit_for_bit(self, n, rng):
+        p = GridParams(n)
+        stack = random_stack(p, rng)
+        for op in (d_x, d_xx):
+            got = op(stack).values
+            assert got.shape == (3, p.space_count)
+            assert all(same_bits(v, op(GridFunction(p, v0)).values) for v, v0 in zip(got, stack.values))
+            assert np.all(got[:, -1] == 0)
 
 
 class TestDxx:

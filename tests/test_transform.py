@@ -13,7 +13,7 @@ from hyperheat import (
     spectral_symbols,
 )
 
-from conftest import random_grid_function, reference_forward, reference_inverse
+from conftest import random_grid_function, random_stack, reference_forward, reference_inverse, same_bits
 
 
 class TestForwardInverseExamples:
@@ -55,6 +55,33 @@ class TestInversionConstant:
             f = random_grid_function(GridParams(n), rng)
             assert np.abs(forward(f).values - reference_forward(f)).max() <= 1e-11
             assert np.abs(inverse(f).values - reference_inverse(f)).max() <= 1e-11
+
+
+class TestStacks:
+    """A ``(3, 2n^2)`` stack is transformed row by row, through the same code as one slice."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_rows_equal_single_slices_bit_for_bit(self, n, rng):
+        p = GridParams(n)
+        stack = random_stack(p, rng)
+        rows = [GridFunction(p, v) for v in stack.values]
+        for op in (forward, inverse):
+            got = op(stack).values
+            assert got.shape == (3, p.space_count)
+            assert all(same_bits(v, op(row).values) for v, row in zip(got, rows))
+        corr = boundary_corrections(stack)
+        for e, f_corr, row in zip(corr.e.values, corr.f_corr.values, rows):
+            single = boundary_corrections(row)
+            assert same_bits(e, single.e.values)
+            assert same_bits(f_corr, single.f_corr.values)
+
+    def test_rows_match_reference_summation(self, rng):
+        for n in (1, 2, 4, 7):
+            stack = random_stack(GridParams(n), rng)
+            for fwd, inv, v in zip(forward(stack).values, inverse(stack).values, stack.values):
+                row = GridFunction(stack.params, v)
+                assert np.abs(fwd - reference_forward(row)).max() <= 1e-11
+                assert np.abs(inv - reference_inverse(row)).max() <= 1e-11
 
 
 class TestTransformStructure:
