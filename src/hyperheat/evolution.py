@@ -265,6 +265,12 @@ def _queries(n: int, times: Sequence[float], xs: Sequence[float]
     return tuple(map(float, times)), tuple(map(float, xs))
 
 
+def _check_omega_prime(n: int, omega_prime: float) -> None:
+    """The window rule of :func:`solve` and :func:`kernel`: ``0 < omega_prime <= n``."""
+    if not 0 < omega_prime <= n:
+        raise ValueError(f"need 0 < omega_prime <= n, got {omega_prime}")
+
+
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
     """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
@@ -273,12 +279,13 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
     against the window's 1/2); Hermitian symmetry of the band makes the
     values real up to rounding.  ``max_growth`` is the largest ``|growth|``
-    in the band; above 1 it is warned about as in :func:`solve`.  ``times``
-    and ``zs`` obey the query rules of :class:`SolveConfig`.  Overflow in
-    the powers leaves non-finite values for
+    in the band; above 1 it is warned about as in :func:`solve`.  The
+    radius, ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
+    Overflow in the powers leaves non-finite values for
     :meth:`SolveResult.first_non_finite` to report.
     """
     params = window.params
+    _check_omega_prime(params.n, window.radius)
     times, zs = _queries(params.n, times, zs)
     ks = window.band_indices()
     growth = propagator(params.n, ks)
@@ -309,8 +316,7 @@ class SolveConfig:
         params = GridParams(self.n)  # validates n
         if not 0 < self.omega < self.n:
             raise ValueError(f"need 0 < omega < n, got omega={self.omega}, n={self.n}")
-        if not 0 < self.omega_prime <= self.n:
-            raise ValueError(f"need 0 < omega_prime <= n, got {self.omega_prime}")
+        _check_omega_prime(self.n, self.omega_prime)
         times, xs = _queries(self.n, self.times, self.xs)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "xs", xs)
@@ -427,9 +433,11 @@ def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int
 
     ``js`` and ``ks`` are contiguous ascending integer ranges.  With
     ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
-    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``.
+    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``.  Overflow is
+    left in the result as inf or NaN, as in :func:`_table`.
     """
-    return _bluestein(vals, js, ks, lambda m: _chirp(m, n)) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _bluestein(vals, js, ks, lambda m: _chirp(m, n)) / n
 
 
 def _uniform_step(xs: np.ndarray) -> float | None:

@@ -242,6 +242,16 @@ class TestSolve:
         assert "encountered in" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("solve failed: ")
 
+    def test_overflowing_data_fails_in_one_line(self, tmp_path):
+        # a=1e308 overflows the forward transform; numpy must not warn about it first
+        out = tmp_path / "u.csv"
+        proc = run_cli(["solve", "--g", "gaussian:1e308,1", "--xs", "0", "--times", "0.5",
+                        "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == ("solve failed: non-finite value at t=0.5, x=0.0; "
+                               "max |growth| in the band is 1\n")
+        assert not out.exists()
+
     def test_non_closed_form_boundary_omits_oracle(self, tmp_path):
         out = tmp_path / "ind.csv"
         assert main(["solve", "--n", "64", "--g", "indicator:-1,1", "--times", "0.5",
@@ -445,9 +455,11 @@ def test_bad_gaussian_is_one_line_before_any_numpy_warning(tmp_path, params, got
     (["converge", "--n-list", "16,x,64"], "--n-list expects whole numbers a,b,c, got '16,x,64'"),
     (["solve", "--g", "sampled:bad.csv"], "--g file 'bad.csv', line 3: expected x,re,im, got '1,2'"),
     (["validate", "--seed", "-1"], "--seed expects a whole number >= 0, got -1"),
+    (["kernel", "--n", "4", "--omega-prime", "100", "--times", "0.5", "--xs", "0,1"],
+     "need 0 < omega_prime <= n, got 100.0"),
 ], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center",
         "xs-list", "times-list", "gaussian-one", "bump-one", "indicator-one", "gaussian-three",
-        "n-list", "sampled-line", "negative-seed"])
+        "n-list", "sampled-line", "negative-seed", "radius-above-n"])
 def test_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("0,1,0\n\n1,2\n", encoding="utf-8")   # line 3 lacks its imaginary part
@@ -482,7 +494,8 @@ def test_closed_stdout_pipe_ends_quietly():
 
 
 def test_solving_commands_load_no_scipy(tmp_path):
-    # only the quadrature oracle needs scipy; a solve that never integrates must not load it
+    # only the quadrature oracle needs scipy; a solve that never integrates must not load it,
+    # and neither must a solve or converge against the Gaussian's closed form
     samples = tmp_path / "g.csv"
     samples.write_text("-1,0,0\n0,1,0\n1,0,0\n", encoding="utf-8")
     loaded = run_fresh(f"""
@@ -493,11 +506,28 @@ evolution.solve(evolution.SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary
                                       times=(0.5, 1.0), xs=(-1.0, 0.0, 0.5)))
 out = {str(tmp_path / "out.csv")!r}
 assert cli.main(["kernel", "--n", "64", "--times", "0.5,1", "--xs=-1:1:5", "--out", out]) == 0
-for g in ("indicator:-1,1", {f"sampled:{samples}"!r}):
+for g in ("gaussian:1,1", "indicator:-1,1", {f"sampled:{samples}"!r}):
     assert cli.main(["solve", "--n", "64", "--g", g, "--xs", "0,0.5", "--out", out]) == 0
+assert cli.main(["converge", "--n-list", "16,32,64", "--g", "gaussian:1,1", "--xs", "0,0.5",
+                 "--out", out]) == 0
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """)
     assert loaded == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--n", "64"], ["solve", "--n", "128"], ["solve", "--n", "256"],
+                                  ["converge", "--n-list", "64,128,256"]],
+                         ids=["solve-64", "solve-128", "solve-256", "converge"])
+def test_narrow_gaussian_is_solved(tmp_path, argv):
+    # adaptive quadrature misses data this narrow; the closed form integrates nothing
+    out = tmp_path / "out.csv"
+    proc = run_cli([*argv, "--g", "gaussian:1,1e4", "--times", "0.5", "--xs", "0,1", "--out", str(out)])
+    assert proc.returncode == 0
+    # converge reports its fitted order on stderr; nothing else may appear there
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (1 if argv[0] == "converge" else 0)
+    assert all(line.startswith("fitted convergence order: ") for line in lines)
+    assert out.exists()
 
 
 @pytest.mark.parametrize("spec", ["1:2", "0:1:2.5", "0:1:-1"])

@@ -103,11 +103,16 @@ class TestClassicalSolution:
             1 / math.sqrt(3), abs=1e-9
         )
 
-    def test_closed_form_vs_quadrature_lattice(self):
-        g = gaussian(1.3, 0.8)
-        for t in (0.1, 0.25, 0.5, 1.0):
-            for x in (0.0, 0.5, -0.5, 1.0, -1.0):
-                assert abs(g.closed_form(t, x) - classical_solution(g, t, x)) <= 1e-9
+    # closed_form is a plain evaluation; this is what pins it to the quadrature.
+    # (0.9, 0.9) and (1.1, 1.1) are corners of the benchmark's data; b=750 is
+    # about the narrowest data the pass resolves at every point (from b=780 it
+    # misses the peak at t=1, x=+-1 by 1e-2); (0.37, 0.61) is an interior point.
+    @pytest.mark.parametrize("a, b", [(1, 1), (0.9, 0.9), (1.1, 1.1), (1.3, 0.8), (2, 0.5), (1, 750)])
+    def test_closed_form_vs_quadrature_lattice(self, a, b):
+        g = gaussian(a, b)
+        lattice = [(t, x) for t in (0.1, 0.25, 0.5, 1.0) for x in (0.0, 0.5, -0.5, 1.0, -1.0)]
+        for t, x in lattice + [(0.37, 0.61)]:
+            assert abs(g.closed_form(t, x) - classical_solution(g, t, x)) <= 1e-9
 
     def test_mass_conservation(self):
         g = gaussian()
@@ -360,8 +365,7 @@ class TestCertificate:
     "oracle.classical_column(oracle.bump(0.0, 1.0), 0.5, [-1.5, 0.0, 0.3, 2.0])",
     "oracle.classical_solution(oracle.indicator(-1.0, 1.0), 0.25, 0.7)",
     "oracle.gaussian_transform_identity(0.5, 1.2)",
-    "oracle.gaussian(2.0, 0.5).closed_form(0.5, np.array([-1.0, 0.0, 0.4]))",   # runs its cross-check
-], ids=["classical_column", "classical_solution", "gaussian_transform_identity", "closed_form"])
+], ids=["classical_column", "classical_solution", "gaussian_transform_identity"])
 def test_first_quadrature_in_a_fresh_interpreter(call):
     # scipy.integrate is imported by the first quadrature; that cold call gives the same bits
     cold = run_fresh(f"""
