@@ -8,14 +8,14 @@ the yardstick the grid pipeline is measured against.
 
 The quadrature works on columns: :func:`classical_column` integrates every
 query point of one time in a single adaptive pass, split at the data's
-breakpoints (support edges and jumps) and at the query points, so that no
-compact support or narrow kernel can slip between the quadrature nodes.
+breakpoints (support edges, jumps, the Gaussian's peak) and at the query
+points, so that no compact support, narrow peak or narrow kernel can slip
+between the quadrature nodes.  The pass is :func:`_integrate`, a numpy
+Gauss-Kronrod bisection that evaluates a whole level of intervals in
+blocks; nothing here loads scipy.
 
 The bounds and brackets of the rate estimates, and the verdicts on them,
 are in :func:`hyperheat.checks.rate_verdicts`.
-
-``scipy.integrate`` is imported at the first quadrature, not with the
-package, so a caller that never integrates never loads scipy.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class BoundaryCondition:
     hypotheses of the classical theory -- supported for experimentation,
     excluded from convergence guarantees.
 
-    ``breakpoints`` are the points where ``g`` or a derivative jumps (support
-    edges, steps); the quadrature oracle starts its subdivision there.
+    ``breakpoints`` are the points where the quadrature oracle starts its
+    subdivision: where ``g`` or a derivative jumps (support edges, steps),
+    and peaks narrow enough to slip between the nodes of a wide interval.
     """
 
     kind: str
@@ -121,8 +122,9 @@ def gaussian(a: float = 1.0, b: float = 1.0) -> BoundaryCondition:
         x = np.asarray(x, dtype=float)
         return (a / math.sqrt(s) * np.exp(-b * x * x / s)).astype(np.complex128)
 
+    # the peak is a breakpoint: data too narrow for the nodes cannot slip between them
     return BoundaryCondition(
-        "gaussian", fn, GrowthCertificate(abs(a), 0.0, 1.0), f"gaussian({a},{b})", closed
+        "gaussian", fn, GrowthCertificate(abs(a), 0.0, 1.0), f"gaussian({a},{b})", closed, (0.0,)
     )
 
 
@@ -191,18 +193,128 @@ def _integration_halfwidth(g: BoundaryCondition, t: float, x: float) -> float:
     raise RuntimeError("could not find an integration window (certificate too weak?)")
 
 
+# The Gauss-Kronrod 21-point rule on [-1, 1] (Kronrod 1965; QUADPACK's qk21),
+# from -1 to the middle: the nodes, the Kronrod weights, and the weights of
+# the embedded 10-point Gauss rule, whose nodes are every second Kronrod node.
+# (numpy.polynomial.legendre.leggauss has these weights too, but importing it
+# costs every command about 1.5 MB and 6 ms, integrating or not.)
+_GK21_HALF = np.array((0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                       0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                       0.0))
+_KRONROD_HALF = np.array((0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                          0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                          0.149445554002916905664936468389821))
+_GAUSS_HALF = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
+_GK21_NODES = np.concatenate([-_GK21_HALF, _GK21_HALF[-2::-1]])
+_KRONROD_W = np.concatenate([_KRONROD_HALF, _KRONROD_HALF[-2::-1]])
+_GAUSS_W = np.zeros(21)
+_GAUSS_W[1::2] = [*_GAUSS_HALF, *reversed(_GAUSS_HALF)]
+# Columns: the Kronrod estimate, and its difference from the Gauss estimate.
+_GK21_RULES = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W], axis=1)
+
+# The tolerance is the larger of _QUAD_ABS_TOL and _QUAD_REL_TOL times the
+# largest part of the integral; an interval within its rounding (_ROUNDING
+# times its integral of |kernel data|) is accepted too, and a result whose
+# accepted estimates sum to more than _QUAD_MAX_ERR is refused: the
+# criteria quad_vec and its caller applied.
+_QUAD_REL_TOL = 1e-12
+_ROUNDING = 50 * np.finfo(float).eps
+_QUAD_MAX_ERR = 1e-6
+# Kernel values evaluated at once, and intervals halved before the rest are
+# taken as they are: _MAX_HALVED plus 64 per starting interval (the tests'
+# columns halve at most about 60 in all).
+_BLOCK_ENTRIES = 2**18
+_MAX_HALVED = 10_000
+
+
+def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.ndarray], np.ndarray],
+               edges: np.ndarray, size: int) -> np.ndarray:
+    """``int kernel(y) data(y) dy`` over ``[edges[0], edges[-1]]``, ``size`` values at once.
+
+    For nodes ``y`` of shape ``(I, 21)``, ``kernel(y)`` is real, non-negative
+    and of shape ``(I, size, 21)``, and ``data(y)`` complex of shape
+    ``(I, 21)``.  Gauss-Kronrod 21-point bisection, level by level, from the
+    intervals between ``edges``.  An interval's error estimate is its
+    Kronrod minus its Gauss value, in the max norm over the real and
+    imaginary parts of all ``size`` values.  It is accepted when that is at
+    most its length's share of the tolerance, or at most its rounding
+    estimate; the others are halved for the next level.  The tolerance is
+    1e-10 on the first level, and from the second the larger of that and
+    1e-12 times the largest part of the first level's total.  Short of the
+    cap, the accepted estimates thus sum to at most the tolerance, plus
+    rounding.  The
+    integrand is evaluated in blocks of about ``_BLOCK_ENTRIES`` values, and
+    only interval edges pass between levels.  Once more than the cap of
+    intervals have been halved, the level's rejected intervals are taken as
+    they are.  Raises ``RuntimeError`` on a non-finite value or estimate,
+    or when the accepted estimates sum to more than 1e-6.
+    """
+    a, b = edges[:-1], edges[1:]
+    tol, window = _QUAD_ABS_TOL, edges[-1] - edges[0]
+    cap = _MAX_HALVED + 64 * a.size
+    step = max(1, _BLOCK_ENTRIES // (21 * size))
+    total = np.zeros(size, dtype=np.complex128)
+    spent, halved = 0.0, 0
+    while a.size:
+        share, rejected = tol / window, []
+        # the Kronrod values and the estimates of the intervals this level rejects
+        open_total, open_err = np.zeros(size, dtype=np.complex128), 0.0
+        for s in range(0, a.size, step):
+            lo, hi = a[s:s + step], b[s:s + step]
+            h = (hi - lo) / 2
+            y = (lo + h)[:, None] + h[:, None] * _GK21_NODES
+            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+                d, k = data(y), kernel(y)
+                # the data times the two rules, as real columns: (I, 21, 4)
+                weighted = (d[..., None] * _GK21_RULES).view(np.float64)
+                sums = np.matmul(k, weighted) * h[:, None, None]
+            if not np.isfinite(sums).all():
+                raise RuntimeError("quadrature did not converge (non-finite integrand)")
+            err = np.abs(sums[..., 2:]).max(axis=(1, 2))
+            ok = err <= share * (hi - lo)
+            # halving cannot shrink an estimate that is already within its rounding
+            rest = np.flatnonzero(~ok)
+            if rest.size:
+                magnitude = np.matmul(k[rest], (np.abs(d[rest]) * _KRONROD_W)[..., None]).max(axis=(1, 2))
+                ok[rest] = err[rest] <= _ROUNDING * h[rest] * magnitude
+            total += sums[ok, :, :2].sum(axis=0).view(np.complex128)[:, 0]
+            open_total += sums[~ok, :, :2].sum(axis=0).view(np.complex128)[:, 0]
+            spent, open_err = spent + err[ok].sum(), open_err + err[~ok].sum()
+            rejected.append(s + np.flatnonzero(~ok))
+        bad = np.concatenate(rejected)
+        if not halved:      # after the first level
+            first_level = (total + open_total).view(np.float64)
+            tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.abs(first_level).max()))
+        halved += bad.size
+        if halved > cap:    # take the rejected intervals as they are
+            total, spent = total + open_total, spent + open_err
+            break
+        mid = (a[bad] + b[bad]) / 2
+        a, b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
+    if spent > _QUAD_MAX_ERR:
+        raise RuntimeError(f"quadrature did not converge (err={spent:.2e})")
+    return total
+
+
 def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     """Heat-kernel convolution ``(4 pi t)^{-1/2} int exp(-(x-y)^2/4t) g(y) dy`` at every ``x`` in ``xs``.
 
-    One vector-valued adaptive quadrature (Gauss-Kronrod bisection, max
-    norm over the real and imaginary parts of all points) to absolute
-    tolerance 1e-10.  The window is the hull of the points widened by the
+    One vector-valued pass of :func:`_integrate` (Gauss-Kronrod bisection,
+    max norm over the real and imaginary parts of all points) to 1e-10
+    absolute, or 1e-12 relative to a larger integral.  The window is the hull of the points widened by the
     half-width of the largest ``|x|``: the certificate grows with ``|y|``,
     so the kernel dominates the data beyond it for every point.  The
     subdivision starts at the boundary's breakpoints inside the window and
     at the query points.
     """
-    from scipy.integrate import quad_vec
     if t <= 0:
         raise ValueError(f"classical solution defined for t > 0, got t={t}")
     xs = np.asarray(xs, dtype=float)
@@ -214,19 +326,15 @@ def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     fill = [np.linspace(a, b, int(np.ceil((b - a) / L)), endpoint=False)[1:]
             for a, b in zip(q[:-1], q[1:])]
     inside = [p for p in g.breakpoints if lo < p < hi]
-    points = np.unique(np.concatenate([q, *fill, inside])).tolist()
+    edges = np.unique(np.concatenate([[lo, hi], q, *fill, inside]))
 
-    def kernel_times_data(y: float) -> np.ndarray:
-        val = g(y).item()
-        k = np.exp(-np.square(xs - y) / (4.0 * t))
-        return np.concatenate((k * val.real, k * val.imag))
+    def kernel(y: np.ndarray) -> np.ndarray:
+        d = xs[:, None] - y[:, None, :]
+        np.square(d, out=d)
+        np.divide(d, -4.0 * t, out=d)
+        return np.exp(d, out=d)
 
-    # workers=map is the serial path without importing multiprocessing (an int would)
-    res, err = quad_vec(kernel_times_data, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=1e-12,
-                        norm="max", limit=400 + len(points), points=points, workers=map)
-    if err > 1e-6:
-        raise RuntimeError(f"quadrature did not converge (err={err:.2e})")
-    return (res[:xs.size] + 1j * res[xs.size:]) / math.sqrt(4.0 * math.pi * t)
+    return _integrate(kernel, g, edges, xs.size) / math.sqrt(4.0 * math.pi * t)
 
 
 def classical_solution(g: BoundaryCondition, t: float, x: float) -> complex:
@@ -245,19 +353,16 @@ def gaussian_heat_kernel(t: float, z):
 def gaussian_transform_identity(t: float, z: float) -> float:
     """Residual of ``int exp(i pi w z - pi^2 t w^2) dw = (pi t)^{-1/2} exp(-z^2/4t)``.
 
-    The left side is evaluated by quadrature (real and imaginary parts
-    separately; the imaginary part integrates to ~0 by oddness).
+    The left side is evaluated by quadrature, real and imaginary parts in one
+    pass of :func:`_integrate` (the imaginary part integrates to ~0 by oddness).
     """
-    from scipy.integrate import quad
     if t <= 0:
         raise ValueError("identity holds for t > 0")
     L = math.sqrt(40.0 / (math.pi**2 * t))
-    re, _ = quad(lambda w: math.exp(-math.pi**2 * t * w * w) * math.cos(math.pi * w * z),
-                 -L, L, epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=400)
-    im, _ = quad(lambda w: math.exp(-math.pi**2 * t * w * w) * math.sin(math.pi * w * z),
-                 -L, L, epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=400)
+    left = _integrate(lambda w: np.exp(-math.pi**2 * t * w * w)[:, None, :],
+                      lambda w: np.exp(1j * math.pi * w * z), np.array([-L, L]), 1)
     target = math.exp(-z * z / (4.0 * t)) / math.sqrt(math.pi * t)
-    return abs(complex(re, im) - target)
+    return abs(complex(left[0]) - target)
 
 
 # -- scalar sequences behind the propagator's Gaussian limit ----------------

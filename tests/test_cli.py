@@ -395,6 +395,20 @@ class TestConverge:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("converge failed: quadrature did not converge")
 
+    def test_large_sampled_data_converges(self, tmp_path):
+        # the oracle's tolerance is relative to the integral too, so data of size 1e7
+        # converges, with 1e7 times the errors of the same data of size 1
+        errs = []
+        for peak in ("1", "1e7"):
+            f = tmp_path / f"g{peak}.csv"
+            f.write_text(f"-1,0,0\n0,{peak},0\n1,0,0\n", encoding="utf-8")
+            out = tmp_path / f"conv{peak}.csv"
+            assert main(["converge", "--n-list", "64,128,256", "--omega-prime", "2", "--g", f"sampled:{f}",
+                         "--times", "0.5", "--xs", "0,0.5", "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            errs.append(np.array([float(row[1]) for row in rows[:3]]))
+        assert np.allclose(errs[1], 1e7 * errs[0], rtol=1e-12, atol=0)
+
     @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
     def test_quadrature_reference_once_per_time(self, monkeypatch, tmp_path):
         calls = []
@@ -494,8 +508,8 @@ def test_closed_stdout_pipe_ends_quietly():
 
 
 def test_solving_commands_load_no_scipy(tmp_path):
-    # only the quadrature oracle needs scipy; a solve that never integrates must not load it,
-    # and neither must a solve or converge against the Gaussian's closed form
+    # the quadrature oracle is numpy only: no command loads scipy, whether it
+    # integrates (converge of non-Gaussian data, rates) or not
     samples = tmp_path / "g.csv"
     samples.write_text("-1,0,0\n0,1,0\n1,0,0\n", encoding="utf-8")
     loaded = run_fresh(f"""
@@ -508,8 +522,10 @@ out = {str(tmp_path / "out.csv")!r}
 assert cli.main(["kernel", "--n", "64", "--times", "0.5,1", "--xs=-1:1:5", "--out", out]) == 0
 for g in ("gaussian:1,1", "indicator:-1,1", {f"sampled:{samples}"!r}):
     assert cli.main(["solve", "--n", "64", "--g", g, "--xs", "0,0.5", "--out", out]) == 0
-assert cli.main(["converge", "--n-list", "16,32,64", "--g", "gaussian:1,1", "--xs", "0,0.5",
-                 "--out", out]) == 0
+for g in ("gaussian:1,1", "bump:0,1", "indicator:-1,1", {f"sampled:{samples}"!r}):
+    assert cli.main(["converge", "--n-list", "16,32,64", "--g", g, "--xs", "0,0.5", "--out", out]) == 0
+cli.main(["rates", "--out", out])     # exits 1 on the known red quad_order verdict
+assert "gauss_transform" in open(out, encoding="utf-8").read()
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """)
     assert loaded == "[]\n"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import erf
 
 from conftest import run_fresh
@@ -104,10 +104,12 @@ class TestClassicalSolution:
         )
 
     # closed_form is a plain evaluation; this is what pins it to the quadrature.
-    # (0.9, 0.9) and (1.1, 1.1) are corners of the benchmark's data; b=750 is
-    # about the narrowest data the pass resolves at every point (from b=780 it
-    # misses the peak at t=1, x=+-1 by 1e-2); (0.37, 0.61) is an interior point.
-    @pytest.mark.parametrize("a, b", [(1, 1), (0.9, 0.9), (1.1, 1.1), (1.3, 0.8), (2, 0.5), (1, 750)])
+    # (0.9, 0.9) and (1.1, 1.1) are corners of the benchmark's data; (0.37, 0.61)
+    # is an interior point.  b from 750 to 4000 is data narrower than the
+    # window's first intervals: the peak, a breakpoint, keeps it from slipping
+    # between the nodes.
+    @pytest.mark.parametrize("a, b", [(1, 1), (0.9, 0.9), (1.1, 1.1), (1.3, 0.8), (2, 0.5), (1, 750),
+                                      (1, 800), (1, 2000), (1, 4000)])
     def test_closed_form_vs_quadrature_lattice(self, a, b):
         g = gaussian(a, b)
         lattice = [(t, x) for t in (0.1, 0.25, 0.5, 1.0) for x in (0.0, 0.5, -0.5, 1.0, -1.0)]
@@ -235,7 +237,7 @@ class TestClassicalColumn:
         assert bump(0.5, 2.0).breakpoints == (-1.5, 2.5)
         assert indicator(-1.0, 3.0).breakpoints == (-1.0, 3.0)
         assert sampled([(1.0, 2.0), (0.0, 1.0), (3.0, 0.0)]).breakpoints == (0.5, 2.0)
-        assert gaussian().breakpoints == ()
+        assert gaussian().breakpoints == (0.0,)
 
     def test_scalar_call_is_the_one_point_column(self):
         g = bump(0.0, 1.0)
@@ -247,6 +249,84 @@ class TestClassicalColumn:
         assert np.allclose(g.closed_form(0.5, zs), [g.closed_form(0.5, z) for z in zs], rtol=0, atol=1e-16)
         assert np.allclose(gaussian_heat_kernel(0.5, zs), [gaussian_heat_kernel(0.5, z) for z in zs],
                            rtol=0, atol=1e-16)
+
+
+def quad_vec_column(g, t, xs):
+    """The column by ``scipy.integrate.quad_vec`` over the same window and breakpoints."""
+    L = oracle._integration_halfwidth(g, t, float(np.abs(xs).max()))
+    q = np.unique(xs)
+    fill = [np.linspace(a, b, int(np.ceil((b - a) / L)), endpoint=False)[1:] for a, b in zip(q[:-1], q[1:])]
+    lo, hi = q[0] - L, q[-1] + L
+    points = np.unique(np.concatenate([q, *fill, [p for p in g.breakpoints if lo < p < hi]]))
+
+    def kernel_times_data(y):
+        val = complex(g(y))
+        k = np.exp(-np.square(xs - y) / (4.0 * t))
+        return np.concatenate((k * val.real, k * val.imag))
+
+    res, _ = quad_vec(kernel_times_data, lo, hi, epsabs=1e-10, epsrel=1e-12, norm="max",
+                      limit=400 + points.size, points=points.tolist())
+    return (res[:xs.size] + 1j * res[xs.size:]) / math.sqrt(4.0 * math.pi * t)
+
+
+def ones(y):
+    return np.ones(y.shape)[:, None, :]
+
+
+class TestIntegrate:
+    def test_gauss_kronrod_table(self):
+        # the embedded rule is numpy's 10-point Gauss-Legendre rule; both are symmetric
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = oracle._GK21_RULES[:, 0] - oracle._GK21_RULES[:, 1]
+        assert np.array_equal(oracle._GK21_NODES, -oracle._GK21_NODES[::-1])
+        assert np.abs(oracle._GK21_NODES[1::2] - nodes).max() <= 1e-15
+        assert np.abs(gauss[1::2] - weights).max() <= 1e-15 and not gauss[::2].any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polynomials_up_to_degree_31_are_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        for degree in range(32):
+            poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1)
+                                            + 1j * rng.standard_normal(degree + 1))
+            a, b = np.sort(rng.uniform(-1.0, 1.0, 2))
+            exact = poly.integ()(b) - poly.integ()(a)
+            (value,) = oracle._integrate(ones, poly, np.array([a, b]), 1)
+            assert abs(value - exact) <= 1e-14 * (1 + abs(exact))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.nan)])
+    def test_non_finite_integrand_is_one_line_error(self, bad):
+        def data(y):
+            return np.where(y > 0.3, bad, 1.0 + 0j)
+
+        with pytest.raises(RuntimeError, match="quadrature did not converge") as info:
+            oracle._integrate(ones, data, np.array([-1.0, 0.0, 1.0]), 1)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("spike", [lambda y: 1 / np.abs(y - 1 / 3), lambda y: (y - 0.3) ** -2],
+                             ids=["inverse", "inverse-square"])
+    def test_non_integrable_spike_is_one_line_error(self, spike):
+        # the spike's intervals are halved up to the cap, and their estimates stay far above 1e-6
+        with pytest.raises(RuntimeError, match=r"quadrature did not converge \(err=") as info:
+            oracle._integrate(ones, lambda y: spike(y) + 0j, np.array([0.0, 1.0]), 1)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_large_data_is_integrated_to_its_rounding(self, scale):
+        # the tolerance is relative to the integral too, as quad_vec's was: the rounding
+        # of data of 1e8 alone is above the absolute 1e-10
+        poly = np.polynomial.Polynomial(scale * np.arange(1.0, 9.0))
+        exact = poly.integ()(1.0) - poly.integ()(-1.0)
+        (value,) = oracle._integrate(ones, lambda y: poly(y) + 0j, np.array([-1.0, 0.5, 1.0]), 1)
+        assert abs(value - exact) <= 1e-14 * abs(exact)
+
+    # 401 points split the window into more intervals than one block holds
+    @pytest.mark.parametrize("g", [bump(0.0, 1.0), indicator(-1.0, 1.0),
+                                   sampled([(-1.5, 1.0), (-0.25, 2.0 - 1.0j), (0.5, -0.5), (1.75, 0.5j)])],
+                             ids=["bump", "indicator", "sampled"])
+    def test_column_over_several_blocks_matches_quad_vec(self, g):
+        xs = np.linspace(-3.0, 3.0, 401)
+        assert 401 * 21 * 401 > 2 * oracle._BLOCK_ENTRIES
+        assert np.abs(classical_column(g, 0.5, xs) - quad_vec_column(g, 0.5, xs)).max() <= 1e-12
 
 
 class TestGaussianTransformIdentity:
@@ -367,14 +447,13 @@ class TestCertificate:
     "oracle.gaussian_transform_identity(0.5, 1.2)",
 ], ids=["classical_column", "classical_solution", "gaussian_transform_identity"])
 def test_first_quadrature_in_a_fresh_interpreter(call):
-    # scipy.integrate is imported by the first quadrature; that cold call gives the same bits
+    # the quadrature is numpy only: a cold call loads no scipy module and gives the same bits
     cold = run_fresh(f"""
 import sys
 import numpy as np
 from hyperheat import oracle
-assert not any(m.partition(".")[0] == "scipy" for m in sys.modules)
 value = {call}
-assert "scipy.integrate" in sys.modules
+assert not any(m.partition(".")[0] == "scipy" for m in sys.modules)
 print(np.asarray(value).tobytes().hex())
 """)
     assert cold == np.asarray(eval(call)).tobytes().hex() + "\n"
