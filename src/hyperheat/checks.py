@@ -22,6 +22,12 @@ from . import oracle, transform
 from .evolution import convolve, evolve, spectral_hat
 from .grid import GridFunction, GridParams, d_x, d_xx
 
+# Tolerance of the exact identities (criteria 1-3), scaled per identity.
+_IDENTITY_TOL = 1e-9
+
+# Relative tolerance of criterion 4: the stepper amplifies by up to 1 + 4n per step.
+_STEPPER_TOL = 1e-8
+
 __all__ = [
     "inversion_ratio",
     "convolution_ratio",
@@ -41,17 +47,18 @@ def _peak(values: np.ndarray) -> np.ndarray:
 
 
 def inversion_ratio(f: GridFunction) -> float:
-    """Both round trips against ``2 f``, tolerance ``1e-9 (1 + max|f|)``."""
+    """Both round trips against ``2 f``, tolerance ``_IDENTITY_TOL (1 + max|f|)``."""
     r = _peak(transform.inverse(transform.forward(f)).values - 2.0 * f.values)
     s = _peak(transform.forward(transform.inverse(f)).values - 2.0 * f.values)
-    return float((np.maximum(r, s) / (1e-9 * (1.0 + _peak(f.values)))).max())
+    return float((np.maximum(r, s) / (_IDENTITY_TOL * (1.0 + _peak(f.values)))).max())
 
 
 def convolution_ratio(f: GridFunction, g: GridFunction) -> float:
-    """``hat(f*g) = f_hat g_hat`` and its inverse analogue, tolerance ``1e-9 (1 + max|f_hat g_hat|)``.
+    """``hat(f*g) = f_hat g_hat`` and its inverse analogue.
 
-    ``f`` and ``g`` are stacks of one shape; :func:`convolve` takes one pair
-    of slices at a time, the transforms the whole stack.
+    The tolerance is ``_IDENTITY_TOL (1 + max|f_hat g_hat|)``.  ``f`` and
+    ``g`` are stacks of one shape; :func:`convolve` takes one pair of slices
+    at a time, the transforms the whole stack.
     """
     if f.values.shape != g.values.shape:
         raise ValueError(f"stack shapes differ: {f.values.shape} and {g.values.shape}")
@@ -63,13 +70,13 @@ def convolution_ratio(f: GridFunction, g: GridFunction) -> float:
     r_fwd = _peak(transform.forward(conv).values - fg_hat)
     r_inv = _peak(transform.inverse(conv).values
                   - transform.inverse(f).values * transform.inverse(g).values)
-    return float((np.maximum(r_fwd, r_inv) / (1e-9 * (1.0 + _peak(fg_hat)))).max())
+    return float((np.maximum(r_fwd, r_inv) / (_IDENTITY_TOL * (1.0 + _peak(fg_hat)))).max())
 
 
 def derivative_ratio(f: GridFunction) -> float:
     """``hat(d_x f) = psi f_hat - e`` and ``hat(d_xx f) = psi^2 f_hat - f_corr``.
 
-    Tolerances ``1e-9 (1 + n max|f|)`` and ``1e-9 (1 + n^2 max|f|)``.
+    Tolerances ``_IDENTITY_TOL (1 + n max|f|)`` and ``_IDENTITY_TOL (1 + n^2 max|f|)``.
     """
     n = f.params.n
     psi = transform.spectral_symbols(f.params).values
@@ -78,12 +85,11 @@ def derivative_ratio(f: GridFunction) -> float:
     peak = _peak(f.values)
     r_dx = _peak(transform.forward(d_x(f)).values - (psi * f_hat - corr.e.values))
     r_dxx = _peak(transform.forward(d_xx(f)).values - (psi * psi * f_hat - corr.f_corr.values))
-    return float(np.maximum(r_dx / (1e-9 * (1.0 + n * peak)),
-                            r_dxx / (1e-9 * (1.0 + n * n * peak))).max())
+    return float(np.maximum(r_dx / (_IDENTITY_TOL * (1.0 + n * peak)),
+                            r_dxx / (_IDENTITY_TOL * (1.0 + n * n * peak))).max())
 
 
 def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
-    # relative tolerance 1e-8: the stepper amplifies by up to 1 + 4n per step
     slices = evolve(g, steps)
     corrections = ([transform.boundary_corrections(s).f_corr for s in slices[:steps]]
                    if corrected else None)
@@ -92,7 +98,8 @@ def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
     for i, s in enumerate(slices):
         ref = transform.forward(s)
         got = spectral_hat(ghat, corrections, i)
-        worst = max(worst, np.abs(got.values - ref.values).max() / (1e-8 * max(1.0, ref.max_abs())))
+        tol = _STEPPER_TOL * max(1.0, ref.max_abs())
+        worst = max(worst, np.abs(got.values - ref.values).max() / tol)
     return float(worst)
 
 

@@ -27,7 +27,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 _VALIDATE_NS = (1, 2, 4, 8, 16)
-_VALIDATE_MAX_N = 16
+_VALIDATE_MAX_N = _VALIDATE_NS[-1]
 _VALIDATE_SMALL_N = 8   # the convolution and difference suites stop here
 
 
@@ -175,7 +175,7 @@ def _non_finite_message(result: evolution.SolveResult, point: str = "x") -> str 
 
 def _write_table(command: str, out: str | None, result: evolution.SolveResult,
                  header: tuple[str, ...], reference=None) -> int:
-    """Write one row ``t, point, re, |im|`` per value of ``result``.
+    """Write one row ``t, point, re, im`` per value of ``result``.
 
     With ``reference``, each row also gets ``oracle, abs_err`` against
     ``reference(t, points)``, called once per time with all of ``result.xs``.
@@ -190,7 +190,7 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
         print(f"{command} failed: {bad}", file=sys.stderr)
         return EXIT_VALIDATION
     u = result.u
-    columns = [u.real, np.abs(u.imag)]
+    columns = [u.real, u.imag]
     if reference is not None:
         ref = np.array([reference(t, result.xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]

@@ -73,15 +73,13 @@ OVERFLOW_LIMIT = 1e100
 # solve_via_convolution materialises full-grid kernels; cap the grid size.
 _CONVOLUTION_N_LIMIT = 64
 
-# Largest n at which the chirp's exact phase reduction (intermediates < 8 n^2) fits in int64.
-_INT64_CHIRP_N = math.isqrt((2**63 - 1) // 8)
+# Largest chirp index whose square fits in int64.
+_MAX_CHIRP_INDEX = math.isqrt(2**63 - 1)
 
 # Complex entries in one block of the factored query product (points x coarse x times): 4 MiB.
 _QUERY_BLOCK_ENTRIES = 1 << 18
 
-# Uniform query sets of this many points take the chirp-z evaluation.  16 keeps
-# lo:hi:count output on it, though the factored matrix is faster up to about 100
-# uniform points at n = 256 and 400 at n = 8192 (41 at n = 65536: 5 ms vs 109 ms).
+# Uniform query sets of this many points take the chirp-z evaluation.
 _MIN_CHIRP_POINTS = 16
 
 
@@ -204,19 +202,19 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 class Window:
     """Value-1/2 indicator of the frequency band ``|k| <= floor(radius * n)``.
 
-    The 1/2 compensates the transform pair's round-trip constant 2.  For
-    ``radius * n < n^2`` the band holds exactly ``2 floor(radius n) + 1``
-    frequencies, symmetric about 0; for larger radii it covers the whole
-    grid.  The window is kept as its band (:meth:`band_indices`); the weight
-    is applied where the band is used.
+    The 1/2 compensates the transform pair's round-trip constant 2.  The
+    one window rule is ``0 < radius <= n``.  Below ``n`` the band holds
+    exactly ``2 floor(radius n) + 1`` frequencies, symmetric about 0; at
+    ``n`` it is the whole grid.  The window is kept as its band
+    (:meth:`band_indices`); the weight is applied where the band is used.
     """
 
     def __init__(self, params: GridParams, radius: float) -> None:
-        if not 0 < radius < math.inf:
-            raise ValueError(f"window radius must be positive and finite, got {radius}")
+        if not 0 < radius <= params.n:
+            raise ValueError(f"need 0 < omega_prime <= n, got {radius}")
         self.params = params
         self.radius = float(radius)
-        self.cutoff = min(int(math.floor(self.radius * params.n)), params.n**2)
+        self.cutoff = int(math.floor(self.radius * params.n))
 
     def band_indices(self) -> np.ndarray:
         """The frequency indices carrying weight 1/2 (clipped to the grid)."""
@@ -224,19 +222,12 @@ class Window:
         return np.arange(-self.cutoff, hi + 1)
 
 
-def _steps_of(params: GridParams, t: float) -> int:
-    if not 0.0 <= t < params.n:
-        raise ValueError(f"time {t} outside [0, n) for n={params.n}")
-    return int(math.floor(params.n * t))
-
-
 def _windowed_symbol(window: Window, t: float) -> GridFunction:
-    """``window * growth^{floor(nt)}`` with powers taken only inside the band."""
+    """``window * growth^{floor(nt)}``, the powers taken on the band as :func:`solve` takes them."""
     params = window.params
-    m = _steps_of(params, t)
     ks = window.band_indices()
     q = np.zeros(params.space_count, dtype=np.complex128)
-    q[ks + params.n**2] = 0.5 * propagator(params.n, ks) ** m
+    q[ks + params.n**2] = _coefficients(params, propagator(params.n, ks), 1.0, (t,))[:, 0]
     return GridFunction(params, q)
 
 
@@ -265,12 +256,6 @@ def _queries(n: int, times: Sequence[float], xs: Sequence[float]
     return tuple(map(float, times)), tuple(map(float, xs))
 
 
-def _check_omega_prime(n: int, omega_prime: float) -> None:
-    """The window rule of :func:`solve` and :func:`kernel`: ``0 < omega_prime <= n``."""
-    if not 0 < omega_prime <= n:
-        raise ValueError(f"need 0 < omega_prime <= n, got {omega_prime}")
-
-
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
     """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
@@ -278,14 +263,13 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     the band: a chirp-z transform for a uniform ``zs``, direct summation
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
     against the window's 1/2); Hermitian symmetry of the band makes the
-    values real up to rounding.  ``max_growth`` is the largest ``|growth|``
-    in the band; above 1 it is warned about as in :func:`solve`.  The
-    radius, ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
+    values real, so the imaginary part is rounding.  ``max_growth`` is the
+    largest ``|growth|`` in the band; above 1 it is warned about as in
+    :func:`solve`.  ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
     Overflow in the powers leaves non-finite values for
     :meth:`SolveResult.first_non_finite` to report.
     """
     params = window.params
-    _check_omega_prime(params.n, window.radius)
     times, zs = _queries(params.n, times, zs)
     ks = window.band_indices()
     growth = propagator(params.n, ks)
@@ -316,7 +300,7 @@ class SolveConfig:
         params = GridParams(self.n)  # validates n
         if not 0 < self.omega < self.n:
             raise ValueError(f"need 0 < omega < n, got omega={self.omega}, n={self.n}")
-        _check_omega_prime(self.n, self.omega_prime)
+        Window(params, self.omega_prime)  # validates omega_prime
         times, xs = _queries(self.n, self.times, self.xs)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "xs", xs)
@@ -336,9 +320,9 @@ class SolveConfig:
 class SolveResult:
     """Solution table: ``u[i, j]`` is the value at ``times[i]``, ``xs[j]``.
 
-    The physically meaningful answer is ``u.real``; the imaginary residue
-    (small but nonzero, since the propagator is first order in 1/n) is kept
-    as a diagnostic rather than silently dropped.
+    For real boundary data the answer is ``u.real`` and ``u.imag`` is
+    rounding; for complex data ``u.imag`` is the imaginary half of the
+    answer.  Both are kept.
     """
 
     times: tuple[float, ...]
@@ -370,27 +354,27 @@ def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
     return js, vals
 
 
-def _chirp(m: np.ndarray, n: int) -> np.ndarray:
-    """``exp(-i pi m^2 / (2 n^2))`` for integers ``m``.
+def _squares(m: np.ndarray) -> np.ndarray:
+    """``m^2`` in int64 for integers ``m``, each ``|m|`` at most ``isqrt(2^63 - 1)``."""
+    if max(-int(m.min()), int(m.max())) > _MAX_CHIRP_INDEX:
+        raise ValueError(f"chirp index beyond {_MAX_CHIRP_INDEX}: its square overflows int64")
+    return m * m
 
-    The phase has period ``4 n^2`` in ``m^2``, and ``m^2 mod 4n^2`` depends
-    only on ``m mod 2n^2``.  The reduction is exact integer arithmetic done
-    before ``exp``, so the phase stays accurate however large ``m^2`` is;
-    floating-point ``m^2`` loses it (``scipy.signal.czt`` is off by ~5e-10
-    on the n=2048 band).  Splitting ``m mod 2n^2 = a n + b`` keeps every
-    intermediate below ``8 n^2``, so int64 suffices up to ``n = 2^30``.
+
+def _chirp(m: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-i pi m^2 / (2 n^2))`` for integers ``m`` (see :func:`_squares`).
+
+    The phase has period ``4 n^2`` in ``m^2``, reduced in exact integers
+    before ``exp``: floating-point ``m^2`` would lose it.
     """
-    half = n * n
-    if n > _INT64_CHIRP_N:
-        m = m.astype(object)                              # Python integers: exact at any n
-    r = m % (2 * half)
-    a, b = r // n, r % n                                  # r = a n + b, 0 <= a < 2n, 0 <= b < n
-    residue = (half * (a * a % 4) + 2 * n * (a * b % (2 * n)) + b * b) % (4 * half)
-    return np.exp(-2j * np.pi * (residue / (4 * half)).astype(np.float64))
+    period = 4 * n * n
+    # every square is below 2^63 - 1 (itself no square), so a longer period leaves it as it is
+    residue = _squares(m) % min(period, 2**63 - 1)
+    return np.exp(-2j * np.pi * (residue / float(period)))
 
 
 def _rate_chirp(m: np.ndarray, rate: float) -> np.ndarray:
-    """``exp(2 pi i rate m^2)`` for integers ``m`` (``m^2`` must fit int64), reduced mod 1.
+    """``exp(2 pi i rate m^2)`` for integers ``m`` (see :func:`_squares`), reduced mod 1.
 
     ``rate`` splits into two halves of at most 26 significant bits
     (Veltkamp) and ``m^2`` into 26-bit parts, so every partial product, and
@@ -400,7 +384,7 @@ def _rate_chirp(m: np.ndarray, rate: float) -> np.ndarray:
     """
     split = 134217729.0 * rate                            # 2^27 + 1
     rate_hi = split - (split - rate)
-    sq = m * m
+    sq = _squares(m)
     sq_parts = [((sq >> s) & (2**26 - 1)).astype(np.float64) * 2.0**s for s in (0, 26, 52)]
     turns = sum(np.modf(r * q)[0] for r in (rate_hi, rate - rate_hi) for q in sq_parts)
     return np.exp(2j * np.pi * (turns - np.round(turns)))
@@ -500,19 +484,19 @@ def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) ->
 
 def _coefficients(params: GridParams, growth: np.ndarray, ghat: np.ndarray | float,
                   times: Sequence[float]) -> np.ndarray:
-    """``0.5 ghat_k growth_k^{floor(n t_i)}``, one column per time.
+    """``0.5 ghat_k growth_k^{floor(n t_i)}``, one column per time ``t_i`` in ``[0, n)``.
 
     The powers come from one complex logarithm, ``growth^m = e^{m Re L}
-    e^{i m Im L}`` with ``L = log growth``: within 2e-16 of the largest
-    exact power, where ``growth ** m`` drifts to 7.6e-15 (numpy multiplies
-    repeatedly below m = 100).  Taking ``log|growth|`` and the angle apart
-    instead is off by 4e-13 at n = 8192.  ``L`` lives only here, so the
-    query stage does not hold it.
+    e^{i m Im L}`` with ``L = log growth``, which stays closer to the exact
+    power than ``growth ** m`` or ``log|growth|`` and the angle taken apart.
+    ``L`` lives only here, so the query stage does not hold it.
     """
     log_growth = np.log(growth)
     coeffs = np.empty((growth.size, len(times)), dtype=np.complex128)
     for i, t in enumerate(times):
-        m = _steps_of(params, t)
+        if not 0.0 <= t < params.n:
+            raise ValueError(f"time {t} outside [0, n) for n={params.n}")
+        m = math.floor(params.n * t)
         power = np.exp(m * log_growth.real) * np.exp(1j * (m * log_growth.imag))
         coeffs[:, i] = 0.5 * ghat * power
     return coeffs

@@ -91,8 +91,7 @@ class GridFunction:
     broadcasts as numpy does.
 
     Immutable: the value buffer is write-protected after construction and
-    every operation returns a fresh instance, so instances can be shared
-    freely across threads.
+    every operation returns a fresh instance.
     """
 
     __slots__ = ("params", "_values")
@@ -133,12 +132,9 @@ class GridFunction:
         """Value at space index ``j`` of one slice."""
         return complex(self._values[..., self.params.position(j)])
 
-    def __len__(self) -> int:
-        return self.params.space_count
-
     def max_abs(self) -> float:
         """Largest modulus over every value, of a whole stack too."""
-        return float(np.abs(self._values).max()) if len(self) else 0.0
+        return float(np.abs(self._values).max())
 
     # -- algebra (pointwise) -------------------------------------------------
 

@@ -196,8 +196,8 @@ def _integration_halfwidth(g: BoundaryCondition, t: float, x: float) -> float:
 # The Gauss-Kronrod 21-point rule on [-1, 1] (Kronrod 1965; QUADPACK's qk21),
 # from -1 to the middle: the nodes, the Kronrod weights, and the weights of
 # the embedded 10-point Gauss rule, whose nodes are every second Kronrod node.
-# (numpy.polynomial.legendre.leggauss has these weights too, but importing it
-# costs every command about 1.5 MB and 6 ms, integrating or not.)
+# (numpy.polynomial.legendre.leggauss has these weights too; the table keeps
+# that import off the commands that never integrate.)
 _GK21_HALF = np.array((0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
                        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
                        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,

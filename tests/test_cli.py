@@ -44,7 +44,7 @@ def reference_table(result, header, reference):
     ts = np.repeat(result.times, len(result.xs)).tolist()
     xs = np.tile(result.xs, len(result.times)).tolist()
     u = result.u.ravel()
-    columns = [ts, xs, u.real.tolist(), np.abs(u.imag).tolist()]
+    columns = [ts, xs, u.real.tolist(), u.imag.tolist()]
     if reference is not None:
         ref = np.concatenate([reference(t, result.xs) for t in result.times])
         columns += [ref.tolist(), np.abs(u.real - ref).tolist()]
@@ -271,6 +271,19 @@ class TestSolve:
         # coarse data, but the smoothed answer still lands near the true value
         assert abs(float(rows[0][2]) - 1 / math.sqrt(3)) <= 5e-2
 
+    def test_complex_sampled_data_keeps_the_sign_of_the_imaginary_part(self, tmp_path):
+        # data x, 0, -e^{-x^2}: u is -i e^{-x^2/(1+4t)} / sqrt(1+4t), so about -0.577i at x=0, t=0.5
+        data = tmp_path / "g.csv"
+        lines = [f"{x!r},0.0,{-math.exp(-x * x)!r}" for x in np.linspace(-4, 4, 801).tolist()]
+        data.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--n", "128", "--g", f"sampled:{data}",
+                     "--times", "0.5", "--xs", "0", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["t", "x", "u_re", "u_im_diag"]
+        assert abs(float(rows[0][3]) + 1 / math.sqrt(3)) <= 5e-3
+        assert abs(float(rows[0][2])) <= 1e-10
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["solve", "--n", "64", "--times", "0.25,0.5", "--xs=-1:1:9"]
@@ -288,7 +301,7 @@ class TestKernelCommand:
         assert header == ["t", "z", "kernel_re", "kernel_im_diag", "oracle", "abs_err"]
         assert len(rows) == 3
         assert abs(float(rows[0][2]) - 1 / math.sqrt(2 * math.pi)) <= 5e-3
-        assert all(float(r[3]) <= 1e-10 for r in rows)
+        assert all(abs(float(r[3])) <= 1e-10 for r in rows)
 
     def test_rejects_t_zero(self):
         assert main(["kernel", "--n", "64", "--times", "0", "--xs", "0"]) == 2
@@ -454,8 +467,8 @@ def test_bad_gaussian_is_one_line_before_any_numpy_warning(tmp_path, params, got
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["kernel", "--omega-prime", "inf"], "window radius must be positive and finite, got inf"),
-    (["kernel", "--omega-prime", "nan"], "window radius must be positive and finite, got nan"),
+    (["kernel", "--omega-prime", "inf"], "need 0 < omega_prime <= n, got inf"),
+    (["kernel", "--omega-prime", "nan"], "need 0 < omega_prime <= n, got nan"),
     (["kernel", "--times=0:1:0"], "need at least one query time"),
     (["solve", "--g", "bump:0,nan"], "bump needs a finite center and a finite width > 0, got 0.0,nan"),
     (["solve", "--g", "bump:inf,1"], "bump needs a finite center and a finite width > 0, got inf,1.0"),
@@ -471,9 +484,11 @@ def test_bad_gaussian_is_one_line_before_any_numpy_warning(tmp_path, params, got
     (["validate", "--seed", "-1"], "--seed expects a whole number >= 0, got -1"),
     (["kernel", "--n", "4", "--omega-prime", "100", "--times", "0.5", "--xs", "0,1"],
      "need 0 < omega_prime <= n, got 100.0"),
+    (["solve", "--n", "4", "--omega", "1", "--omega-prime", "4.5", "--xs", "0,1"],
+     "need 0 < omega_prime <= n, got 4.5"),
 ], ids=["radius-inf", "radius-nan", "kernel-no-times", "bump-nan-width", "bump-inf-center",
         "xs-list", "times-list", "gaussian-one", "bump-one", "indicator-one", "gaussian-three",
-        "n-list", "sampled-line", "negative-seed", "radius-above-n"])
+        "n-list", "sampled-line", "negative-seed", "radius-above-n", "radius-half-above-n"])
 def test_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("0,1,0\n\n1,2\n", encoding="utf-8")   # line 3 lacks its imaginary part

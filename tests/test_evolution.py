@@ -219,10 +219,21 @@ class TestWindow:
         w = Window(p, p.n)  # radius n covers every frequency
         assert np.all(_windowed_symbol(w, 0.0).values == 0.5)
 
-    def test_rejects_nonpositive_radius(self):
-        for radius in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="positive and finite"):
+    def test_rejects_radius_outside_the_window_rule(self):
+        for radius in (0.0, -1.0, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^need 0 < omega_prime <= n, got {radius}$"):
                 Window(GridParams(2), radius)
+
+    def test_band_equals_the_solve_coefficients_bit_for_bit(self):
+        # kernel_slice takes its powers where solve and kernel take theirs
+        p = GridParams(16)
+        w = Window(p, 1.5)
+        ks = w.band_indices()
+        for t in (0.0, 0.25, 1.0, 7.5):
+            values = _windowed_symbol(w, t).values
+            column = evolution._coefficients(p, propagator(p.n, ks), 1.0, (t,))[:, 0]
+            assert np.array_equal(values[ks + p.n**2], column)
+            assert np.count_nonzero(values) == np.count_nonzero(column)
 
 
 class TestPropagator:
@@ -484,19 +495,24 @@ class TestBandTransform:
         ref = reference_restricted_forward(js, vals, ks, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum() / n)
 
-    def test_chirp_reduction_exact_at_large_n(self, monkeypatch):
-        # m^2 overflows int64 above n = 55108 and squares of 2n^2 far earlier
+    def test_chirp_reduction_exact_at_large_n(self):
+        # m^2 mod 4n^2 is one int64 step for every |m| up to isqrt(2^63 - 1), at any n
         def exact(m, n):
             period = 4 * n * n
             return np.exp(-2j * np.pi * np.array([(v * v) % period / period for v in m]))
 
+        top = evolution._MAX_CHIRP_INDEX
         for n in (1000, 10**5, 10**9, 2**31):
-            m = [1 - 2 * n * n, -n * n - 1, -3, 12_345_678_901 % (2 * n * n), 2 * n * n - 1]
+            m = [-top, 1 - 2 * n * n, -n * n - 1, -3_000_000_017, -3, 0, 2_718_281_829,
+                 12_345_678_901 % (2 * n * n), 2 * n * n - 1, top]
+            m = [v for v in m if abs(v) <= top]
             assert np.abs(_chirp(np.array(m), n) - exact(m, n)).max() <= 1e-15
-        m = np.arange(-2 * 1000**2, 2 * 1000**2, 997)
-        int64_path = _chirp(m, 1000)
-        monkeypatch.setattr(evolution, "_INT64_CHIRP_N", 0)
-        assert np.array_equal(_chirp(m, 1000), int64_path)
+        # beyond the bound the square overflows int64: both chirps refuse with one line
+        for m in ([0, top + 1], [-top - 1, 5], [1 - 2 * 2**62]):
+            for chirp in (lambda m: _chirp(m, 2**31), lambda m: evolution._rate_chirp(m, 0.1)):
+                with pytest.raises(ValueError, match=rf"^chirp index beyond {top}: its square "
+                                                     r"overflows int64$"):
+                    chirp(np.array(m))
 
     def test_solve_matches_reference_path(self):
         n = 1024
@@ -534,7 +550,7 @@ class TestBandTransform:
 def uniform_query_cases(draw):
     """A grid ``n <= 256``, a window band, a uniform ``lo:hi:count`` set (either order), a seed."""
     n = draw(st.integers(1, 256))
-    radius = draw(st.floats(0.5, 4.0))
+    radius = draw(st.floats(0.5, min(4.0, n)))   # radius n is the full grid
     # six decimals: arbitrary steps, but no subnormal range, where linspace
     # itself strays by more than 4 ulps from an arithmetic progression
     lo, hi = (draw(st.floats(-8.0, 8.0).map(lambda v: round(v, 6))) for _ in range(2))
