@@ -18,11 +18,18 @@ Production solving (:func:`solve`) truncates the boundary data in space,
 transforms it onto the window band only with a chirp-z transform, applies
 the value-1/2 frequency window and ``growth^{floor(nt)}`` on that band, and
 inverse-transforms at the query points only: by a second chirp-z transform
-when they are uniformly spaced, by direct summation otherwise.  It never
+when they are uniformly spaced, by direct summation otherwise.  The band is
+Hermitian: ``growth(-k) = conj(growth(k))``, and the transforms of ``Re g``
+and ``Im g`` are ``(g_hat(k) + conj g_hat(-k))/2`` and
+``(g_hat(k) - conj g_hat(-k))/2i``.  So the powers and the query run over
+the half band ``k >= 0`` only, ``k > 0`` weighted by 2, and keep real parts:
+one pass for real data, whose answer then has an imaginary part of exactly
+0, and one more for ``Im g`` as extra columns of the same query.  It never
 builds an array over the full 2n^2 grid: time is
 O((omega n + |xs|) log(omega n + |xs|)) on uniform points; on others it is
 O(omega n log(omega n)) plus O(|xs| sqrt(omega' n)) exponentials and one
-matrix product of O(|xs| omega' n |times|).  Memory is O(omega n + |xs|).
+matrix product of O(|xs| omega' n |times|), for ``omega' n + 1`` indices
+per part.  Memory is O(omega n + |xs|).
 Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
 window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
 which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
@@ -262,19 +269,20 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     The solve's query stage with coefficients ``0.5 growth^{floor(n t)}`` on
     the band: a chirp-z transform for a uniform ``zs``, direct summation
     otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
-    against the window's 1/2); Hermitian symmetry of the band makes the
-    values real, so the imaginary part is rounding.  ``max_growth`` is the
-    largest ``|growth|`` in the band; above 1 it is warned about as in
+    against the window's 1/2).  The data transform 1 is real data, so the
+    half band gives an imaginary part of exactly 0 below ``omega' = n``; at
+    ``n`` the unpaired index ``-n^2`` makes it nonzero.  ``max_growth`` is
+    the largest ``|growth|`` in the band; above 1 it is warned about as in
     :func:`solve`.  ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
     Overflow in the powers leaves non-finite values for
     :meth:`SolveResult.first_non_finite` to report.
     """
     params = window.params
     times, zs = _queries(params.n, times, zs)
-    ks = window.band_indices()
-    growth = propagator(params.n, ks)
+    growth = propagator(params.n, np.concatenate(_half_band(window)))
     gmax = _check_band_stability(params.n, window.radius, growth)
-    u = _table(params, ks, growth, 1.0, times, np.asarray(zs))
+    ones = np.ones(window.band_indices().size, dtype=np.complex128)
+    u = _table(window, growth, ones, True, times, np.asarray(zs))
     return SolveResult(times, zs, u, max_growth=gmax)
 
 
@@ -320,9 +328,10 @@ class SolveConfig:
 class SolveResult:
     """Solution table: ``u[i, j]`` is the value at ``times[i]``, ``xs[j]``.
 
-    For real boundary data the answer is ``u.real`` and ``u.imag`` is
-    rounding; for complex data ``u.imag`` is the imaginary half of the
-    answer.  Both are kept.
+    For real boundary data with ``omega' < n`` the answer is ``u.real`` and
+    ``u.imag`` is exactly 0; for complex data ``u.imag`` is the imaginary
+    half of the answer.  At ``omega' = n`` the band's unpaired index
+    ``-n^2`` adds a complex term, so ``u.imag`` is not 0 even for real data.
     """
 
     times: tuple[float, ...]
@@ -486,38 +495,76 @@ def _coefficients(params: GridParams, growth: np.ndarray, ghat: np.ndarray | flo
                   times: Sequence[float]) -> np.ndarray:
     """``0.5 ghat_k growth_k^{floor(n t_i)}``, one column per time ``t_i`` in ``[0, n)``.
 
-    The powers come from one complex logarithm, ``growth^m = e^{m Re L}
-    e^{i m Im L}`` with ``L = log growth``, which stays closer to the exact
-    power than ``growth ** m`` or ``log|growth|`` and the angle taken apart.
-    ``L`` lives only here, so the query stage does not hold it.
+    A two-dimensional ``ghat`` gives one block of ``len(times)`` columns per
+    column of ``ghat``.  The powers come from one complex logarithm,
+    ``growth^m = e^{m Re L} e^{i m Im L}`` with ``L = log growth``, which
+    stays closer to the exact power than ``growth ** m`` or ``log|growth|``
+    and the angle taken apart.  ``L`` lives only here, so the query stage
+    does not hold it.
     """
     log_growth = np.log(growth)
-    coeffs = np.empty((growth.size, len(times)), dtype=np.complex128)
+    powers = np.empty((growth.size, len(times)), dtype=np.complex128)
     for i, t in enumerate(times):
         if not 0.0 <= t < params.n:
             raise ValueError(f"time {t} outside [0, n) for n={params.n}")
         m = math.floor(params.n * t)
-        power = np.exp(m * log_growth.real) * np.exp(1j * (m * log_growth.imag))
-        coeffs[:, i] = 0.5 * ghat * power
-    return coeffs
+        powers[:, i] = np.exp(m * log_growth.real) * np.exp(1j * (m * log_growth.imag))
+    data = 0.5 * np.asarray(ghat, dtype=np.complex128)
+    data = data.reshape(growth.size if data.ndim else 1, -1)          # one column per data set
+    return (data[:, :, None] * powers[:, None, :]).reshape(growth.size, -1)
 
 
-def _table(params: GridParams, ks: np.ndarray, growth: np.ndarray, ghat: np.ndarray | float,
-           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
-    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}``.
+def _half_band(window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """The band's indices ``k >= 0``, and its unpaired indices: those whose ``-k`` lies outside it.
 
-    A uniform ``xs`` (at least ``_MIN_CHIRP_POINTS`` points in arithmetic
-    progression, as ``lo:hi:count`` gives) takes a chirp-z transform,
-    O((|xs| + |ks|) log); any other set takes the factored direct sum of
-    :func:`_matrix_query`, O(|xs| |ks| |times|).  Overflow in the powers is
-    left in the table as inf or NaN.
+    Below ``omega' = n`` the band ``-K..K`` is symmetric and nothing is
+    unpaired; at ``n`` it is ``-n^2..n^2 - 1``, and ``-n^2`` is unpaired.
     """
+    ks = window.band_indices()
+    return ks[window.cutoff:], ks[: window.cutoff - ks[-1]]
+
+
+def _table(window: Window, growth: np.ndarray, ghat: np.ndarray, real: bool,
+           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
+    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` on the band.
+
+    ``ghat`` is given on ``window.band_indices()``, ``growth`` on the
+    indices of :func:`_half_band`, the half band first.  ``ghat`` folds into
+    the transforms of the real and imaginary parts of the data, whose sums
+    over the band are ``Re`` of the sums over the half band with ``k > 0``
+    weighted by 2.  The half band is one query, with the columns of the
+    imaginary part after those of the real part unless ``real`` says the
+    data has none; the unpaired index is a rank-one term.  A uniform ``xs``
+    (at least ``_MIN_CHIRP_POINTS`` points in arithmetic progression, as
+    ``lo:hi:count`` gives) takes a chirp-z transform, O((|xs| + |ks|) log);
+    any other set takes the factored direct sum of :func:`_matrix_query`,
+    O(|xs| |ks| |times|).  Overflow in the powers is left in the table as
+    inf or NaN.
+    """
+    n = window.params.n
+    half, lone = _half_band(window)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _coefficients(params, growth, ghat, times)
+        pos = ghat[-half.size:]                                             # ghat(k), k >= 0
+        neg = np.conj(ghat[lone.size : lone.size + half.size][::-1])        # conj ghat(-k)
+        # twice the transforms of Re g and Im g: the weight 2 of k > 0; k = 0 has weight 1
+        parts = np.stack([pos + neg] if real else [pos + neg, -1j * (pos - neg)], axis=1)
+        parts[0] *= 0.5
+        coeffs = _coefficients(window.params, growth[: half.size], parts, times)
         h = _uniform_step(xs)
         if h is None:
-            return _matrix_query(coeffs, ks, xs, params.n)
-        return _chirp_query(coeffs, ks, xs, h, params.n)
+            sums = _matrix_query(coeffs, half, xs, n)
+        else:
+            sums = _chirp_query(coeffs, half, xs, h, n)
+        # set apart: re + 1j * im would turn an infinite im into a NaN re
+        u = np.zeros((len(times), xs.size), dtype=np.complex128)
+        u.real = sums[: len(times)].real
+        if not real:
+            u.imag = sums[len(times) :].real
+        if lone.size:
+            lone_coeffs = _coefficients(window.params, growth[half.size :], ghat[: lone.size],
+                                        times)
+            u += _matrix_query(lone_coeffs, lone, xs, n)
+    return u
 
 
 def _check_band_stability(n: int, omega_prime: float, growth_band: np.ndarray) -> float:
@@ -537,22 +584,26 @@ def solve(config: SolveConfig) -> SolveResult:
     """Windowed spectral solution at the query points.
 
     Pipeline: sample and truncate the boundary data to ``[-omega, omega)``;
-    forward-transform onto the window band only (chirp-z); multiply by the
-    window and ``growth^{floor(nt)}``, one column per time; inverse-transform
-    at the query points, all times together (chirp-z for a uniform set,
-    O((|xs| + omega' n) log); direct summation otherwise, O(|xs| omega' n |times|)).
+    forward-transform onto the window band (chirp-z), and fold it into the
+    transforms of ``Re g`` and ``Im g`` on the half band ``k >= 0``; multiply
+    by the window and ``growth^{floor(nt)}``, one column per time and part;
+    inverse-transform at the query points, all times and parts together
+    (chirp-z for a uniform set, O((|xs| + omega' n) log); direct summation
+    otherwise, O(|xs| omega' n |times|)), keeping real parts.  Real data
+    takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
     Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
     Overflow in the powers is left to :meth:`SolveResult.first_non_finite`
     to report.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
-    ks = Window(params, config.omega_prime).band_indices()
-    ghat = _restricted_forward(js, gvals, ks, config.n)
+    window = Window(params, config.omega_prime)
+    ghat = _restricted_forward(js, gvals, window.band_indices(), config.n)
 
-    growth = propagator(config.n, ks)
+    growth = propagator(config.n, np.concatenate(_half_band(window)))
     gmax = _check_band_stability(config.n, config.omega_prime, growth)
-    u = _table(params, ks, growth, ghat, config.times, np.asarray(config.xs, dtype=float))
+    u = _table(window, growth, ghat, not gvals.imag.any(), config.times,
+               np.asarray(config.xs, dtype=float))
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
 

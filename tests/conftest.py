@@ -79,9 +79,15 @@ def reference_restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarra
 def reference_query(xs: np.ndarray, ks: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     """Independent direct sum ``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}``.
 
-    One np.sum per point, no shared query matrix.
+    One np.sum per point, no shared query matrix.  The phase ``x_j k / n``
+    (in half turns) is formed in long double and reduced mod 2 before the
+    exponential: in double precision it would round by about 1e-16 of its
+    size, which at ``|x k / n| = 30`` is half of the ``1e-14`` the routes
+    are held to.
     """
     out = np.empty((coeffs.shape[1], xs.size), dtype=np.complex128)
+    kl = ks.astype(np.longdouble)
     for j, x in enumerate(xs):
-        out[:, j] = np.sum(coeffs * np.exp(1j * np.pi * x * ks / n)[:, None], axis=0) / n
+        half_turns = np.fmod(np.longdouble(x) * kl / n, 2).astype(np.float64)
+        out[:, j] = np.sum(coeffs * np.exp(1j * np.pi * half_turns)[:, None], axis=0) / n
     return out

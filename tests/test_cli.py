@@ -284,6 +284,30 @@ class TestSolve:
         assert abs(float(rows[0][3]) + 1 / math.sqrt(3)) <= 5e-3
         assert abs(float(rows[0][2])) <= 1e-10
 
+    def test_gaussian_surface_imaginary_cells_read_zero(self, tmp_path):
+        # real data below omega' = n: the half band leaves u.imag exactly 0
+        out = tmp_path / "surface.csv"
+        assert main(["solve", "--n", "128", "--times", "0.25:2:8", "--xs=-4:4:2001",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header[3] == "u_im_diag" and len(rows) == 8 * 2001
+        assert {r[3] for r in rows} == {"0.0"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_complex_result_names_the_first_point(self, tmp_path, capsys):
+        # growth^640 overflows at t=10 but not at t=0.5; complex data takes two half-band
+        # parts and must fail at the same first (t, x) as its real part alone
+        data = tmp_path / "g.csv"
+        for im in (0.0, 0.5):
+            data.write_text("\n".join(f"{x!r},{math.exp(-x * x)!r},{im * x!r}"
+                                       for x in np.linspace(-4, 4, 401).tolist()), encoding="utf-8")
+            for xs, first in (("0,1", "0.0"), ("-1:1:41", "-1.0")):
+                assert main(["solve", "--n", "64", "--omega-prime", "20", "--times", "0.5,10",
+                             "--g", f"sampled:{data}", f"--xs={xs}"]) == 1
+                assert capsys.readouterr().err == (
+                    f"solve failed: non-finite value at t=10.0, x={first}; "
+                    "max |growth| in the band is 56.3376\n")
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["solve", "--n", "64", "--times", "0.25,0.5", "--xs=-1:1:9"]

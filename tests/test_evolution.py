@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -353,11 +354,20 @@ class TestKernel:
     def test_result_carries_points_and_band_growth(self):
         # omega'=20 lies far outside the stability band at n=64, so |growth| > 1 there
         w = Window(GridParams(64), 20.0)
-        with pytest.warns(RuntimeWarning, match=r"\|growth\| reaches 56.3376 .*omega_prime=20.0, n=64"):
+        message = r"\|growth\| reaches 56.3376 .*omega_prime=20.0, n=64"
+        with pytest.warns(RuntimeWarning, match=message) as record:
             res = kernel(w, np.array([0.5, 1.0]), np.array([0.0, 0.5]))
+        assert len(record) == 1 and record[0].filename == __file__    # the caller's line
         assert res.times == (0.5, 1.0) and res.xs == (0.0, 0.5)
         assert all(type(v) is float for v in res.times + res.xs)
         assert res.max_growth == np.abs(propagator(64, w.band_indices())).max() > 1.0
+
+    def test_full_grid_window_counts_the_unpaired_index(self):
+        # at omega' = n the largest |growth| is 1 + 4n, at the unpaired index -n^2
+        window = Window(GridParams(8), 8.0)
+        with pytest.warns(RuntimeWarning, match=r"\|growth\| reaches 33 inside"):
+            res = kernel(window, (0.5,), np.linspace(-1, 1, 5))
+        assert res.max_growth == 33.0 == np.abs(propagator(8, window.band_indices())).max()
 
     def test_rejects_time_outside_range(self):
         w = Window(GridParams(4), 1.0)
@@ -442,8 +452,9 @@ class TestSolve:
         # band at n=16 is sqrt(32)/pi ~ 1.8; a radius-4 window pokes out of it
         config = SolveConfig(n=16, omega=3.0, omega_prime=4.0,
                              boundary=gaussian(), times=(0.5,), xs=(0.0,))
-        with pytest.warns(RuntimeWarning, match="growth"):
+        with pytest.warns(RuntimeWarning, match="growth") as record:
             solve(config)
+        assert len(record) == 1 and record[0].filename == __file__    # the caller's line
 
 
 class TestGrowthPowers:
@@ -637,7 +648,7 @@ class TestUniformQuery:
                              times=tuple(np.linspace(0.25, 2, 8)),
                              xs=tuple(np.linspace(-4, 4, 2001)))
         assert _uniform_step(np.asarray(config.xs)) is not None
-        assert np.abs(solve(config).u.imag).max() <= 1e-12
+        assert not solve(config).u.imag.any()
 
     def test_non_uniform_sets_take_the_matrix_path(self, monkeypatch):
         config = SolveConfig(n=256, omega=4.0, omega_prime=3.0, boundary=gaussian(),
@@ -658,6 +669,113 @@ class TestUniformQuery:
         assert np.array_equal(run(xs[perm]), shuffled)
         for points, u in zip(few, default):
             assert np.array_equal(run(points), u)
+
+
+def _random_data_solve(n, radius, xs, seed, imaginary):
+    """A solve of random samples, with an imaginary part when ``imaginary``,
+    on ``|x| <= min(2, n/2)`` at two times, and the samples themselves."""
+    omega = min(2.0, n / 2)
+    count = math.ceil(omega * n) - math.ceil(-omega * n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(count) + (1j * rng.standard_normal(count) if imaginary else 0.0)
+    config = SolveConfig(n=n, omega=omega, omega_prime=radius, boundary=lambda y: vals,
+                         times=(0.25, 0.5), xs=tuple(xs))
+    return config, vals
+
+
+def _full_band_reference(config, ghat=None):
+    """``reference_query`` over the whole band with the solve's coefficients (data
+    transform ``ghat``, by default the solve's), and its bound ``1e-14 (1 + sum|c|/n)``.
+
+    Where ``|growth| > 1`` in the band the bound is four times that: there the
+    full band's routes reach 1.6e-14 too, as the half band's do, while inside the
+    stability band both stay within 2e-15.
+    """
+    js, gvals = _truncated_samples(config)
+    ks = Window(config.params, config.omega_prime).band_indices()
+    if ghat is None:
+        ghat = _restricted_forward(js, gvals, ks, config.n)
+    growth = propagator(config.n, ks)
+    coeffs = evolution._coefficients(config.params, growth, ghat, config.times)
+    scale = 4e-14 if np.abs(growth).max() > 1.0 + 1e-12 else 1e-14
+    bound = scale * (1 + np.abs(coeffs).sum(axis=0).max() / config.n)
+    return reference_query(np.asarray(config.xs), ks, coeffs, config.n), bound
+
+
+def _query_path(path):
+    """The chirp-z path as ``solve`` chooses it, or every query set on the factored matrix."""
+    if path == "chirp":
+        return contextlib.nullcontext()
+    return mock.patch.object(evolution, "_uniform_step", lambda xs: None)
+
+
+# small grids put part of the window outside the stability band; the warning is expected
+@pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+@pytest.mark.parametrize("path", ["chirp", "matrix"])
+class TestHermitianHalfBand:
+    @settings(max_examples=40, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(256, 4.0, np.linspace(8.0, -8.0, 600), 0))
+    @example(case=(3, 1.0, np.linspace(-0.5, 7.25, 16), 1))
+    def test_real_data_has_no_imaginary_part(self, path, case):
+        n, radius, xs, seed = case
+        if radius == n:
+            radius = n / 2                 # omega' = n has an unpaired index: tested below
+        config, _ = _random_data_solve(n, radius, xs, seed, imaginary=False)
+        with _query_path(path):
+            u = solve(config).u
+        ref, bound = _full_band_reference(config)
+        assert not u.imag.any()
+        assert np.abs(u - ref).max() <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(64, 3.0, np.linspace(-2.0, 2.0, 41), 2))
+    def test_complex_data_is_the_sum_of_its_parts(self, path, case):
+        n, radius, xs, seed = case
+        if radius == n:
+            radius = n / 2
+        config, vals = _random_data_solve(n, radius, xs, seed, imaginary=True)
+        with _query_path(path):
+            u = solve(config).u
+            re, im = (solve(dataclasses.replace(config, boundary=lambda y, v=part: v)).u.real
+                      for part in (vals.real, vals.imag))
+        ref, bound = _full_band_reference(config)
+        assert np.abs(u.real - re).max() <= bound
+        assert np.abs(u.imag - im).max() <= bound
+        assert np.abs(u - ref).max() <= bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(8, 1.0, np.linspace(-1.0, 1.0, 16), 3))
+    def test_full_grid_window_keeps_the_unpaired_index(self, path, case):
+        # omega' = n: the band -n^2 .. n^2 - 1 pairs every index but -n^2
+        n, _, xs, seed = case
+        n = n % 8 + 1
+        for imaginary in (False, True):
+            config, _ = _random_data_solve(n, float(n), xs, seed, imaginary)
+            with _query_path(path):
+                u = solve(config).u
+            ref, bound = _full_band_reference(config)
+            assert np.abs(u.real - ref.real).max() <= bound
+            assert np.abs(u.imag - ref.imag).max() <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(256, 4.0, np.linspace(8.0, -8.0, 600), 0))
+    def test_kernel_is_real(self, path, case):
+        n, radius, zs, _ = case
+        if radius == n:
+            radius = n / 2
+        window = Window(GridParams(n), radius)
+        times = (0.25, 0.5)
+        with _query_path(path):
+            u = kernel(window, times, zs).u
+        config = SolveConfig(n=n, omega=n / 2, omega_prime=radius, boundary=gaussian(),
+                             times=times, xs=tuple(zs))
+        ref, bound = _full_band_reference(config, ghat=1.0)
+        assert not u.imag.any()
+        assert np.abs(u - ref).max() <= bound
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")

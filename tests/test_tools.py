@@ -1,0 +1,36 @@
+"""The report of ``tools/compare_outputs.py``, on hand-made outputs."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+OLD = "t,x,u_re,u_im_diag\r\n0.5,0.0,0.5773,1e-17\r\n0.5,1.0,0.4,-2e-17\r\n"
+
+
+def test_identical_runs_report_nothing():
+    assert compare_outputs.compare((0, OLD, ""), (0, OLD, "")) == []
+
+
+def test_changed_cells_are_counted_per_column_with_the_largest_delta():
+    new = "t,x,u_re,u_im_diag\r\n0.5,0.0,0.5775,0.0\r\n0.5,1.0,0.4,0.0\r\n"
+    assert compare_outputs.compare_csv(OLD, new) == [
+        "u_re: 1 cells changed, max |delta| 0.0002",
+        "u_im_diag: 2 cells changed, max |delta| 2e-17",
+    ]
+
+
+def test_header_shape_stderr_and_exit_code_changes_are_reported():
+    assert compare_outputs.compare_csv(OLD, "t,x,u\r\n") == [
+        "header ['t', 'x', 'u_re', 'u_im_diag'] -> ['t', 'x', 'u']"]
+    assert compare_outputs.compare_csv(OLD, OLD + "1,2,3,4\r\n") == ["shape 2 rows -> 3 rows"]
+    assert compare_outputs.compare((0, OLD, "warn\n"), (1, OLD, "")) == [
+        "stderr differs:", "  - warn", "exit code 0 -> 1"]
+
+
+def test_every_command_is_a_hyperheat_command():
+    commands = {c.split()[0] for c in compare_outputs.COMMANDS}
+    assert commands == {"validate", "solve", "kernel", "converge", "rates"}
