@@ -208,7 +208,7 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
 def run_solve(args) -> int:
     bc = parse_boundary(args.g)
     result = evolution.solve(_solve_config(args, bc, args.n))
-    reference = (lambda t, x: bc.closed_form(t, x).real) if bc.has_closed_form else None
+    reference = (lambda t, x: bc.closed_form(t, x).real) if bc.closed_form_fn is not None else None
     return _write_table("solve", args.out, result, ("t", "x", "u_re", "u_im_diag"), reference)
 
 
@@ -234,7 +234,7 @@ def run_converge(args) -> int:
     bc = parse_boundary(args.g)
     configs = [_solve_config(args, bc, n) for n in n_list]
     # the reference does not depend on n: one evaluation per time, over all points
-    reference = bc.closed_form if bc.has_closed_form else (
+    reference = bc.closed_form if bc.closed_form_fn is not None else (
         lambda t, xs: oracle.classical_column(bc, t, xs))
     refs = np.array([reference(t, configs[0].xs).real for t in configs[0].times])
     errs = []
@@ -331,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:     # the quadrature oracle gave up
+    except (RuntimeError, RuntimeWarning) as exc:   # the oracle gave up, or a warning raised as an error
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

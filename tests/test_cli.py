@@ -355,6 +355,23 @@ class TestKernelCommand:
         assert warned[0] == warned[1] == ("|growth| reaches 56.3376 inside the frequency window "
                                           "(omega_prime=20.0, n=64); powers will grow")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["solve", "--n", "64", "--omega-prime", "20", "--times", "10", "--xs", "0,1"],
+         "solve failed: |growth| reaches 56.3376 inside the frequency window (omega_prime=20.0, n=64); "
+         "powers will grow"),
+        (["kernel", "--n", "8", "--omega-prime", "8"],
+         "kernel failed: |growth| reaches 33 inside the frequency window (omega_prime=8.0, n=8); "
+         "powers will grow"),
+    ], ids=["solve", "kernel"])
+    def test_unstable_window_under_warnings_as_errors_is_one_line(self, tmp_path, argv, line):
+        out = tmp_path / "u.csv"
+        command, env = cli_command([*argv, "--out", str(out)])
+        proc = subprocess.run(command, env=dict(env, PYTHONWARNINGS="error"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == line + "\n"
+        assert not out.exists()
+
     def test_stable_window_prints_nothing(self, tmp_path):
         # the kernel table of the benchmark's verification sweep
         proc = run_cli(["kernel", "--n", "256", "--omega-prime", "3", "--times", "0.25,1",
@@ -420,9 +437,9 @@ class TestConverge:
         assert proc.stderr.splitlines()[-1].startswith("converge failed at n=32: ")
 
     def test_quadrature_failure_is_one_line(self, tmp_path):
-        # samples of size 1e200 defeat the oracle's adaptive quadrature
+        # samples of size 1e308 overflow the oracle's Gauss-Kronrod sums
         f = tmp_path / "huge.csv"
-        f.write_text("-1,1e200,0\n0,1,0\n1,1e200,0\n", encoding="utf-8")
+        f.write_text("-1,1e308,0\n0,1e308,0\n1,1e308,0\n", encoding="utf-8")
         out = tmp_path / "conv.csv"
         proc = run_cli(["converge", "--n-list", "64,128,256", "--omega-prime", "2",
                         "--g", f"sampled:{f}", "--times", "0.5", "--xs", "0,0.5", "--out", str(out)])
@@ -431,6 +448,7 @@ class TestConverge:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("converge failed: quadrature did not converge")
+        assert "(non-finite integrand)" in proc.stderr
 
     def test_large_sampled_data_converges(self, tmp_path):
         # the oracle's tolerance is relative to the integral too, so data of size 1e7

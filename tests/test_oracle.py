@@ -27,12 +27,18 @@ from hyperheat.oracle import (
 
 
 class TestBoundaryConditions:
-    def test_gaussian_values_and_certificate(self):
+    def test_values_and_sup_bound(self):
         g = gaussian(2.0, 0.5)
         assert g(0.0) == pytest.approx(2.0)
         assert g(np.array([1.0]))[0] == pytest.approx(2.0 * math.exp(-0.5))
-        y = np.linspace(-12.0, 12.0, 4001)
-        assert np.all(np.abs(g(y)) <= g.certificate.bound(y) + 1e-12)
+        # the bound is sup|g|: never exceeded, and reached on a grid through the peaks 0 and 0.5
+        y = np.linspace(-12.0, 12.0, 4801)
+        complex_peak = sampled([(-1.5, 3.0 - 4.0j), (0.0, -4.0), (0.75, 0.5j)])
+        for g, bound in ((g, 2.0), (gaussian(-3.0, 2.0), 3.0), (indicator(-1.0, 1.0), 1.0),
+                         (bump(0.5, 2.0), 1.0), (complex_peak, 5.0)):
+            assert g.bound == bound
+            assert np.all(np.abs(g(y)) <= g.bound)
+            assert np.abs(g(y)).max() == g.bound
 
     def test_indicator_halfopen(self):
         g = indicator(-1.0, 1.0)
@@ -135,16 +141,12 @@ class TestClassicalSolution:
             assert abs(ut - uxx) <= 1e-4
 
     def test_closed_form_requires_gaussian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^boundary indicator\(-1,1\) has no closed-form solution$"):
             indicator(-1, 1).closed_form(0.5, 0.0)
 
     def test_complex_data(self):
-        g = oracle.BoundaryCondition(
-            "custom",
-            lambda y: (1 + 2j) * np.exp(-np.asarray(y) ** 2),
-            oracle.GrowthCertificate(math.sqrt(5.0), 0.0, 1.0),
-            "complex-gaussian",
-        )
+        g = oracle.BoundaryCondition(lambda y: (1 + 2j) * np.exp(-np.asarray(y) ** 2), math.sqrt(5.0),
+                                     "complex-gaussian")
         val = classical_solution(g, 0.5, 0.0)
         # the kernel is linear, so the imag/real ratio of the data is preserved
         assert val.imag == pytest.approx(2 * val.real, rel=1e-6)
@@ -153,7 +155,7 @@ class TestClassicalSolution:
 
 def per_point_quad(g, t, x):
     """The scalar route the column oracle replaced: two ``quad`` calls over ``x -/+ L``."""
-    L = oracle._integration_halfwidth(g, t, x)
+    L = oracle._integration_halfwidth(g.bound, t)
 
     def kernel_times_data(y, part):
         return math.exp(-((x - y) ** 2) / (4.0 * t)) * part(complex(np.atleast_1d(g(y))[0]))
@@ -225,6 +227,10 @@ class TestClassicalColumn:
         exact = [sum(v * step_solution(t, x, a, b) for (_, v), a, b in zip(samples, edges, edges[1:]))
                  for x in XS21]
         assert np.abs(classical_column(sampled(samples), t, XS21) - exact).max() <= 1e-12
+        # a peak of 1e12 is held to 1e-14 of its largest value: the refusal limit scales with the integral
+        peak = 1e12 * np.array([step_solution(t, x, -0.5, 0.5) for x in XS21])
+        column = classical_column(sampled([(-1.0, 0.0), (0.0, 1e12), (1.0, 0.0)]), t, XS21)
+        assert np.abs(column - peak).max() <= 1e-14 * np.abs(peak).max()
 
     @pytest.mark.parametrize("t", [1e-5, 1e-6])
     def test_narrow_kernels_between_scattered_points(self, t):
@@ -232,6 +238,11 @@ class TestClassicalColumn:
         g = gaussian()
         xs = np.array([-2.9, -0.4, 0.37, 2.6])
         assert np.abs(classical_column(g, t, xs) - g.closed_form(t, xs)).max() <= 1e-12
+
+    def test_unbounded_data_has_no_window(self):
+        g = oracle.BoundaryCondition(lambda y: np.exp(np.asarray(y)), math.inf, "exp")
+        with pytest.raises(RuntimeError, match="^could not find an integration window for data bounded by inf"):
+            classical_column(g, 0.5, [0.0])
 
     def test_breakpoints(self):
         assert bump(0.5, 2.0).breakpoints == (-1.5, 2.5)
@@ -253,7 +264,7 @@ class TestClassicalColumn:
 
 def quad_vec_column(g, t, xs):
     """The column by ``scipy.integrate.quad_vec`` over the same window and breakpoints."""
-    L = oracle._integration_halfwidth(g, t, float(np.abs(xs).max()))
+    L = oracle._integration_halfwidth(g.bound, t)
     q = np.unique(xs)
     fill = [np.linspace(a, b, int(np.ceil((b - a) / L)), endpoint=False)[1:] for a, b in zip(q[:-1], q[1:])]
     lo, hi = q[0] - L, q[-1] + L
@@ -305,7 +316,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("spike", [lambda y: 1 / np.abs(y - 1 / 3), lambda y: (y - 0.3) ** -2],
                              ids=["inverse", "inverse-square"])
     def test_non_integrable_spike_is_one_line_error(self, spike):
-        # the spike's intervals are halved up to the cap, and their estimates stay far above 1e-6
+        # the spike's intervals are halved up to the cap, and their estimates stay far above
+        # 1e4 times the tolerance
         with pytest.raises(RuntimeError, match=r"quadrature did not converge \(err=") as info:
             oracle._integrate(ones, lambda y: spike(y) + 0j, np.array([0.0, 1.0]), 1)
         assert "\n" not in str(info.value)
@@ -428,17 +440,6 @@ class TestQuadratureCheck:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             lattice_error(0.0, 0.0, 64)
-
-
-class TestCertificate:
-    def test_exponent_below_two_required(self):
-        with pytest.raises(ValueError):
-            oracle.GrowthCertificate(1.0, 1.0, 2.0)
-
-    def test_bound_shape(self):
-        c = oracle.GrowthCertificate(2.0, 0.5, 1.0)
-        assert c.bound(0.0) == pytest.approx(2.0)
-        assert c.bound(2.0) == pytest.approx(2.0 * math.exp(1.0))
 
 
 @pytest.mark.parametrize("call", [

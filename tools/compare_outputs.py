@@ -5,12 +5,13 @@ Usage: python tools/compare_outputs.py REV
 
 ``REV`` is exported with ``git archive`` into a temporary directory.  A
 fixed list of ``hyperheat`` commands (the README's, the pricing surface,
-kernel tables, ``validate``, ``converge`` sweeps and a complex ``sampled:``
-file) runs in both trees, each in a fresh interpreter with the CSV on
-standard output.  For each command one line says ``identical``, or names
-each column that changed with its count of changed cells and its largest
-``|delta|``; differences in standard error or exit code follow.  The exit
-status is 0 when every output is identical, else 1.
+kernel tables, ``validate``, ``converge`` sweeps, and a ``solve`` and a
+``converge`` of a complex ``sampled:`` file) runs in both trees, each in a
+fresh interpreter with the CSV on standard output.  For each command one
+line says ``identical``, or names each column that changed with its count
+of changed cells and its largest ``|delta|``; differences in standard
+error or exit code follow.  The exit status is 0 when every output is
+identical, else 1.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ COMMANDS = (
     "converge --n-list 64,128,256 --g bump:0,1 --times 0.5 --xs=-2:2:7",
     "converge --n-list 64,128,256 --g indicator:-1,1 --times 0.5 --xs=-2:2:7",
     "solve --n 128 --g sampled:{data} --times 0.5,1 --xs=-2:2:41",
+    "converge --n-list 64,128,256 --g sampled:{data} --times 0.5 --xs=-2:2:7",
 )
 
 
