@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -168,8 +169,7 @@ def _non_finite_message(result: evolution.SolveResult, point: str = "x") -> str 
     bad = result.first_non_finite()
     if bad is None:
         return None
-    t, x = bad
-    return (f"non-finite value at t={t!r}, {point}={x!r}; "
+    return (f"non-finite value at t={bad[0]!r}, {point}={bad[1]!r}; "
             f"max |growth| in the band is {result.max_growth:.6g}")
 
 
@@ -301,6 +301,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache       # parse_args leaves the parser as it is: one build per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperheat",

@@ -29,7 +29,13 @@ builds an array over the full 2n^2 grid: time is
 O((omega n + |xs|) log(omega n + |xs|)) on uniform points; on others it is
 O(omega n log(omega n)) plus O(|xs| sqrt(omega' n)) exponentials and one
 matrix product of O(|xs| omega' n |times|), for ``omega' n + 1`` indices
-per part.  Memory is O(omega n + |xs|).
+per part.  Memory is O(omega n + |xs|).  Everything that does not depend
+on the data, the chirps and filter spectra of both transforms, the growth
+powers and the query exponentials, is the grid's plan: it is built once
+and reused by every solve on the same grid, which then only samples the
+data, runs the data-side FFTs and multiplies.  Plans are kept up to a byte
+budget, least recently used first out; a plan larger than the budget is
+used by its call and not kept.
 Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
 window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
 which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
@@ -47,7 +53,9 @@ the discrete heat kernel as a cross-check.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,6 +96,12 @@ _QUERY_BLOCK_ENTRIES = 1 << 18
 
 # Uniform query sets of this many points take the chirp-z evaluation.
 _MIN_CHIRP_POINTS = 16
+
+# Bytes of plan arrays kept between calls (see _Plan): 32 MiB.
+_PLAN_BUDGET = 32 << 20
+
+_plans: OrderedDict[tuple, tuple] = OrderedDict()   # key -> plan part, least recently used first
+_plans_lock = threading.Lock()
 
 
 class EvolutionOverflowError(RuntimeError):
@@ -234,7 +248,8 @@ def _windowed_symbol(window: Window, t: float) -> GridFunction:
     params = window.params
     ks = window.band_indices()
     q = np.zeros(params.space_count, dtype=np.complex128)
-    q[ks + params.n**2] = _coefficients(params, propagator(params.n, ks), 1.0, (t,))[:, 0]
+    powers = _powers(params.n, propagator(params.n, ks), (t,))
+    q[ks + params.n**2] = _coefficients(powers, 1.0)[:, 0]
     return GridFunction(params, q)
 
 
@@ -274,15 +289,19 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     ``n`` the unpaired index ``-n^2`` makes it nonzero.  ``max_growth`` is
     the largest ``|growth|`` in the band; above 1 it is warned about as in
     :func:`solve`.  ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
-    Overflow in the powers leaves non-finite values for
+    The band's powers and the query's arrays are the same plan parts as a
+    solve's on that grid, so repeated tables, and solves, on one grid reuse
+    them.  Overflow in the powers leaves non-finite values for
     :meth:`SolveResult.first_non_finite` to report.
     """
     params = window.params
     times, zs = _queries(params.n, times, zs)
-    growth = propagator(params.n, np.concatenate(_half_band(window)))
-    gmax = _check_band_stability(params.n, window.radius, growth)
+    plan = _Plan()
     ones = np.ones(window.band_indices().size, dtype=np.complex128)
-    u = _table(window, growth, ones, True, times, np.asarray(zs))
+    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ones, True, times)
+    _check_band_stability(params.n, window.radius, gmax)
+    u = _table(plan, window, coeffs, lone_coeffs, times, np.asarray(zs))
+    plan.keep()
     return SolveResult(times, zs, u, max_growth=gmax)
 
 
@@ -349,6 +368,62 @@ class SolveResult:
         return self.times[i], self.xs[j]
 
 
+def _read_only(value):
+    """``value`` as a read-only array that owns its data (a view is copied); a scalar as it is."""
+    if isinstance(value, np.ndarray):
+        if value.base is not None:
+            value = value.copy()
+        value.setflags(write=False)
+    return value
+
+
+def _nbytes(part: tuple) -> int:
+    """Bytes of the arrays in ``part``."""
+    return sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+
+
+class _Plan:
+    """The data-independent parts of one :func:`solve` or :func:`kernel` call.
+
+    A part is a tuple of read-only arrays (and scalars) that depends only on
+    the grid quantities in its key: the forward chirp-z's chirps and filter,
+    the band's growth powers, the query's chirps or exponentials.
+    :meth:`part` returns it from the cache shared by all calls, or builds
+    it.  The call holds the parts it builds while all its parts together
+    stay within ``_PLAN_BUDGET`` bytes, and :meth:`keep` then caches them,
+    evicting the least recently used.  Once over the budget the call lets
+    go of them, so a larger plan is used by its call and not kept, and the
+    parts a call holds but no longer uses never exceed the budget.
+    """
+
+    def __init__(self) -> None:
+        self.nbytes = 0
+        self.built: dict[tuple, tuple] | None = {}
+
+    def part(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+        with _plans_lock:
+            part = _plans.get(key)
+            if part is not None:
+                _plans.move_to_end(key)
+        if part is None:
+            part = tuple(map(_read_only, build()))
+            if self.built is not None:
+                self.built[key] = part
+        self.nbytes += _nbytes(part)
+        if self.nbytes > _PLAN_BUDGET:
+            self.built = None
+        return part
+
+    def keep(self) -> None:
+        if not self.built:
+            return
+        with _plans_lock:
+            _plans.update(self.built)
+            total = sum(map(_nbytes, _plans.values()))
+            while total > _PLAN_BUDGET:
+                total -= _nbytes(_plans.popitem(last=False)[1])
+
+
 def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
     """Indices ``j`` with ``j/n`` in ``[-omega, omega)`` and the boundary values there."""
     n = config.n
@@ -399,15 +474,14 @@ def _rate_chirp(m: np.ndarray, rate: float) -> np.ndarray:
     return np.exp(2j * np.pi * (turns - np.round(turns)))
 
 
-def _bluestein(
-    vals: np.ndarray, ins: np.ndarray, outs: np.ndarray, chirp: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``chirp(p) sum_q vals[..., q] chirp(q) conj(chirp(p - q))`` for each ``p`` in ``outs``.
+def _bluestein_plan(
+    ins: np.ndarray, outs: np.ndarray, chirp: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data-independent arrays of :func:`_bluestein` from the range ``ins`` to ``outs``.
 
-    ``ins`` indexes the last axis of ``vals``; ``ins`` and ``outs`` are
-    contiguous ascending integer ranges, and leading axes are batched.  The
-    sum is a linear convolution over every difference ``d = p - q``, done by
-    one FFT convolution in O((Q + P) log(Q + P)) (Bluestein's chirp-z).
+    They are ``chirp`` on ``ins``, ``chirp`` on ``outs``, and the FFT of
+    ``conj(chirp)`` over every difference ``d = p - q``.  ``ins`` and
+    ``outs`` are contiguous ascending integer ranges.
     """
     Q, P = ins.size, outs.size
     d0, d1 = outs[0] - ins[-1], outs[-1] - ins[0]              # Q + P - 1 differences
@@ -416,21 +490,39 @@ def _bluestein(
     # differences, e.g. for a one-frequency band), sliced three times
     lo = min(ins[0], outs[0], d0)
     c = chirp(np.arange(lo, max(ins[-1], outs[-1], d1) + 1))
-    a = np.fft.fft(vals * c[ins[0] - lo : ins[-1] - lo + 1], size)
-    b = np.fft.fft(np.conj(c[d0 - lo : d1 - lo + 1]), size)
-    return c[outs[0] - lo : outs[-1] - lo + 1] * np.fft.ifft(a * b)[..., Q - 1 : Q - 1 + P]
+    return (c[ins[0] - lo : ins[-1] - lo + 1], c[outs[0] - lo : outs[-1] - lo + 1],
+            np.fft.fft(np.conj(c[d0 - lo : d1 - lo + 1]), size))
 
 
-def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
+def _bluestein(vals: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
+               filter_hat: np.ndarray) -> np.ndarray:
+    """``chirp(p) sum_q vals[..., q] chirp(q) conj(chirp(p - q))`` for each ``p`` in ``outs``.
+
+    The arrays after ``vals`` are those of :func:`_bluestein_plan`; the last
+    axis of ``vals`` runs over ``ins``, and leading axes are batched.  The
+    sum is a linear convolution over every difference, done by one FFT
+    convolution in O((Q + P) log(Q + P)) (Bluestein's chirp-z).
+    """
+    Q = c_in.size
+    a = np.fft.fft(vals * c_in, filter_hat.size)
+    a *= filter_hat
+    return c_out * np.fft.ifft(a)[..., Q - 1 : Q - 1 + c_out.size]
+
+
+def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.ndarray,
+                        n: int) -> np.ndarray:
     """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k (Bluestein chirp-z).
 
     ``js`` and ``ks`` are contiguous ascending integer ranges.  With
     ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
-    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``.  Overflow is
-    left in the result as inf or NaN, as in :func:`_table`.
+    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``; its chirps and
+    filter are a part of ``plan``.  Overflow is left in the result as inf
+    or NaN, as in :func:`_table`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _bluestein(vals, js, ks, lambda m: _chirp(m, n)) / n
+        chirps = plan.part(("forward", n, int(js[0]), js.size, int(ks[0]), ks.size),
+                           lambda: _bluestein_plan(js, ks, lambda m: _chirp(m, n)))
+        return _bluestein(vals, *chirps) / n
 
 
 def _uniform_step(xs: np.ndarray) -> float | None:
@@ -448,24 +540,28 @@ def _uniform_step(xs: np.ndarray) -> float | None:
     return float(h) if np.abs(xs - (xs[0] + np.arange(J) * h)).max() <= tol else None
 
 
-def _chirp_query(
-    coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float, n: int
-) -> np.ndarray:
+def _chirp_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float,
+                 n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` on the uniform set ``xs``.
 
     Points are taken as ``x_j = xs[c] + (j - c) h`` about the middle index
     ``c``, so that ``e^{i pi x_j k / n} = e^{i pi xs[c] k / n} e^{i pi h (j - c) k / n}``;
     the second factor is a chirp-z transform of rate ``pi h / (2n)`` over the
     band, done for all times at once.  Centring keeps ``|j - c - k|`` small.
+    The centring phase, chirps and filter are a part of ``plan``.
     """
-    c = (xs.size - 1) // 2
-    ps = np.arange(-c, xs.size - c)
-    vals = coeffs.T * np.exp(1j * np.pi * (ks / n) * xs[c])
-    rate = math.fmod(h, 2 * n) / (4 * n)                 # the factor has period 2n in h
-    return _bluestein(vals, ks, ps, lambda m: _rate_chirp(m, rate)) / n
+    def build():
+        c = (xs.size - 1) // 2
+        rate = math.fmod(h, 2 * n) / (4 * n)                 # the factor has period 2n in h
+        return (np.exp(1j * np.pi * (ks / n) * xs[c]),
+                *_bluestein_plan(ks, np.arange(-c, xs.size - c), lambda m: _rate_chirp(m, rate)))
+
+    phase, *chirps = plan.part(("chirp", n, int(ks[0]), ks.size, h, xs.tobytes()), build)
+    return _bluestein(coeffs.T * phase, *chirps) / n
 
 
-def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+def _matrix_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray,
+                  n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` at any points ``xs``.
 
     Each band index is written ``k = ks[0] + a B + b`` with ``0 <= b < B =
@@ -473,45 +569,55 @@ def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) ->
     e^{i pi x b / n}``.  A block of points then needs ``A + B`` exponentials
     per point, one matrix product of the fine factors against the
     zero-padded coefficients (all coarse indices ``a`` and times at once),
-    and one reduction over ``a`` with the coarse factors.
+    and one reduction over ``a`` with the coarse factors.  Each block's
+    exponentials are a part of ``plan``, so memory stays bounded by the
+    block size when the plan is not kept.
     """
     T = coeffs.shape[1]
     B = math.isqrt(ks.size - 1) + 1
     A = -(-ks.size // B)
     padded = np.pad(coeffs, ((0, A * B - ks.size), (0, 0)))      # row a B + b: k = ks[0] + a B + b
     table = padded.reshape(A, B, T).transpose(1, 0, 2).reshape(B, A * T)      # [b, a T + t]
-    fine, coarse = np.arange(B) / n, (ks[0] + B * np.arange(A)) / n
     u = np.empty((T, xs.size), dtype=np.complex128)
     rows = max(1, _QUERY_BLOCK_ENTRIES // (A * T + B))
     for s in range(0, xs.size, rows):
         x = xs[s : s + rows]
-        partial = (np.exp(1j * np.pi * np.outer(x, fine)) @ table).reshape(x.size, A, T)
-        u[:, s : s + rows] = np.einsum("pa,pat->tp", np.exp(1j * np.pi * np.outer(x, coarse)),
-                                       partial) / n
+        fine, coarse = plan.part(
+            ("matrix", n, int(ks[0]), ks.size, x.tobytes()),
+            lambda: (np.exp(1j * np.pi * np.outer(x, np.arange(B) / n)),
+                     np.exp(1j * np.pi * np.outer(x, (ks[0] + B * np.arange(A)) / n))))
+        partial = (fine @ table).reshape(x.size, A, T)
+        u[:, s : s + rows] = np.einsum("pa,pat->tp", coarse, partial) / n
     return u
 
 
-def _coefficients(params: GridParams, growth: np.ndarray, ghat: np.ndarray | float,
-                  times: Sequence[float]) -> np.ndarray:
-    """``0.5 ghat_k growth_k^{floor(n t_i)}``, one column per time ``t_i`` in ``[0, n)``.
+def _powers(n: int, growth: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """``growth_k^{floor(n t_i)}``, one column per time ``t_i`` in ``[0, n)``.
 
-    A two-dimensional ``ghat`` gives one block of ``len(times)`` columns per
-    column of ``ghat``.  The powers come from one complex logarithm,
+    The powers come from one complex logarithm,
     ``growth^m = e^{m Re L} e^{i m Im L}`` with ``L = log growth``, which
     stays closer to the exact power than ``growth ** m`` or ``log|growth|``
-    and the angle taken apart.  ``L`` lives only here, so the query stage
-    does not hold it.
+    and the angle taken apart.
     """
     log_growth = np.log(growth)
     powers = np.empty((growth.size, len(times)), dtype=np.complex128)
     for i, t in enumerate(times):
-        if not 0.0 <= t < params.n:
-            raise ValueError(f"time {t} outside [0, n) for n={params.n}")
-        m = math.floor(params.n * t)
+        if not 0.0 <= t < n:
+            raise ValueError(f"time {t} outside [0, n) for n={n}")
+        m = math.floor(n * t)
         powers[:, i] = np.exp(m * log_growth.real) * np.exp(1j * (m * log_growth.imag))
+    return powers
+
+
+def _coefficients(powers: np.ndarray, ghat: np.ndarray | float) -> np.ndarray:
+    """``0.5 ghat_k powers[k, i]``: the columns of :func:`_powers` times half the data transform.
+
+    A two-dimensional ``ghat`` gives one block of columns, one per time,
+    for each column of ``ghat``.
+    """
     data = 0.5 * np.asarray(ghat, dtype=np.complex128)
-    data = data.reshape(growth.size if data.ndim else 1, -1)          # one column per data set
-    return (data[:, :, None] * powers[:, None, :]).reshape(growth.size, -1)
+    data = data.reshape(powers.shape[0] if data.ndim else 1, -1)          # one column per data set
+    return (data[:, :, None] * powers[:, None, :]).reshape(powers.shape[0], -1)
 
 
 def _half_band(window: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -524,52 +630,72 @@ def _half_band(window: Window) -> tuple[np.ndarray, np.ndarray]:
     return ks[window.cutoff:], ks[: window.cutoff - ks[-1]]
 
 
-def _table(window: Window, growth: np.ndarray, ghat: np.ndarray, real: bool,
-           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
-    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` on the band.
+def _band_coefficients(plan: _Plan, window: Window, ghat: np.ndarray, real: bool,
+                       times: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The coefficients ``0.5 ghat_k growth_k^{floor(n t_i)}`` of :func:`_table`, and max |growth|.
 
-    ``ghat`` is given on ``window.band_indices()``, ``growth`` on the
-    indices of :func:`_half_band`, the half band first.  ``ghat`` folds into
-    the transforms of the real and imaginary parts of the data, whose sums
-    over the band are ``Re`` of the sums over the half band with ``k > 0``
-    weighted by 2.  The half band is one query, with the columns of the
-    imaginary part after those of the real part unless ``real`` says the
-    data has none; the unpaired index is a rank-one term.  A uniform ``xs``
-    (at least ``_MIN_CHIRP_POINTS`` points in arithmetic progression, as
-    ``lo:hi:count`` gives) takes a chirp-z transform, O((|xs| + |ks|) log);
-    any other set takes the factored direct sum of :func:`_matrix_query`,
-    O(|xs| |ks| |times|).  Overflow in the powers is left in the table as
-    inf or NaN.
+    ``ghat`` is given on ``window.band_indices()``.  It folds into the
+    transforms of the real and imaginary parts of the data, whose sums over
+    the band are ``Re`` of the sums over the half band (:func:`_half_band`)
+    with ``k > 0`` weighted by 2: one block of columns for the real part,
+    and one for the imaginary part unless ``real`` says the data has none.
+    The unpaired indices keep their own coefficients (``None`` when there
+    are none).  Their growth powers and the band's ``max|growth|`` are a
+    part of ``plan``.  Overflow in the powers is left as inf or NaN.
     """
     n = window.params.n
     half, lone = _half_band(window)
+
+    def build():
+        growth = propagator(n, np.concatenate((half, lone)))
+        return (_powers(n, growth[: half.size], times), _powers(n, growth[half.size :], times),
+                float(np.abs(growth).max()))
+
     with np.errstate(over="ignore", invalid="ignore"):
+        powers, lone_powers, gmax = plan.part(("band", n, window.cutoff, times), build)
         pos = ghat[-half.size:]                                             # ghat(k), k >= 0
         neg = np.conj(ghat[lone.size : lone.size + half.size][::-1])        # conj ghat(-k)
         # twice the transforms of Re g and Im g: the weight 2 of k > 0; k = 0 has weight 1
         parts = np.stack([pos + neg] if real else [pos + neg, -1j * (pos - neg)], axis=1)
         parts[0] *= 0.5
-        coeffs = _coefficients(window.params, growth[: half.size], parts, times)
+        lone_coeffs = _coefficients(lone_powers, ghat[: lone.size]) if lone.size else None
+        return _coefficients(powers, parts), lone_coeffs, gmax
+
+
+def _table(plan: _Plan, window: Window, coeffs: np.ndarray, lone_coeffs: np.ndarray | None,
+           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
+    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` on the band.
+
+    ``coeffs`` and ``lone_coeffs`` are those of :func:`_band_coefficients`.
+    The half band is one query, whose columns after the first
+    ``len(times)`` are the imaginary part, and the unpaired index is a
+    rank-one term.  A uniform ``xs`` (at least ``_MIN_CHIRP_POINTS`` points
+    in arithmetic progression, as ``lo:hi:count`` gives) takes a chirp-z
+    transform, O((|xs| + |ks|) log); any other set takes the factored
+    direct sum of :func:`_matrix_query`, O(|xs| |ks| |times|).  Overflow in
+    the powers is left in the table as inf or NaN.
+    """
+    n = window.params.n
+    half, lone = _half_band(window)
+    T = len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
         h = _uniform_step(xs)
         if h is None:
-            sums = _matrix_query(coeffs, half, xs, n)
+            sums = _matrix_query(plan, coeffs, half, xs, n)
         else:
-            sums = _chirp_query(coeffs, half, xs, h, n)
+            sums = _chirp_query(plan, coeffs, half, xs, h, n)
         # set apart: re + 1j * im would turn an infinite im into a NaN re
-        u = np.zeros((len(times), xs.size), dtype=np.complex128)
-        u.real = sums[: len(times)].real
-        if not real:
-            u.imag = sums[len(times) :].real
-        if lone.size:
-            lone_coeffs = _coefficients(window.params, growth[half.size :], ghat[: lone.size],
-                                        times)
-            u += _matrix_query(lone_coeffs, lone, xs, n)
+        u = np.zeros((T, xs.size), dtype=np.complex128)
+        u.real = sums[:T].real
+        if coeffs.shape[1] > T:
+            u.imag = sums[T:].real
+        if lone_coeffs is not None:
+            u += _matrix_query(plan, lone_coeffs, lone, xs, n)
     return u
 
 
-def _check_band_stability(n: int, omega_prime: float, growth_band: np.ndarray) -> float:
-    """Warn when ``|growth|`` exceeds 1 inside the window; return its maximum."""
-    gmax = float(np.abs(growth_band).max())
+def _check_band_stability(n: int, omega_prime: float, gmax: float) -> None:
+    """Warn when ``max|growth|`` over the window's band, ``gmax``, exceeds 1."""
     if gmax > 1.0 + 1e-12:
         warnings.warn(
             f"|growth| reaches {gmax:.6g} inside the frequency window "
@@ -577,7 +703,6 @@ def _check_band_stability(n: int, omega_prime: float, growth_band: np.ndarray) -
             RuntimeWarning,
             stacklevel=3,
         )
-    return gmax
 
 
 def solve(config: SolveConfig) -> SolveResult:
@@ -592,18 +717,23 @@ def solve(config: SolveConfig) -> SolveResult:
     otherwise, O(|xs| omega' n |times|)), keeping real parts.  Real data
     takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
     Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
+    Everything that does not depend on the data (chirps, filter spectra,
+    growth powers, query exponentials) is the grid's plan (:class:`_Plan`):
+    repeated solves on one grid reuse it and only sample, transform and
+    multiply, with the same result bit for bit.
     Overflow in the powers is left to :meth:`SolveResult.first_non_finite`
     to report.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
     window = Window(params, config.omega_prime)
-    ghat = _restricted_forward(js, gvals, window.band_indices(), config.n)
-
-    growth = propagator(config.n, np.concatenate(_half_band(window)))
-    gmax = _check_band_stability(config.n, config.omega_prime, growth)
-    u = _table(window, growth, ghat, not gvals.imag.any(), config.times,
-               np.asarray(config.xs, dtype=float))
+    plan = _Plan()
+    ghat = _restricted_forward(plan, js, gvals, window.band_indices(), config.n)
+    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ghat, not gvals.imag.any(),
+                                                   config.times)
+    _check_band_stability(config.n, config.omega_prime, gmax)
+    u = _table(plan, window, coeffs, lone_coeffs, config.times, np.asarray(config.xs, dtype=float))
+    plan.keep()
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
 
 
@@ -625,8 +755,8 @@ def solve_via_convolution(config: SolveConfig) -> SolveResult:
     full[js + params.n**2] = gvals
     g = GridFunction(params, full)
     window = Window(params, config.omega_prime)
-    gmax = _check_band_stability(config.n, config.omega_prime,
-                                 propagator(config.n, window.band_indices()))
+    gmax = float(np.abs(propagator(config.n, window.band_indices())).max())
+    _check_band_stability(config.n, config.omega_prime, gmax)
 
     positions = [params.position(int(math.floor(config.n * x))) for x in config.xs]
     u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)

@@ -379,6 +379,19 @@ class TestKernelCommand:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("command", ["solve", "kernel"])
+    def test_far_point_oracle_is_zero_under_warnings_as_errors(self, tmp_path, command):
+        # x^2 overflows at x = 1e200 in the closed forms: the Gaussian there is 0, not an error
+        out = tmp_path / "u.csv"
+        argv, env = cli_command([command, "--n", "64", "--xs=1e200,0", "--out", str(out)])
+        proc = subprocess.run(argv, env=dict(env, PYTHONWARNINGS="error"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = read_csv(out)
+        assert [row[1] for row in rows] == ["1e+200", "0.0"]
+        assert rows[0][header.index("oracle")] == "0.0"
+
 
 class TestConverge:
     # n=32 with a radius-3 window pokes just outside the stability band; the
@@ -613,6 +626,16 @@ def test_malformed_range_names_its_syntax(tmp_path, capsys, spec):
 
 
 class TestFlags:
+    def test_parser_is_built_once_and_each_call_keeps_its_defaults(self, tmp_path):
+        from hyperheat.cli import build_parser
+
+        assert build_parser() is build_parser()
+        assert main(["solve", "--n", "64", "--out", str(tmp_path / "u.csv")]) == 0
+        # validate's own default n=8 (n=64 would be refused with exit 2)
+        assert build_parser().parse_args(["validate"]).n == 8
+        assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
+        assert build_parser().parse_args(["kernel"]).n == 256
+
     @pytest.mark.parametrize("argv", [["kernel", "--omega", "2"], ["rates", "--g", "bump"],
                                       ["validate", "--xs", "0"], ["solve", "--seed", "7"],
                                       ["converge", "--n", "64"]])

@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -28,6 +30,7 @@ from hyperheat import (
     kernel,
     kernel_slice,
     propagator,
+    sampled,
     solve,
     solve_via_convolution,
     spectral_hat,
@@ -44,7 +47,7 @@ from hyperheat.evolution import (
     _windowed_symbol,
 )
 
-from conftest import random_grid_function, reference_query, reference_restricted_forward
+from conftest import random_grid_function, reference_query, reference_restricted_forward, same_bits
 
 
 def supported_random(params, lo, hi, rng):
@@ -232,7 +235,7 @@ class TestWindow:
         ks = w.band_indices()
         for t in (0.0, 0.25, 1.0, 7.5):
             values = _windowed_symbol(w, t).values
-            column = evolution._coefficients(p, propagator(p.n, ks), 1.0, (t,))[:, 0]
+            column = evolution._coefficients(evolution._powers(p.n, propagator(p.n, ks), (t,)), 1.0)[:, 0]
             assert np.array_equal(values[ks + p.n**2], column)
             assert np.count_nonzero(values) == np.count_nonzero(column)
 
@@ -463,19 +466,18 @@ class TestGrowthPowers:
     @pytest.mark.parametrize("n", [128, 512, 8192])
     def test_match_extended_precision(self, n):
         steps = np.array([1, 7, 50, 99, 100, 101, n // 2, 2 * n])
-        params = GridParams(n)
-        growth = propagator(n, Window(params, 3.0).band_indices())
-        coeffs = evolution._coefficients(params, growth, 1.0, tuple((steps + 0.5) / n))
+        growth = propagator(n, Window(GridParams(n), 3.0).band_indices())
+        powers = evolution._powers(n, growth, tuple((steps + 0.5) / n))
         exact = growth.astype(np.clongdouble)[:, None] ** steps
         # relative to the largest power, 1 at k = 0
-        assert np.abs(2 * coeffs - exact).max() / np.abs(exact).max() <= 1e-15
+        assert np.abs(powers - exact).max() / np.abs(exact).max() <= 1e-15
 
     def test_zero_steps_leave_the_data_transform(self, rng):
         # t < 1/n takes m = 0 steps: the coefficients are exactly half the data transform
         params = GridParams(64)
         ks = Window(params, 3.0).band_indices()
         ghat = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-        coeffs = evolution._coefficients(params, propagator(64, ks), ghat, (0.01, 0.5))
+        coeffs = evolution._coefficients(evolution._powers(64, propagator(64, ks), (0.01, 0.5)), ghat)
         assert np.array_equal(coeffs[:, 0], 0.5 * ghat)
 
 
@@ -502,7 +504,7 @@ class TestBandTransform:
         n, js, ks, seed = case
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(js.size) + 1j * rng.standard_normal(js.size)
-        got = _restricted_forward(js, vals, ks, n)
+        got = _restricted_forward(evolution._Plan(), js, vals, ks, n)
         ref = reference_restricted_forward(js, vals, ks, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum() / n)
 
@@ -590,7 +592,7 @@ def _coefficient_scale(config):
     """``sum_k |c_k| / n`` over the solve's band coefficients at any time (``|growth| <= 1``)."""
     js, gvals = _truncated_samples(config)
     ks = Window(config.params, config.omega_prime).band_indices()
-    return np.abs(0.5 * _restricted_forward(js, gvals, ks, config.n)).sum() / config.n
+    return np.abs(0.5 * _restricted_forward(evolution._Plan(), js, gvals, ks, config.n)).sum() / config.n
 
 
 class TestUniformQuery:
@@ -605,7 +607,7 @@ class TestUniformQuery:
         coeffs = rng.standard_normal((ks.size, 2)) + 1j * rng.standard_normal((ks.size, 2))
         h = _uniform_step(xs)
         assert h is not None
-        got = _chirp_query(coeffs, ks, xs, h, n)
+        got = _chirp_query(evolution._Plan(), coeffs, ks, xs, h, n)
         ref = reference_query(xs, ks, coeffs, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
 
@@ -622,7 +624,7 @@ class TestUniformQuery:
         # |x| <= 8: beyond it every route, the reference too, loses phase alike
         xs = rng.uniform(-8.0, 8.0, points)
         with mock.patch.object(evolution, "_QUERY_BLOCK_ENTRIES", entries):
-            got = evolution._matrix_query(coeffs, ks, xs, n)
+            got = evolution._matrix_query(evolution._Plan(), coeffs, ks, xs, n)
         ref = reference_query(xs, ks, coeffs, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
 
@@ -694,9 +696,9 @@ def _full_band_reference(config, ghat=None):
     js, gvals = _truncated_samples(config)
     ks = Window(config.params, config.omega_prime).band_indices()
     if ghat is None:
-        ghat = _restricted_forward(js, gvals, ks, config.n)
+        ghat = _restricted_forward(evolution._Plan(), js, gvals, ks, config.n)
     growth = propagator(config.n, ks)
-    coeffs = evolution._coefficients(config.params, growth, ghat, config.times)
+    coeffs = evolution._coefficients(evolution._powers(config.n, growth, config.times), ghat)
     scale = 4e-14 if np.abs(growth).max() > 1.0 + 1e-12 else 1e-14
     bound = scale * (1 + np.abs(coeffs).sum(axis=0).max() / config.n)
     return reference_query(np.asarray(config.xs), ks, coeffs, config.n), bound
@@ -776,6 +778,206 @@ class TestHermitianHalfBand:
         ref, bound = _full_band_reference(config, ghat=1.0)
         assert not u.imag.any()
         assert np.abs(u - ref).max() <= bound
+
+
+def _cold_and_warm(run, inputs):
+    """``run(x)`` for each input once with an empty plan cache, and then again with the
+    plan that the last cold call left; the warm calls must build no part."""
+    cold = []
+    for x in inputs:
+        evolution._plans.clear()
+        cold.append(run(x))
+    kept = dict(evolution._plans)
+    assert kept
+    warm = [run(x) for x in inputs]
+    assert all(evolution._plans[key] is part for key, part in kept.items())
+    return cold, warm
+
+
+def _cached_arrays():
+    return [v for part in evolution._plans.values() for v in part if isinstance(v, np.ndarray)]
+
+
+@pytest.fixture
+def empty_plans(monkeypatch):
+    """A plan cache of this test's own, empty at its start."""
+    monkeypatch.setattr(evolution, "_plans", evolution.OrderedDict())
+
+
+# small grids put part of the window outside the stability band; the warning is expected
+@pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+class TestPlan:
+    @settings(max_examples=25, deadline=None)
+    @given(case=uniform_query_cases())
+    @example(case=(256, 4.0, np.linspace(8.0, -8.0, 600), 0))
+    @example(case=(3, 1.0, np.linspace(-0.5, 7.25, 16), 1))
+    @pytest.mark.parametrize("path", ["chirp", "matrix"])
+    def test_warm_equals_cold_bit_for_bit(self, path, case):
+        n, radius, xs, seed = case
+        small = n % 8 + 1
+        with _query_path(path):
+            # real data, complex data, and omega' = n with its unpaired index
+            for m, r, imaginary in ((n, radius, False), (n, radius, True), (small, small, True)):
+                pair = [_random_data_solve(m, float(r), xs, seed + k, imaginary)[0] for k in range(2)]
+                cold, warm = _cold_and_warm(lambda c: solve(c).u, pair)
+                assert all(same_bits(a, b) for a, b in zip(cold, warm))
+            window = Window(GridParams(n), radius)
+            cold, warm = _cold_and_warm(lambda ts: kernel(window, ts, xs).u, [(0.25, 0.5), (0.25, 0.5)])
+            assert same_bits(cold[0], warm[0])
+
+    def test_sampled_complex_data_warm_equals_cold(self):
+        pts = np.linspace(-3, 3, 121)
+        data = [sampled([(x, complex(math.exp(-x * x), s * x * math.exp(-x * x))) for x in pts])
+                for s in (-0.5, 0.25)]
+        base = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=data[0], times=(0.5, 1.0),
+                           xs=tuple(np.linspace(-2, 2, 41)))
+        configs = [dataclasses.replace(base, boundary=g) for g in data]
+        cold, warm = _cold_and_warm(lambda c: solve(c).u, configs)
+        assert all(same_bits(a, b) for a, b in zip(cold, warm))
+        assert cold[0].imag.any()
+
+    def test_one_build_per_grid(self, empty_plans):
+        config = SolveConfig(n=256, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5, 1.0),
+                             xs=tuple(np.linspace(-2, 2, 41)))
+        with mock.patch.object(evolution, "propagator", wraps=propagator) as growth:
+            for a in (1.0, 0.9, 1.1):
+                solve(dataclasses.replace(config, boundary=gaussian(a, 1.0)))
+            assert growth.call_count == 1
+            keys = set(evolution._plans)
+            # kernel shares the band and query parts of the same grid
+            kernel(Window(config.params, 3.0), config.times, config.xs)
+            assert growth.call_count == 1 and set(evolution._plans) == keys
+        assert {key[0] for key in keys} == {"forward", "band", "chirp"}
+
+    def test_patched_uniform_step_still_forces_the_matrix_path(self, empty_plans):
+        config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
+                             xs=tuple(np.linspace(-2, 2, 41)))
+        solve(config)
+        solve(config)                                  # warm on the chirp-z path
+        with _query_path("matrix"):
+            warm = solve(config).u
+            assert "matrix" in {key[0] for key in evolution._plans}
+            evolution._plans.clear()
+            cold = solve(config).u
+        assert same_bits(warm, cold)
+
+    def test_unstable_window_warns_on_every_call(self, empty_plans):
+        config = SolveConfig(n=16, omega=3.0, omega_prime=4.0, boundary=gaussian(), times=(0.5,),
+                             xs=(0.0,))
+        window = Window(config.params, 4.0)
+        for _ in range(2):                             # cold, then a cache hit
+            with pytest.warns(RuntimeWarning, match="growth") as record:
+                solve(config)
+            assert len(record) == 1 and record[0].filename == __file__
+            with pytest.warns(RuntimeWarning, match="growth") as record:
+                kernel(window, (0.5,), (0.0,))
+            assert len(record) == 1 and record[0].filename == __file__
+
+    def test_non_finite_data_on_a_warm_grid_fails_closed(self, empty_plans):
+        config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
+                             xs=tuple(np.linspace(-2, 2, 41)))
+        solve(config)
+        kept = dict(evolution._plans)
+        bad = dataclasses.replace(config, boundary=lambda y: np.where(y > 1, np.nan, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(bad)
+        assert dict(evolution._plans) == kept
+
+    def test_result_is_fresh_and_the_cache_read_only(self, empty_plans):
+        config = SolveConfig(n=64, omega=4.0, omega_prime=64.0, boundary=gaussian(), times=(0.5,),
+                             xs=(0.0, 0.5, -1.0))                 # matrix path, unpaired index
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results = [solve(config).u for _ in range(2)]
+            results.append(kernel(Window(config.params, 3.0), (0.5,), np.linspace(-2, 2, 41)).u)
+        arrays = _cached_arrays()
+        assert arrays
+        for u in results:
+            assert u.flags.writeable and u.flags.owndata
+            assert not any(np.shares_memory(u, a) for a in arrays)
+        assert not np.shares_memory(results[0], results[1])
+        for a in arrays:
+            assert not a.flags.writeable and a.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+
+    def test_budget_evicts_the_least_recently_used(self, empty_plans, monkeypatch):
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 3000)
+
+        def use(*keys, size=100):                        # 800 bytes per part
+            plan = evolution._Plan()
+            for key in keys:
+                plan.part((key,), lambda: (np.zeros(size), 1.0))
+            plan.keep()
+
+        use("a"), use("b"), use("c")
+        use("a")                                         # a becomes the most recent
+        use("d")                                         # 3200 bytes: b, the least recent, goes
+        assert list(evolution._plans) == [("c",), ("a",), ("d",)]
+        use("e", "f", "g", "h")                          # one call over the budget keeps nothing
+        use("big", size=400)
+        assert list(evolution._plans) == [("c",), ("a",), ("d",)]
+        assert sum(map(evolution._nbytes, evolution._plans.values())) == 2400
+
+    def test_plan_over_the_budget_is_used_and_not_kept(self, empty_plans, monkeypatch):
+        config = SolveConfig(n=1024, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                             times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 41)))
+        kept = solve(config).u
+        size = sum(map(evolution._nbytes, evolution._plans.values()))
+        evolution._plans.clear()
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", size - 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            u = solve(config).u
+            retained = tracemalloc.get_traced_memory()[0] - before - u.nbytes
+        finally:
+            tracemalloc.stop()
+        assert same_bits(u, kept)
+        assert not evolution._plans
+        assert retained < 4096                           # no plan array outlives the call
+
+    def test_retained_bytes_never_exceed_the_budget(self, empty_plans, monkeypatch):
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 400_000)
+        for n in (64, 128, 256, 64, 512, 128):
+            for xs in (np.linspace(-2, 2, 41), np.array([0.0, 0.3])):
+                solve(SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                                  times=(0.5,), xs=tuple(xs)))
+                assert sum(map(evolution._nbytes, evolution._plans.values())) <= 400_000
+        assert evolution._plans
+
+    def test_threads_share_the_cache(self, empty_plans, monkeypatch):
+        # the plans of the three grids take 6.1, 10.3 and 11.5 kB: a budget for two of
+        # them keeps the threads evicting each other's parts
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 22_000)
+        configs = [SolveConfig(n=n, omega=2.0, omega_prime=1.0, boundary=gaussian(a, 1.0),
+                               times=(0.5,), xs=tuple(np.linspace(-2, 2, 41)))
+                   for n in (16, 24, 32) for a in (0.9, 1.1)]
+        expected = [solve(c).u for c in configs]
+        failures = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(len(configs) * 40) % len(configs)
+            try:
+                for i in order:
+                    if not same_bits(solve(configs[i]).u, expected[i]):
+                        failures.append(i)
+            except Exception as exc:                     # reported below, not lost in the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert sum(map(evolution._nbytes, evolution._plans.values())) <= 22_000
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")

@@ -5,8 +5,10 @@ Usage: python tools/compare_outputs.py REV
 
 ``REV`` is exported with ``git archive`` into a temporary directory.  A
 fixed list of ``hyperheat`` commands (the README's, the pricing surface,
-kernel tables, ``validate``, ``converge`` sweeps, and a ``solve`` and a
-``converge`` of a complex ``sampled:`` file) runs in both trees, each in a
+kernel tables, ``validate``, ``converge`` sweeps, a ``solve`` and a
+``converge`` of a complex ``sampled:`` file, and a ``solve`` and a ``kernel``
+at a point so far out that the closed forms' squares overflow) runs in both
+trees, each in a
 fresh interpreter with the CSV on standard output.  For each command one
 line says ``identical``, or names each column that changed with its count
 of changed cells and its largest ``|delta|``; differences in standard
@@ -42,6 +44,8 @@ COMMANDS = (
     "converge --n-list 64,128,256 --g indicator:-1,1 --times 0.5 --xs=-2:2:7",
     "solve --n 128 --g sampled:{data} --times 0.5,1 --xs=-2:2:41",
     "converge --n-list 64,128,256 --g sampled:{data} --times 0.5 --xs=-2:2:7",
+    "solve --n 64 --xs=1e200,0",
+    "kernel --n 64 --xs=1e200,0",
 )
 
 
