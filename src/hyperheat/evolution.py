@@ -14,35 +14,12 @@ Two routes compute the same evolution:
   two routes agree to rounding for arbitrary data; without them they agree
   while the support stays off the three boundary-sensitive indices.
 
-Production solving (:func:`solve`) truncates the boundary data in space,
-transforms it onto the window band only with a chirp-z transform, applies
-the value-1/2 frequency window and ``growth^{floor(nt)}`` on that band, and
-inverse-transforms at the query points only: by a second chirp-z transform
-when they are uniformly spaced, by direct summation otherwise.  The band is
-Hermitian: ``growth(-k) = conj(growth(k))``, and the transforms of ``Re g``
-and ``Im g`` are ``(g_hat(k) + conj g_hat(-k))/2`` and
-``(g_hat(k) - conj g_hat(-k))/2i``.  So the powers and the query run over
-the half band ``k >= 0`` only, ``k > 0`` weighted by 2, and keep real parts:
-one pass for real data, whose answer then has an imaginary part of exactly
-0, and one more for ``Im g`` as extra columns of the same query.  It never
-builds an array over the full 2n^2 grid: time is
-O((omega n + |xs|) log(omega n + |xs|)) on uniform points; on others it is
-O(omega n log(omega n)) plus O(|xs| sqrt(omega' n)) exponentials and one
-matrix product of O(|xs| omega' n |times|), for ``omega' n + 1`` indices
-per part.  Memory is O(omega n + |xs|).  Everything that does not depend
-on the data, the chirps and filter spectra of both transforms, the growth
-powers and the query exponentials, is the grid's plan: it is built once
-and reused by every solve on the same grid, which then only samples the
-data, runs the data-side FFTs and multiplies.  Plans are kept up to a byte
-budget, least recently used first out; a plan larger than the budget is
-used by its call and not kept.
-Frequencies inside the window satisfy ``|growth| <= 1`` whenever the
-window radius stays inside the stability band (roughly ``sqrt(2n)/pi``),
-which keeps the powers tame.  :func:`kernel` tabulates the discrete heat
-kernel through the same powers and query evaluation, with the data
-transform replaced by 1.  :func:`propagator` gives the growth factor at
-any set of frequency indices: the band here, the full grid in
-:func:`spectral_hat`.
+Production solving is :func:`solve`, whose docstring is the one full
+statement of the pipeline: it never builds an array over the full 2n^2
+grid.  :func:`kernel` tabulates the discrete heat kernel through the same
+powers and query, with the data transform replaced by 1.
+:func:`propagator` gives the growth factor at any set of frequency
+indices: the band there, the full grid in :func:`spectral_hat`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
 ``2 n^2``); the transform turns it into a pointwise product exactly, and
@@ -281,24 +258,18 @@ def _queries(n: int, times: Sequence[float], xs: Sequence[float]
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
     """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
-    The solve's query stage with coefficients ``0.5 growth^{floor(n t)}`` on
-    the band: a chirp-z transform for a uniform ``zs``, direct summation
-    otherwise.  Mass over offsets is exactly 1 (the round-trip constant 2
-    against the window's 1/2).  The data transform 1 is real data, so the
-    half band gives an imaginary part of exactly 0 below ``omega' = n``; at
-    ``n`` the unpaired index ``-n^2`` makes it nonzero.  ``max_growth`` is
-    the largest ``|growth|`` in the band; above 1 it is warned about as in
-    :func:`solve`.  ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
-    The band's powers and the query's arrays are the same plan parts as a
-    solve's on that grid, so repeated tables, and solves, on one grid reuse
-    them.  Overflow in the powers leaves non-finite values for
-    :meth:`SolveResult.first_non_finite` to report.
+    :func:`solve` with the data transform 1 on the band, real data: the
+    imaginary part is exactly 0 below ``omega' = n``.  Mass over offsets is
+    exactly 1 (the round-trip constant 2 against the window's 1/2).
+    ``max_growth`` is the largest ``|growth|`` in the band, warned about as
+    in :func:`solve`, and ``times`` and ``zs`` obey the rules of
+    :class:`SolveConfig`.  The plan parts are a solve's on the same grid.
     """
     params = window.params
     times, zs = _queries(params.n, times, zs)
     plan = _Plan()
-    ones = np.ones(window.band_indices().size, dtype=np.complex128)
-    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ones, True, times)
+    ones = np.ones((1, window.cutoff + 1), dtype=np.complex128)
+    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ones, times)
     _check_band_stability(params.n, window.radius, gmax)
     u = _table(plan, window, coeffs, lone_coeffs, times, np.asarray(zs))
     plan.keep()
@@ -474,24 +445,39 @@ def _rate_chirp(m: np.ndarray, rate: float) -> np.ndarray:
     return np.exp(2j * np.pi * (turns - np.round(turns)))
 
 
+def _fft_length(m: int) -> int:
+    """The smallest ``2^a 3^b 5^c 7^d >= m``: numpy's FFT is fast at such lengths."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:      # the smallest p3 2^a >= m
+                best = min(best, p3 << (-(-m // p3) - 1).bit_length())
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 def _bluestein_plan(
     ins: np.ndarray, outs: np.ndarray, chirp: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The data-independent arrays of :func:`_bluestein` from the range ``ins`` to ``outs``.
 
     They are ``chirp`` on ``ins``, ``chirp`` on ``outs``, and the FFT of
-    ``conj(chirp)`` over every difference ``d = p - q``.  ``ins`` and
-    ``outs`` are contiguous ascending integer ranges.
+    ``conj(chirp)`` over every difference ``d = p - q``, at the 7-smooth
+    length :func:`_fft_length` of the differences, the shortest with no
+    wrap-around.  ``ins`` and ``outs`` are contiguous ascending integer
+    ranges; ``chirp`` is even in ``m``, so it is evaluated once at every
+    ``|m|`` of the three ranges.
     """
-    Q, P = ins.size, outs.size
-    d0, d1 = outs[0] - ins[-1], outs[-1] - ins[0]              # Q + P - 1 differences
-    size = 1 << (Q + P - 2).bit_length()                       # >= Q + P - 1: no wrap-around
-    # one chirp over the hull of all three ranges (ins may stick out of the
-    # differences, e.g. for a one-frequency band), sliced three times
-    lo = min(ins[0], outs[0], d0)
-    c = chirp(np.arange(lo, max(ins[-1], outs[-1], d1) + 1))
-    return (c[ins[0] - lo : ins[-1] - lo + 1], c[outs[0] - lo : outs[-1] - lo + 1],
-            np.fft.fft(np.conj(c[d0 - lo : d1 - lo + 1]), size))
+    diffs = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)
+    ranges = [np.abs(r) for r in (ins, outs, diffs)]
+    even = chirp(np.arange(max(int(r.max()) for r in ranges) + 1))
+    c_in, c_out, c_diff = (even[r] for r in ranges)
+    return c_in, c_out, np.fft.fft(np.conj(c_diff, out=c_diff), _fft_length(diffs.size))
 
 
 def _bluestein(vals: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
@@ -513,7 +499,8 @@ def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.nd
                         n: int) -> np.ndarray:
     """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k (Bluestein chirp-z).
 
-    ``js`` and ``ks`` are contiguous ascending integer ranges.  With
+    ``js`` and ``ks`` are contiguous ascending integer ranges; the last axis
+    of ``vals`` runs over ``js``, and leading axes are batched.  With
     ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
     the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``; its chirps and
     filter are a part of ``plan``.  Overflow is left in the result as inf
@@ -630,18 +617,19 @@ def _half_band(window: Window) -> tuple[np.ndarray, np.ndarray]:
     return ks[window.cutoff:], ks[: window.cutoff - ks[-1]]
 
 
-def _band_coefficients(plan: _Plan, window: Window, ghat: np.ndarray, real: bool,
+def _band_coefficients(plan: _Plan, window: Window, parts: np.ndarray,
                        times: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The coefficients ``0.5 ghat_k growth_k^{floor(n t_i)}`` of :func:`_table`, and max |growth|.
 
-    ``ghat`` is given on ``window.band_indices()``.  It folds into the
-    transforms of the real and imaginary parts of the data, whose sums over
-    the band are ``Re`` of the sums over the half band (:func:`_half_band`)
-    with ``k > 0`` weighted by 2: one block of columns for the real part,
-    and one for the imaginary part unless ``real`` says the data has none.
-    The unpaired indices keep their own coefficients (``None`` when there
-    are none).  Their growth powers and the band's ``max|growth|`` are a
-    part of ``plan``.  Overflow in the powers is left as inf or NaN.
+    ``parts`` holds the transforms of ``Re g`` and, for complex data, of
+    ``Im g``, one row each, on ``0..window.cutoff``.  On the half band
+    (:func:`_half_band`) they give one block of columns each, ``k > 0``
+    weighted by 2.  At ``omega' = n`` their last entry, at ``k = n^2``, is
+    the unpaired ``-n^2``'s: ``ghat(-n^2) = ghat(n^2)``, as
+    ``e^{i pi j} = e^{-i pi j}``.  It keeps its own coefficients (``None``
+    when nothing is unpaired).  The growth powers and the band's
+    ``max|growth|`` are a part of ``plan``.  Overflow in the powers is left
+    as inf or NaN.
     """
     n = window.params.n
     half, lone = _half_band(window)
@@ -653,13 +641,11 @@ def _band_coefficients(plan: _Plan, window: Window, ghat: np.ndarray, real: bool
 
     with np.errstate(over="ignore", invalid="ignore"):
         powers, lone_powers, gmax = plan.part(("band", n, window.cutoff, times), build)
-        pos = ghat[-half.size:]                                             # ghat(k), k >= 0
-        neg = np.conj(ghat[lone.size : lone.size + half.size][::-1])        # conj ghat(-k)
-        # twice the transforms of Re g and Im g: the weight 2 of k > 0; k = 0 has weight 1
-        parts = np.stack([pos + neg] if real else [pos + neg, -1j * (pos - neg)], axis=1)
-        parts[0] *= 0.5
-        lone_coeffs = _coefficients(lone_powers, ghat[: lone.size]) if lone.size else None
-        return _coefficients(powers, parts), lone_coeffs, gmax
+        lone_ghat = parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0)      # at k = n^2
+        lone_coeffs = _coefficients(lone_powers, lone_ghat) if lone.size else None
+        data = 2.0 * parts[:, : half.size].T           # the weight 2 of k > 0; k = 0 has weight 1
+        data[0] *= 0.5
+        return _coefficients(powers, data), lone_coeffs, gmax
 
 
 def _table(plan: _Plan, window: Window, coeffs: np.ndarray, lone_coeffs: np.ndarray | None,
@@ -669,10 +655,8 @@ def _table(plan: _Plan, window: Window, coeffs: np.ndarray, lone_coeffs: np.ndar
     ``coeffs`` and ``lone_coeffs`` are those of :func:`_band_coefficients`.
     The half band is one query, whose columns after the first
     ``len(times)`` are the imaginary part, and the unpaired index is a
-    rank-one term.  A uniform ``xs`` (at least ``_MIN_CHIRP_POINTS`` points
-    in arithmetic progression, as ``lo:hi:count`` gives) takes a chirp-z
-    transform, O((|xs| + |ks|) log); any other set takes the factored
-    direct sum of :func:`_matrix_query`, O(|xs| |ks| |times|).  Overflow in
+    rank-one term.  A uniform ``xs`` (:func:`_uniform_step`) takes
+    :func:`_chirp_query`, any other set :func:`_matrix_query`.  Overflow in
     the powers is left in the table as inf or NaN.
     """
     n = window.params.n
@@ -708,29 +692,35 @@ def _check_band_stability(n: int, omega_prime: float, gmax: float) -> None:
 def solve(config: SolveConfig) -> SolveResult:
     """Windowed spectral solution at the query points.
 
-    Pipeline: sample and truncate the boundary data to ``[-omega, omega)``;
-    forward-transform onto the window band (chirp-z), and fold it into the
-    transforms of ``Re g`` and ``Im g`` on the half band ``k >= 0``; multiply
-    by the window and ``growth^{floor(nt)}``, one column per time and part;
-    inverse-transform at the query points, all times and parts together
-    (chirp-z for a uniform set, O((|xs| + omega' n) log); direct summation
-    otherwise, O(|xs| omega' n |times|)), keeping real parts.  Real data
-    takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
-    Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
-    Everything that does not depend on the data (chirps, filter spectra,
-    growth powers, query exponentials) is the grid's plan (:class:`_Plan`):
-    repeated solves on one grid reuse it and only sample, transform and
-    multiply, with the same result bit for bit.
-    Overflow in the powers is left to :meth:`SolveResult.first_non_finite`
-    to report.
+    Pipeline: sample the boundary data on ``[-omega, omega)``; transform
+    ``Re g`` and, for complex data, ``Im g`` onto the half band ``k = 0..K``,
+    ``K = floor(omega' n)``, by one batched chirp-z transform; multiply by
+    the window's 1/2 and ``growth^{floor(nt)}``, one column per time and
+    part; inverse-transform at the query points, all columns at once,
+    keeping real parts (chirp-z for a uniform set, O((|xs| + omega' n) log);
+    the factored direct sum otherwise, O(|xs| omega' n |times|)).  The band
+    is Hermitian, ``growth(-k) = conj(growth(k))``, so for real parts the
+    sum over ``-K..K`` is ``Re`` of the sum over ``k >= 0`` with ``k > 0``
+    weighted by 2.  At ``omega' = n`` the band is ``-n^2..n^2 - 1``: the
+    unpaired ``-n^2`` takes the transforms at ``k = n^2``, as
+    ``e^{-i pi j} = e^{i pi j}``, and is a rank-one term of the query.
+    Real data takes one part, and ``u.imag`` is then exactly 0 below
+    ``omega' = n``.  Memory is O(omega n + |xs|); no array spans the full
+    2n^2 grid.  Everything that does not depend on the data (chirps, filter
+    spectra, growth powers, query exponentials) is the grid's plan
+    (:class:`_Plan`), reused by later solves and :func:`kernel` tables on
+    that grid with the same result bit for bit.  Outside the stability band
+    (:func:`stability_radius`) ``|growth| > 1`` and a ``RuntimeWarning``
+    says so; overflow in the powers is left to
+    :meth:`SolveResult.first_non_finite` to report.
     """
     params = config.params
     js, gvals = _truncated_samples(config)
     window = Window(params, config.omega_prime)
     plan = _Plan()
-    ghat = _restricted_forward(plan, js, gvals, window.band_indices(), config.n)
-    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ghat, not gvals.imag.any(),
-                                                   config.times)
+    rows = np.stack((gvals.real, gvals.imag)) if gvals.imag.any() else gvals.real[None]
+    parts = _restricted_forward(plan, js, rows, np.arange(window.cutoff + 1), config.n)
+    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, parts, config.times)
     _check_band_stability(config.n, config.omega_prime, gmax)
     u = _table(plan, window, coeffs, lone_coeffs, config.times, np.asarray(config.xs, dtype=float))
     plan.keep()

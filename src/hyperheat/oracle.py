@@ -206,8 +206,8 @@ _MAX_HALVED = 10_000
 
 
 def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.ndarray], np.ndarray],
-               edges: np.ndarray, size: int) -> np.ndarray:
-    """``int kernel(y) data(y) dy`` over ``[edges[0], edges[-1]]``, ``size`` values at once.
+               edges: np.ndarray, size: int, scale: float = 1.0) -> np.ndarray:
+    """``int kernel(y) data(y) dy / scale`` over ``[edges[0], edges[-1]]``, ``size`` values at once.
 
     For nodes ``y`` of shape ``(I, 21)``, ``kernel(y)`` is real, non-negative
     and of shape ``(I, size, 21)``, and ``data(y)`` complex of shape
@@ -225,10 +225,13 @@ def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.nd
     Once more than the cap of intervals have been halved, the level's
     rejected intervals are taken as they are.  Raises ``RuntimeError`` on a
     non-finite value or estimate, or when the accepted estimates sum to more
-    than 1e4 times the tolerance.
+    than 1e4 times the tolerance.  The rules see ``data / scale``, so data
+    of size ``scale`` cannot overflow their sums; the tolerance and the
+    error in the message stay in the units of ``data``.
     """
     a, b = edges[:-1], edges[1:]
-    tol, window = _QUAD_ABS_TOL, edges[-1] - edges[0]
+    abs_tol = _QUAD_ABS_TOL / scale
+    tol, window = abs_tol, edges[-1] - edges[0]
     cap = _MAX_HALVED + 64 * a.size
     step = max(1, _BLOCK_ENTRIES // (21 * size))
     total = np.zeros(size, dtype=np.complex128)
@@ -242,7 +245,7 @@ def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.nd
             h = (hi - lo) / 2
             y = (lo + h)[:, None] + h[:, None] * _GK21_NODES
             with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-                d, k = data(y), kernel(y)
+                d, k = data(y) / scale, kernel(y)
                 # the data times the two rules, as real columns: (I, 21, 4)
                 weighted = (d[..., None] * _GK21_RULES).view(np.float64)
                 sums = np.matmul(k, weighted) * h[:, None, None]
@@ -262,7 +265,7 @@ def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.nd
         bad = np.concatenate(rejected)
         if not halved:      # after the first level
             first_level = (total + open_total).view(np.float64)
-            tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.abs(first_level).max()))
+            tol = max(abs_tol, _QUAD_REL_TOL * float(np.abs(first_level).max()))
         halved += bad.size
         if halved > cap:    # take the rejected intervals as they are
             total, spent = total + open_total, spent + open_err
@@ -270,7 +273,7 @@ def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.nd
         mid = (a[bad] + b[bad]) / 2
         a, b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
     if spent > _REFUSAL * tol:
-        raise RuntimeError(f"quadrature did not converge (err={spent:.2e})")
+        raise RuntimeError(f"quadrature did not converge (err={spent * scale:.2e})")
     return total
 
 
@@ -282,11 +285,15 @@ def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     absolute, or 1e-12 relative to a larger integral.  The window is the
     hull of the points widened by the half-width at which ``g.bound`` times
     the kernel falls below 1e-14.  The subdivision starts at the boundary's
-    breakpoints inside the window and at the query points.
+    breakpoints inside the window and at the query points.  The rules see
+    ``g / g.bound``, so data up to the largest float integrates; data
+    bounded by 0 has the column 0.
     """
     if t <= 0:
         raise ValueError(f"classical solution defined for t > 0, got t={t}")
     xs = np.asarray(xs, dtype=float)
+    if g.bound == 0:
+        return np.zeros(xs.size, dtype=np.complex128)
     L = _integration_halfwidth(g.bound, t)
     lo, hi = float(xs.min()) - L, float(xs.max()) + L
     # The query points split the window too, with no gap between them longer
@@ -303,7 +310,7 @@ def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
         np.divide(d, -4.0 * t, out=d)
         return np.exp(d, out=d)
 
-    return _integrate(kernel, g, edges, xs.size) / math.sqrt(4.0 * math.pi * t)
+    return _integrate(kernel, g, edges, xs.size, g.bound) / math.sqrt(4.0 * math.pi * t) * g.bound
 
 
 def classical_solution(g: BoundaryCondition, t: float, x: float) -> complex:

@@ -508,6 +508,45 @@ class TestBandTransform:
         ref = reference_restricted_forward(js, vals, ks, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum() / n)
 
+    def test_fft_length_is_the_smallest_7_smooth_integer(self):
+        def smooth(m):
+            for p in (2, 3, 5, 7):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        lengths = [m for m in range(1, 5200) if smooth(m)]
+        for m in range(1, 5001):
+            assert evolution._fft_length(m) == next(s for s in lengths if s >= m)
+        assert evolution._fft_length(720_896) == 725_760        # the n=65536 forward transform
+        # the solve-band forward (4096 samples onto k = 0..1536) and query (1537 onto 41 points)
+        for ins, outs, size in ((np.arange(-2048, 2048), np.arange(1537), 5670),
+                                (np.arange(1537), np.arange(-20, 21), 1600)):
+            filter_hat = evolution._bluestein_plan(ins, outs, lambda m: _chirp(m, 512))[2]
+            assert filter_hat.size == evolution._fft_length(ins.size + outs.size - 1) == size
+
+    # small grids put part of the window outside the stability band; the warning is expected
+    @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+    @pytest.mark.parametrize("imaginary", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_solve_transforms_the_parts_onto_the_half_band(self, n, imaginary):
+        for radius in (n / 2, n - 0.25, float(n)):
+            config, vals = _random_data_solve(n, radius, np.linspace(-1, 1, 5), n, imaginary)
+            with mock.patch.object(evolution, "_band_coefficients",
+                                   wraps=evolution._band_coefficients) as spy:
+                solve(config)
+            parts = spy.call_args.args[2]
+            js, _ = _truncated_samples(config)
+            ks = np.arange(Window(config.params, radius).cutoff + 1)      # 0..n^2 at omega' = n
+            rows = (vals.real, vals.imag) if imaginary else (vals.real,)
+            assert parts.shape == (len(rows), ks.size)
+            bound = 1e-12 * (1 + np.abs(vals).sum() / n)
+            for got, row in zip(parts, rows):
+                assert np.abs(got - reference_restricted_forward(js, row + 0j, ks, n)).max() <= bound
+            if radius == n:                       # ghat(-n^2) from the k = n^2 entries
+                lone = reference_restricted_forward(js, vals + 0j, np.array([-n * n]), n)[0]
+                assert abs(parts[0, -1] + (1j * parts[1, -1] if imaginary else 0) - lone) <= bound
+
     def test_chirp_reduction_exact_at_large_n(self):
         # m^2 mod 4n^2 is one int64 step for every |m| up to isqrt(2^63 - 1), at any n
         def exact(m, n):
@@ -947,13 +986,17 @@ class TestPlan:
         assert evolution._plans
 
     def test_threads_share_the_cache(self, empty_plans, monkeypatch):
-        # the plans of the three grids take 6.1, 10.3 and 11.5 kB: a budget for two of
-        # them keeps the threads evicting each other's parts
-        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 22_000)
         configs = [SolveConfig(n=n, omega=2.0, omega_prime=1.0, boundary=gaussian(a, 1.0),
                                times=(0.5,), xs=tuple(np.linspace(-2, 2, 41)))
                    for n in (16, 24, 32) for a in (0.9, 1.1)]
         expected = [solve(c).u for c in configs]
+        # a budget for the two largest of the three grids' plans keeps the threads
+        # evicting each other's parts
+        sizes = [sum(evolution._nbytes(part) for key, part in evolution._plans.items() if key[1] == n)
+                 for n in (16, 24, 32)]
+        budget = sum(sorted(sizes)[1:])
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", budget)
+        evolution._plans.clear()
         failures = []
 
         def worker(seed):
@@ -977,7 +1020,7 @@ class TestPlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert sum(map(evolution._nbytes, evolution._plans.values())) <= 22_000
+        assert sum(map(evolution._nbytes, evolution._plans.values())) <= budget
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")

@@ -244,6 +244,16 @@ class TestClassicalColumn:
         with pytest.raises(RuntimeError, match="^could not find an integration window for data bounded by inf"):
             classical_column(g, 0.5, [0.0])
 
+    def test_data_near_the_float_limit_integrates(self):
+        # the 21-point sums of 1e308 overflowed; g / g.bound keeps them at size 1
+        col = classical_column(sampled([(-1, 1e308), (0, 1e308), (1, 1e308)]), 0.5, [0, 0.5])
+        assert np.isfinite(col).all()
+        assert np.abs(col / 1e308 - 1).max() <= 1e-12
+
+    def test_zero_data_has_a_zero_column(self):
+        col = classical_column(sampled([(-1, 0.0), (1, 0.0)]), 0.5, [0.0, 2.0])
+        assert col.dtype == np.complex128 and not col.any()
+
     def test_breakpoints(self):
         assert bump(0.5, 2.0).breakpoints == (-1.5, 2.5)
         assert indicator(-1.0, 3.0).breakpoints == (-1.0, 3.0)
@@ -303,6 +313,16 @@ class TestIntegrate:
             exact = poly.integ()(b) - poly.integ()(a)
             (value,) = oracle._integrate(ones, poly, np.array([a, b]), 1)
             assert abs(value - exact) <= 1e-14 * (1 + abs(exact))
+
+    def test_scale_keeps_the_tolerance_in_the_units_of_the_data(self):
+        # dividing by a power of two is exact, so every acceptance must come out the same
+        def data(y):
+            return np.sin(50 * y) * np.exp(y) + 0j
+
+        edges = np.array([0.0, 10.0])
+        base = oracle._integrate(ones, data, edges, 1)
+        for scale in (2.0**-20, 2.0**13, 2.0**1000):
+            assert oracle._integrate(ones, data, edges, 1, scale) * scale == base
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.nan)])
     def test_non_finite_integrand_is_one_line_error(self, bad):

@@ -34,3 +34,15 @@ def test_header_shape_stderr_and_exit_code_changes_are_reported():
 def test_every_command_is_a_hyperheat_command():
     commands = {c.split()[0] for c in compare_outputs.COMMANDS}
     assert commands == {"validate", "solve", "kernel", "converge", "rates"}
+
+
+def test_stderr_differing_only_in_the_cli_line_number_compares_equal():
+    tree = Path("/checkout")
+    warning = ("{}/src/hyperheat/cli.py:{}: RuntimeWarning: |growth| reaches 33 inside the "
+               "frequency window (omega_prime=8.0, n=8); powers will grow\n")
+    old, new = (compare_outputs.normalise_stderr(warning.format(tree, line), tree)
+                for line in (216, 219))
+    assert old == new == warning.format("<tree>", "<line>")
+    assert compare_outputs.compare((0, OLD, old), (0, OLD, new)) == []
+    other = compare_outputs.normalise_stderr(warning.format(tree, 216).replace("33", "34"), tree)
+    assert compare_outputs.compare((0, OLD, old), (0, OLD, other))[0] == "stderr differs:"

@@ -6,14 +6,14 @@ Usage: python tools/compare_outputs.py REV
 ``REV`` is exported with ``git archive`` into a temporary directory.  A
 fixed list of ``hyperheat`` commands (the README's, the pricing surface,
 kernel tables, ``validate``, ``converge`` sweeps, a ``solve`` and a
-``converge`` of a complex ``sampled:`` file, and a ``solve`` and a ``kernel``
-at a point so far out that the closed forms' squares overflow) runs in both
-trees, each in a
-fresh interpreter with the CSV on standard output.  For each command one
-line says ``identical``, or names each column that changed with its count
-of changed cells and its largest ``|delta|``; differences in standard
-error or exit code follow.  The exit status is 0 when every output is
-identical, else 1.
+``converge`` of a complex ``sampled:`` file, that file's ``solve`` at
+``omega' = n``, and a ``solve`` and a ``kernel`` at a point so far out that
+the closed forms' squares overflow) runs in both trees, each in a fresh
+interpreter with the CSV on standard output.  For each command one line
+says ``identical``, or names each column that changed with its count of
+changed cells and its largest ``|delta|``; differences in standard error
+(where the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
+follow.  The exit status is 0 when every output is identical, else 1.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +45,7 @@ COMMANDS = (
     "converge --n-list 64,128,256 --g indicator:-1,1 --times 0.5 --xs=-2:2:7",
     "solve --n 128 --g sampled:{data} --times 0.5,1 --xs=-2:2:41",
     "converge --n-list 64,128,256 --g sampled:{data} --times 0.5 --xs=-2:2:7",
+    "solve --n 8 --omega 2 --omega-prime 8 --g sampled:{data} --times 0.25 --xs=-1:1:5",
     "solve --n 64 --xs=1e200,0",
     "kernel --n 64 --xs=1e200,0",
 )
@@ -63,13 +65,19 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def normalise_stderr(text: str, tree: Path) -> str:
+    """``text`` with the tree's path read as ``<tree>`` and each ``cli.py:<digits>:`` as
+    ``cli.py:<line>:``: warnings name their source file and line, which moves with any edit."""
+    return re.sub(r"cli\.py:\d+:", "cli.py:<line>:", text.replace(str(tree), "<tree>"))
+
+
 def run(tree: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
-    """Exit code, standard output and standard error of ``hyperheat ARGV`` from ``tree/src``;
-    the tree's path in standard error (warnings name their source file) reads ``<tree>``."""
+    """Exit code, standard output and standard error (see :func:`normalise_stderr`) of
+    ``hyperheat ARGV`` from ``tree/src``."""
     proc = subprocess.run([sys.executable, "-m", "hyperheat.cli", *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True, text=True, timeout=600)
-    return proc.returncode, proc.stdout, proc.stderr.replace(str(tree), "<tree>")
+    return proc.returncode, proc.stdout, normalise_stderr(proc.stderr, tree)
 
 
 def compare_csv(old: str, new: str) -> list[str]:
