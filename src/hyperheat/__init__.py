@@ -28,7 +28,6 @@ from .evolution import (
     kernel_slice,
     propagator,
     solve,
-    solve_via_convolution,
     spectral_hat,
     stability_radius,
     step,

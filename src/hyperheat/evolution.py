@@ -16,15 +16,13 @@ Two routes compute the same evolution:
 
 Production solving is :func:`solve`, whose docstring is the one full
 statement of the pipeline: it never builds an array over the full 2n^2
-grid.  :func:`kernel` tabulates the discrete heat kernel through the same
-powers and query, with the data transform replaced by 1.
+grid.  Its band stage, the growth powers and the query, is one function
+that :func:`kernel` calls too, with the data transform replaced by 1.
 :func:`propagator` gives the growth factor at any set of frequency
 indices: the band there, the full grid in :func:`spectral_hat`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
-``2 n^2``); the transform turns it into a pointwise product exactly, and
-:func:`solve_via_convolution` exploits that to re-derive ``solve`` through
-the discrete heat kernel as a cross-check.
+``2 n^2``); the transform turns it into a pointwise product exactly.
 """
 
 from __future__ import annotations
@@ -56,14 +54,10 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "solve",
-    "solve_via_convolution",
 ]
 
 # Running-magnitude bound for the explicit stepper; see EvolutionOverflowError.
 OVERFLOW_LIMIT = 1e100
-
-# solve_via_convolution materialises full-grid kernels; cap the grid size.
-_CONVOLUTION_N_LIMIT = 64
 
 # Largest chirp index whose square fits in int64.
 _MAX_CHIRP_INDEX = math.isqrt(2**63 - 1)
@@ -258,21 +252,17 @@ def _queries(n: int, times: Sequence[float], xs: Sequence[float]
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
     """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
-    :func:`solve` with the data transform 1 on the band, real data: the
-    imaginary part is exactly 0 below ``omega' = n``.  Mass over offsets is
-    exactly 1 (the round-trip constant 2 against the window's 1/2).
-    ``max_growth`` is the largest ``|growth|`` in the band, warned about as
-    in :func:`solve`, and ``times`` and ``zs`` obey the rules of
-    :class:`SolveConfig`.  The plan parts are a solve's on the same grid.
+    The band stage of :func:`solve`, :func:`_band_table`, with one real
+    row of data transforms, all 1: the imaginary part is exactly 0 below
+    ``omega' = n``.  Mass over offsets is exactly 1 (the round-trip
+    constant 2 against the window's 1/2).  ``max_growth`` is the largest
+    ``|growth|`` in the band, warned about as in :func:`solve`, and
+    ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.  The plan
+    parts are a solve's on the same grid.
     """
-    params = window.params
-    times, zs = _queries(params.n, times, zs)
-    plan = _Plan()
+    times, zs = _queries(window.params.n, times, zs)
     ones = np.ones((1, window.cutoff + 1), dtype=np.complex128)
-    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, ones, times)
-    _check_band_stability(params.n, window.radius, gmax)
-    u = _table(plan, window, coeffs, lone_coeffs, times, np.asarray(zs))
-    plan.keep()
+    u, gmax = _band_table(_Plan(), window, ones, times, np.asarray(zs))
     return SolveResult(times, zs, u, max_growth=gmax)
 
 
@@ -504,7 +494,7 @@ def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.nd
     ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
     the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``; its chirps and
     filter are a part of ``plan``.  Overflow is left in the result as inf
-    or NaN, as in :func:`_table`.
+    or NaN, as in :func:`_band_table`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         chirps = plan.part(("forward", n, int(js[0]), js.size, int(ks[0]), ks.size),
@@ -607,86 +597,63 @@ def _coefficients(powers: np.ndarray, ghat: np.ndarray | float) -> np.ndarray:
     return (data[:, :, None] * powers[:, None, :]).reshape(powers.shape[0], -1)
 
 
-def _half_band(window: Window) -> tuple[np.ndarray, np.ndarray]:
-    """The band's indices ``k >= 0``, and its unpaired indices: those whose ``-k`` lies outside it.
-
-    Below ``omega' = n`` the band ``-K..K`` is symmetric and nothing is
-    unpaired; at ``n`` it is ``-n^2..n^2 - 1``, and ``-n^2`` is unpaired.
-    """
-    ks = window.band_indices()
-    return ks[window.cutoff:], ks[: window.cutoff - ks[-1]]
-
-
-def _band_coefficients(plan: _Plan, window: Window, parts: np.ndarray,
-                       times: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """The coefficients ``0.5 ghat_k growth_k^{floor(n t_i)}`` of :func:`_table`, and max |growth|.
+def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[float, ...],
+                xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` over the
+    window's band, and the band's max ``|growth|``: the powers and the query.
 
     ``parts`` holds the transforms of ``Re g`` and, for complex data, of
-    ``Im g``, one row each, on ``0..window.cutoff``.  On the half band
-    (:func:`_half_band`) they give one block of columns each, ``k > 0``
-    weighted by 2.  At ``omega' = n`` their last entry, at ``k = n^2``, is
-    the unpaired ``-n^2``'s: ``ghat(-n^2) = ghat(n^2)``, as
-    ``e^{i pi j} = e^{-i pi j}``.  It keeps its own coefficients (``None``
-    when nothing is unpaired).  The growth powers and the band's
-    ``max|growth|`` are a part of ``plan``.  Overflow in the powers is left
-    as inf or NaN.
+    ``Im g``, one row each, on the half band ``k = 0..window.cutoff``.  Each
+    row is one block of columns of one query, ``k > 0`` weighted by 2, and
+    the real part of a block's sums is the real or imaginary part of ``u``.
+    At ``omega' = n`` the half band's last index ``n^2`` carries the
+    unpaired ``-n^2``: as ``ghat(-n^2) = ghat(n^2)`` and ``growth(-n^2) =
+    conj(growth(n^2))``, its term is the conjugate of the ``n^2`` term of
+    ``conj(ghat)``, which is ``conj(ghat)`` in the real block and
+    ``i conj(ghat)`` in the imaginary one, real data's too.  A uniform
+    ``xs`` (:func:`_uniform_step`) takes :func:`_chirp_query`, any other set
+    :func:`_matrix_query`.  The powers and max ``|growth|`` are a part of
+    ``plan``, which is then kept.  A max ``|growth|`` above 1 warns, naming
+    the caller of :func:`solve` or :func:`kernel`; overflow in the powers is
+    left in the table as inf or NaN.
     """
     n = window.params.n
-    half, lone = _half_band(window)
+    ks = np.arange(window.cutoff + 1)
+    T = len(times)
 
     def build():
-        growth = propagator(n, np.concatenate((half, lone)))
-        return (_powers(n, growth[: half.size], times), _powers(n, growth[half.size :], times),
-                float(np.abs(growth).max()))
+        growth = propagator(n, ks)
+        return _powers(n, growth, times), float(np.abs(growth).max())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        powers, lone_powers, gmax = plan.part(("band", n, window.cutoff, times), build)
-        lone_ghat = parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0)      # at k = n^2
-        lone_coeffs = _coefficients(lone_powers, lone_ghat) if lone.size else None
-        data = 2.0 * parts[:, : half.size].T           # the weight 2 of k > 0; k = 0 has weight 1
+        powers, gmax = plan.part(("band", n, window.cutoff, times), build)
+        if gmax > 1.0 + 1e-12:
+            warnings.warn(
+                f"|growth| reaches {gmax:.6g} inside the frequency window "
+                f"(omega_prime={window.radius}, n={n}); powers will grow",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        unpaired = window.cutoff == n * n
+        data = np.zeros((ks.size, 2 if unpaired else len(parts)), dtype=np.complex128)
+        data[:, : len(parts)] = 2.0 * parts.T          # the weight 2 of k > 0; k = 0 has weight 1
         data[0] *= 0.5
-        return _coefficients(powers, data), lone_coeffs, gmax
-
-
-def _table(plan: _Plan, window: Window, coeffs: np.ndarray, lone_coeffs: np.ndarray | None,
-           times: Sequence[float], xs: np.ndarray) -> np.ndarray:
-    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` on the band.
-
-    ``coeffs`` and ``lone_coeffs`` are those of :func:`_band_coefficients`.
-    The half band is one query, whose columns after the first
-    ``len(times)`` are the imaginary part, and the unpaired index is a
-    rank-one term.  A uniform ``xs`` (:func:`_uniform_step`) takes
-    :func:`_chirp_query`, any other set :func:`_matrix_query`.  Overflow in
-    the powers is left in the table as inf or NaN.
-    """
-    n = window.params.n
-    half, lone = _half_band(window)
-    T = len(times)
-    with np.errstate(over="ignore", invalid="ignore"):
+        if unpaired:
+            ghat = np.conj(parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0))
+            data[-1] = ghat, 1j * ghat
+        coeffs = _coefficients(powers, data)
         h = _uniform_step(xs)
         if h is None:
-            sums = _matrix_query(plan, coeffs, half, xs, n)
+            sums = _matrix_query(plan, coeffs, ks, xs, n)
         else:
-            sums = _chirp_query(plan, coeffs, half, xs, h, n)
+            sums = _chirp_query(plan, coeffs, ks, xs, h, n)
         # set apart: re + 1j * im would turn an infinite im into a NaN re
         u = np.zeros((T, xs.size), dtype=np.complex128)
         u.real = sums[:T].real
-        if coeffs.shape[1] > T:
+        if data.shape[1] > 1:
             u.imag = sums[T:].real
-        if lone_coeffs is not None:
-            u += _matrix_query(plan, lone_coeffs, lone, xs, n)
-    return u
-
-
-def _check_band_stability(n: int, omega_prime: float, gmax: float) -> None:
-    """Warn when ``max|growth|`` over the window's band, ``gmax``, exceeds 1."""
-    if gmax > 1.0 + 1e-12:
-        warnings.warn(
-            f"|growth| reaches {gmax:.6g} inside the frequency window "
-            f"(omega_prime={omega_prime}, n={n}); powers will grow",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    plan.keep()
+    return u, gmax
 
 
 def solve(config: SolveConfig) -> SolveResult:
@@ -701,56 +668,25 @@ def solve(config: SolveConfig) -> SolveResult:
     the factored direct sum otherwise, O(|xs| omega' n |times|)).  The band
     is Hermitian, ``growth(-k) = conj(growth(k))``, so for real parts the
     sum over ``-K..K`` is ``Re`` of the sum over ``k >= 0`` with ``k > 0``
-    weighted by 2.  At ``omega' = n`` the band is ``-n^2..n^2 - 1``: the
-    unpaired ``-n^2`` takes the transforms at ``k = n^2``, as
-    ``e^{-i pi j} = e^{i pi j}``, and is a rank-one term of the query.
-    Real data takes one part, and ``u.imag`` is then exactly 0 below
-    ``omega' = n``.  Memory is O(omega n + |xs|); no array spans the full
-    2n^2 grid.  Everything that does not depend on the data (chirps, filter
-    spectra, growth powers, query exponentials) is the grid's plan
-    (:class:`_Plan`), reused by later solves and :func:`kernel` tables on
-    that grid with the same result bit for bit.  Outside the stability band
+    weighted by 2.  The powers and the query are :func:`_band_table`,
+    which :func:`kernel` shares.  At ``omega' = n`` the band is
+    ``-n^2..n^2 - 1``: the unpaired ``-n^2`` takes the transforms at
+    ``k = n^2``, as ``e^{-i pi j} = e^{i pi j}``, and its term is the
+    conjugate of a ``k = n^2`` term of the same query.  Real data takes
+    one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
+    Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
+    Everything that does not depend on the data (chirps, filter spectra,
+    growth powers, query exponentials) is the grid's plan (:class:`_Plan`),
+    reused by later solves and :func:`kernel` tables on that grid with the
+    same result bit for bit.  Outside the stability band
     (:func:`stability_radius`) ``|growth| > 1`` and a ``RuntimeWarning``
     says so; overflow in the powers is left to
     :meth:`SolveResult.first_non_finite` to report.
     """
-    params = config.params
     js, gvals = _truncated_samples(config)
-    window = Window(params, config.omega_prime)
+    window = Window(config.params, config.omega_prime)
     plan = _Plan()
     rows = np.stack((gvals.real, gvals.imag)) if gvals.imag.any() else gvals.real[None]
     parts = _restricted_forward(plan, js, rows, np.arange(window.cutoff + 1), config.n)
-    coeffs, lone_coeffs, gmax = _band_coefficients(plan, window, parts, config.times)
-    _check_band_stability(config.n, config.omega_prime, gmax)
-    u = _table(plan, window, coeffs, lone_coeffs, config.times, np.asarray(config.xs, dtype=float))
-    plan.keep()
-    return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)
-
-
-def solve_via_convolution(config: SolveConfig) -> SolveResult:
-    """Cross-check route: convolve the discrete heat kernel with the data.
-
-    Produces cell values, so each query ``x`` reads the cell ``floor(n x)``;
-    on grid-aligned queries this matches :func:`solve` to rounding.  Guarded
-    to n <= 64 because it materialises full-grid kernels.
-    """
-    if config.n > _CONVOLUTION_N_LIMIT:
-        raise ValueError(
-            f"solve_via_convolution materialises the full grid; n={config.n} exceeds "
-            f"the guard {_CONVOLUTION_N_LIMIT}"
-        )
-    params = config.params
-    js, gvals = _truncated_samples(config)
-    full = np.zeros(params.space_count, dtype=np.complex128)
-    full[js + params.n**2] = gvals
-    g = GridFunction(params, full)
-    window = Window(params, config.omega_prime)
-    gmax = float(np.abs(propagator(config.n, window.band_indices())).max())
-    _check_band_stability(config.n, config.omega_prime, gmax)
-
-    positions = [params.position(int(math.floor(config.n * x))) for x in config.xs]
-    u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)
-    for i, t in enumerate(config.times):
-        conv = convolve(kernel_slice(window, t), g)
-        u[i, :] = conv.values[positions]
+    u, gmax = _band_table(plan, window, parts, config.times, np.asarray(config.xs, dtype=float))
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)

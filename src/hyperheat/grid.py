@@ -128,10 +128,6 @@ class GridFunction:
         """Read-only value buffer, last axis in ascending index order ``j = -n^2 .. n^2-1``."""
         return self._values
 
-    def value_at(self, j: int) -> complex:
-        """Value at space index ``j`` of one slice."""
-        return complex(self._values[..., self.params.position(j)])
-
     def max_abs(self) -> float:
         """Largest modulus over every value, of a whole stack too."""
         return float(np.abs(self._values).max())

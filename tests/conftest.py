@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import hyperheat
-from hyperheat import GridFunction, GridParams
+from hyperheat import (GridFunction, GridParams, SolveConfig, SolveResult, Window, convolve,
+                       kernel_slice)
+from hyperheat.evolution import _truncated_samples
 
 
 def fresh_env() -> dict:
@@ -91,3 +94,23 @@ def reference_query(xs: np.ndarray, ks: np.ndarray, coeffs: np.ndarray, n: int) 
         half_turns = np.fmod(np.longdouble(x) * kl / n, 2).astype(np.float64)
         out[:, j] = np.sum(coeffs * np.exp(1j * np.pi * half_turns)[:, None], axis=0) / n
     return out
+
+
+def solve_via_convolution(config: SolveConfig) -> SolveResult:
+    """Reference route for :func:`hyperheat.solve`: the discrete heat kernel convolved with the data.
+
+    Produces cell values, so each query ``x`` reads the cell ``floor(n x)``;
+    on grid-aligned queries this matches ``solve`` to rounding.  It builds
+    full-grid kernels and convolves them directly, so it suits small ``n``.
+    """
+    params = config.params
+    js, gvals = _truncated_samples(config)
+    full = np.zeros(params.space_count, dtype=np.complex128)
+    full[js + params.n**2] = gvals
+    g = GridFunction(params, full)
+    window = Window(params, config.omega_prime)
+    positions = [params.position(math.floor(config.n * x)) for x in config.xs]
+    u = np.empty((len(config.times), len(config.xs)), dtype=np.complex128)
+    for i, t in enumerate(config.times):
+        u[i] = convolve(kernel_slice(window, t), g).values[positions]
+    return SolveResult(config.times, config.xs, u, config.regime_flag)

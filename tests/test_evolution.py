@@ -32,7 +32,6 @@ from hyperheat import (
     propagator,
     sampled,
     solve,
-    solve_via_convolution,
     spectral_hat,
     spectral_symbols,
     stability_radius,
@@ -47,7 +46,8 @@ from hyperheat.evolution import (
     _windowed_symbol,
 )
 
-from conftest import random_grid_function, reference_query, reference_restricted_forward, same_bits
+from conftest import (random_grid_function, reference_query, reference_restricted_forward, same_bits,
+                      solve_via_convolution)
 
 
 def supported_random(params, lo, hi, rng):
@@ -216,7 +216,7 @@ class TestWindow:
         p = GridParams(4)
         values = _windowed_symbol(Window(p, 1.75), 0.0)
         for k in range(1, p.n**2):
-            assert values.value_at(-k) == values.value_at(k)
+            assert values.values[p.position(-k)] == values.values[p.position(k)]
 
     def test_full_grid_case(self):
         p = GridParams(3)
@@ -325,7 +325,7 @@ class TestKernel:
         js = (-16, -3, 0, 5)
         table = kernel(w, (0.75,), [j / p.n for j in js]).u
         for j, value in zip(js, table[0]):
-            assert abs(value - sl.value_at(j)) <= 1e-12
+            assert abs(value - sl.values[p.position(j)]) <= 1e-12
 
     @pytest.mark.parametrize("zs", [np.linspace(-3, 3, 61), np.array([0.0, 0.7, -2.25])])
     def test_table_matches_reference_query(self, zs):
@@ -532,8 +532,7 @@ class TestBandTransform:
     def test_solve_transforms_the_parts_onto_the_half_band(self, n, imaginary):
         for radius in (n / 2, n - 0.25, float(n)):
             config, vals = _random_data_solve(n, radius, np.linspace(-1, 1, 5), n, imaginary)
-            with mock.patch.object(evolution, "_band_coefficients",
-                                   wraps=evolution._band_coefficients) as spy:
+            with mock.patch.object(evolution, "_band_table", wraps=evolution._band_table) as spy:
                 solve(config)
             parts = spy.call_args.args[2]
             js, _ = _truncated_samples(config)
@@ -544,8 +543,8 @@ class TestBandTransform:
             for got, row in zip(parts, rows):
                 assert np.abs(got - reference_restricted_forward(js, row + 0j, ks, n)).max() <= bound
             if radius == n:                       # ghat(-n^2) from the k = n^2 entries
-                lone = reference_restricted_forward(js, vals + 0j, np.array([-n * n]), n)[0]
-                assert abs(parts[0, -1] + (1j * parts[1, -1] if imaginary else 0) - lone) <= bound
+                unpaired = reference_restricted_forward(js, vals + 0j, np.array([-n * n]), n)[0]
+                assert abs(parts[0, -1] + (1j * parts[1, -1] if imaginary else 0) - unpaired) <= bound
 
     def test_chirp_reduction_exact_at_large_n(self):
         # m^2 mod 4n^2 is one int64 step for every |m| up to isqrt(2^63 - 1), at any n
@@ -684,6 +683,22 @@ class TestUniformQuery:
         ref = solve(config).u
         assert np.abs(got - ref).max() <= 1e-12 * (1 + _coefficient_scale(config))
 
+    # omega' = n puts the window outside the stability band; the warning is expected
+    @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+    @pytest.mark.parametrize("radius", [3.0, 8.0])
+    def test_one_query_per_call(self, radius):
+        # the unpaired index of omega' = n rides in the same query: a uniform
+        # set never takes the matrix, any other set takes it once
+        for xs in (np.linspace(-1, 1, 21), np.linspace(-1, 1, 5)):
+            config, _ = _random_data_solve(8, radius, xs, 0, imaginary=False)
+            window = Window(config.params, radius)
+            for run in (lambda: solve(config), lambda: kernel(window, config.times, xs)):
+                with mock.patch.object(evolution, "_matrix_query", wraps=evolution._matrix_query) as matrix, \
+                        mock.patch.object(evolution, "_chirp_query", wraps=evolution._chirp_query) as chirp:
+                    run()
+                expected = (1, 0) if xs.size == 21 else (0, 1)
+                assert (chirp.call_count, matrix.call_count) == expected
+
     def test_gaussian_surface_is_real(self):
         config = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=gaussian(),
                              times=tuple(np.linspace(0.25, 2, 8)),
@@ -817,6 +832,19 @@ class TestHermitianHalfBand:
         ref, bound = _full_band_reference(config, ghat=1.0)
         assert not u.imag.any()
         assert np.abs(u - ref).max() <= bound
+
+    @pytest.mark.parametrize("zs", [np.linspace(-1, 1, 5), np.linspace(-1, 1, 21)])
+    def test_full_grid_kernel_keeps_the_unpaired_index(self, path, zs):
+        # omega' = n: the kernel's -n^2 folds into k = n^2 as a solve's does
+        times = (0.25, 0.5)
+        for n in (1, 3, 8):
+            with _query_path(path):
+                u = kernel(Window(GridParams(n), float(n)), times, zs).u
+            config = SolveConfig(n=n, omega=n / 2, omega_prime=float(n), boundary=gaussian(),
+                                 times=times, xs=tuple(zs))
+            ref, bound = _full_band_reference(config, ghat=1.0)
+            assert np.abs(u.real - ref.real).max() <= bound
+            assert np.abs(u.imag - ref.imag).max() <= bound
 
 
 def _cold_and_warm(run, inputs):
@@ -1062,9 +1090,3 @@ class TestSolveViaConvolution:
                              times=(0.5,), xs=(0.0, 0.25, -0.5))
         res = solve_via_convolution(config)
         assert np.abs(res.u.real - kernel(w, config.times, config.xs).u.real).max() <= 1e-10
-
-    def test_size_guard(self):
-        config = SolveConfig(n=128, omega=2.0, omega_prime=2.0,
-                             boundary=gaussian(), times=(0.5,), xs=(0.0,))
-        with pytest.raises(ValueError, match="guard"):
-            solve_via_convolution(config)

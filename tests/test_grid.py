@@ -52,10 +52,10 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_value_at_uses_grid_indices(self):
+    def test_values_sit_at_the_positions_of_their_grid_indices(self):
         f = GridFunction(GridParams(1), [3.0, 4.0])
-        assert f.value_at(-1) == 3.0
-        assert f.value_at(0) == 4.0
+        assert f.values[f.params.position(-1)] == 3.0
+        assert f.values[f.params.position(0)] == 4.0
 
 
 class TestIntegrate:

@@ -121,7 +121,7 @@ class TestSpectralSymbols:
         x = p.space_points()
         # boundary_corrections takes the backward-difference symbol as conj(psi)
         assert np.array_equal(np.conj(psi.values), n * (np.exp(-1j * np.pi * x / n) - 1.0))
-        assert psi.value_at(0) == 0
+        assert psi.values[p.position(0)] == 0
         expect_mag = 2 * n * np.abs(np.sin(np.pi * x / (2 * n)))
         assert np.abs(np.abs(psi.values) - expect_mag).max() <= 1e-12 * (1 + 2 * n)
         assert np.abs(psi.values).max() <= 2 * n + 1e-12

@@ -6,14 +6,15 @@ Usage: python tools/compare_outputs.py REV
 ``REV`` is exported with ``git archive`` into a temporary directory.  A
 fixed list of ``hyperheat`` commands (the README's, the pricing surface,
 kernel tables, ``validate``, ``converge`` sweeps, a ``solve`` and a
-``converge`` of a complex ``sampled:`` file, that file's ``solve`` at
-``omega' = n``, and a ``solve`` and a ``kernel`` at a point so far out that
-the closed forms' squares overflow) runs in both trees, each in a fresh
-interpreter with the CSV on standard output.  For each command one line
-says ``identical``, or names each column that changed with its count of
-changed cells and its largest ``|delta|``; differences in standard error
-(where the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
-follow.  The exit status is 0 when every output is identical, else 1.
+``converge`` of a complex ``sampled:`` file, a ``kernel`` and that file's
+``solve`` at ``omega' = n`` on 5 and on 21 points, so on the factored
+matrix and on the chirp-z query, and a ``solve`` and a ``kernel`` at a
+point so far out that the closed forms' squares overflow) runs in both
+trees, each in a fresh interpreter with the CSV on standard output.  For
+each command one line says ``identical``, or names each column that
+changed with its count of changed cells and its largest ``|delta|``;
+differences in standard error (where the line numbers of ``cli.py`` read
+``cli.py:<line>``) or exit code follow.  The exit status is 0 when every output is identical, else 1.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ COMMANDS = (
     "solve --n 128 --g sampled:{data} --times 0.5,1 --xs=-2:2:41",
     "converge --n-list 64,128,256 --g sampled:{data} --times 0.5 --xs=-2:2:7",
     "solve --n 8 --omega 2 --omega-prime 8 --g sampled:{data} --times 0.25 --xs=-1:1:5",
+    "kernel --n 8 --omega-prime 8 --times 0.5 --xs=-1:1:21",
+    "solve --n 8 --omega 2 --omega-prime 8 --g sampled:{data} --times 0.25 --xs=-1:1:21",
     "solve --n 64 --xs=1e200,0",
     "kernel --n 64 --xs=1e200,0",
 )
