@@ -1,8 +1,8 @@
 """Batch command line: validation suites, solves, kernel tables, sweeps, rate checks.
 
-Exit codes: 0 success, 1 a validation/bound verdict failed or a computation
-gave up (one line ``<command> failed: ...``) or the reader closed stdout
-(no message), 2 bad configuration.
+Exit codes: 0 success, 1 a validation/bound verdict failed, a computation
+gave up or the output could not be written (one line ``<command> failed:
+...``) or the reader closed stdout (no message), 2 bad configuration.
 All tabular output is RFC 4180 CSV (UTF-8, '.' decimal, round-trip float
 formatting); identical arguments and seed give byte-identical files.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import os
 import sys
 from contextlib import contextmanager
@@ -182,8 +183,11 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
     A non-finite value fails with one line and no row.  Every cell is then a
     finite float, which never needs quoting, so the text is written without
     :mod:`csv`, in the bytes it would write: each float as its shortest
-    round-trip ``repr``, each time and point formatted once, and one
-    ``write`` per time.
+    round-trip ``repr``.  Each time and point is formatted once, each row is
+    one f-string, and each time is one ``write``.  An imaginary column that
+    is all ``+0.0`` (real data, whose ``u`` only ever had its real part set)
+    is written as the literal ``0.0``, with no ``repr`` per cell; a ``-0.0``
+    anywhere in it keeps every cell's ``repr``.
     """
     bad = _non_finite_message(result, header[1])
     if bad is not None:
@@ -195,13 +199,20 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
         ref = np.array([reference(t, result.xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]
         header += ("oracle", "abs_err")
-    cells = ",{!r}" * len(columns) + "\r\n"
-    points = [repr(x) for x in result.xs]
+    zero_im = not u.imag.any() and not np.signbit(u.imag).any()
+    points = [repr(x) + "," for x in result.xs]
     with _output(out) as fh:
         fh.write(",".join(header) + "\r\n")
-        for t, *values in zip(result.times, *columns):      # one row of each column
-            row = repr(t) + ",{}" + cells
-            fh.write("".join(map(row.format, points, *(v.tolist() for v in values))))
+        for t, real, imag, *checks in zip(result.times, *columns):      # one row of each column
+            lead = repr(t) + ","
+            # ``{b}`` formats a Python float as its ``repr``, and the literal as itself
+            cells = zip(points, real.tolist(), itertools.repeat("0.0") if zero_im else imag.tolist(),
+                        *(v.tolist() for v in checks))
+            if checks:
+                rows = [f"{lead}{p}{a!r},{b},{c!r},{d!r}\r\n" for p, a, b, c, d in cells]
+            else:
+                rows = [f"{lead}{p}{a!r},{b}\r\n" for p, a, b in cells]
+            fh.write("".join(rows))
     return EXIT_OK
 
 
@@ -324,9 +335,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.run(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout (``| head``): stop quietly.  Rows may still sit in
-        # the buffer; pointing stdout at /dev/null keeps the interpreter's last flush quiet.
+    except OSError as exc:
+        # the output could not be written: one line for a full disk, none for a reader
+        # that closed stdout (``| head``).  Rows may still sit in the buffer; pointing
+        # stdout at /dev/null keeps the interpreter's last flush quiet.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"{args.command} failed: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VALIDATION
     except ValueError as exc:

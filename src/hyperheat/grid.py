@@ -192,7 +192,12 @@ def d_xx(f: GridFunction) -> GridFunction:
 
 
 def d_t(slices: Sequence[GridFunction], i: int) -> GridFunction:
-    """Forward time difference ``n*(f(i+1,.) - f(i,.))`` of ``slices``, zero at index ``n^2 - 1``."""
+    """Forward time difference ``n*(f(i+1,.) - f(i,.))`` of ``slices``, zero at index ``n^2 - 1``.
+
+    The solver does not call it.  It stays as the paper's time difference:
+    with it, ``tests/test_grid.py`` checks on a delta that one explicit step
+    is the discrete heat equation ``d_t u = d_xx u``.
+    """
     params = slices[0].params
     if not 0 <= i <= params.time_count - 1:
         raise IndexError(f"time index {i} outside [0, {params.time_count - 1}]")

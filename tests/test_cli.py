@@ -17,7 +17,7 @@ import hyperheat.transform
 from conftest import fresh_env, run_fresh
 from hyperheat import oracle
 from hyperheat.cli import _write_csv, _write_table, main, parse_boundary
-from hyperheat.evolution import SolveResult
+from hyperheat.evolution import SolveConfig, SolveResult, solve
 from hyperheat.grid import GridFunction
 
 
@@ -76,7 +76,10 @@ def table_cases(draw):
                                       max_size=len(times) * len(xs)))).reshape(len(times), len(xs))
 
     u = np.empty((len(times), len(xs)), dtype=np.complex128)
-    u.real, u.imag = table(), table()     # set apart: re + 1j * im would lose a -0.0
+    # set apart: re + 1j * im would lose a -0.0.  An all +0.0 imaginary column is
+    # written as a literal; all -0.0 and random columns are not
+    imag = draw(st.sampled_from(["+0.0", "-0.0", "random"]))
+    u.real, u.imag = table(), table() if imag == "random" else float(imag)
     refs = table() if draw(st.booleans()) else None
     header = draw(st.sampled_from([("t", "x", "u_re", "u_im_diag"),
                                    ("t", "z", "kernel_re", "kernel_im_diag")]))
@@ -106,6 +109,19 @@ class TestCsvFormat:
                 assert _write_table("solve", None, result, header, reference) == 0
             got = buf.getvalue().encode("utf-8")
         assert got == reference_table(result, header, reference)
+
+    @pytest.mark.parametrize("reference", [None, lambda t, xs: oracle.gaussian().closed_form(t, xs).real],
+                             ids=["no-oracle", "oracle"])
+    def test_surface_bytes_match_the_csv_module(self, tmp_path, reference):
+        # the pricing surface's 8 x 2001 values: its all +0.0 imaginary column is the literal
+        config = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=oracle.gaussian(),
+                             times=tuple(np.linspace(0.25, 2, 8)), xs=tuple(np.linspace(-4, 4, 2001)))
+        result = solve(config)
+        assert result.u.shape == (8, 2001) and not result.u.imag.any()
+        out = tmp_path / "surface.csv"
+        header = ("t", "x", "u_re", "u_im_diag")
+        assert _write_table("solve", str(out), result, header, reference) == 0
+        assert out.read_bytes() == reference_table(result, header, reference)
 
 
 class TestBoundaryParsing:
@@ -575,6 +591,22 @@ def test_closed_stdout_pipe_ends_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == ""        # no traceback, and no "Exception ignored" line from the last flush
+
+
+_SURFACE = ["solve", "--n", "64", "--times", "0.25:2:8", "--xs=-4:4:2001"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [[*_SURFACE, "--out", "/dev/full"], _SURFACE, ["validate", "--n", "2"]],
+                         ids=["solve-out", "solve-stdout", "validate-stdout"])
+def test_failed_write_is_one_line(argv):
+    # the surface outgrows the buffers, so its writes fail while rows remain; validate's
+    # few rows fail only at the final flush
+    cmd, env = cli_command(argv)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"{argv[0]} failed: cannot write output: No space left on device\n"
 
 
 def test_solving_commands_load_no_scipy(tmp_path):

@@ -9,12 +9,15 @@ kernel tables, ``validate``, ``converge`` sweeps, a ``solve`` and a
 ``converge`` of a complex ``sampled:`` file, a ``kernel`` and that file's
 ``solve`` at ``omega' = n`` on 5 and on 21 points, so on the factored
 matrix and on the chirp-z query, and a ``solve`` and a ``kernel`` at a
-point so far out that the closed forms' squares overflow) runs in both
-trees, each in a fresh interpreter with the CSV on standard output.  For
-each command one line says ``identical``, or names each column that
-changed with its count of changed cells and its largest ``|delta|``;
-differences in standard error (where the line numbers of ``cli.py`` read
-``cli.py:<line>``) or exit code follow.  The exit status is 0 when every output is identical, else 1.
+point so far out that the closed forms' squares overflow, and the
+pricing surface's 8 x 2001 rows without the oracle columns, for
+``indicator:-1,1``, and with a non-zero imaginary column, for the complex
+file) runs in both trees, each in a fresh interpreter with the CSV on
+standard output.  For each command one line says ``identical``, or names
+each column that changed with its count of changed cells and its largest
+``|delta|``; differences in standard error (where the line numbers of
+``cli.py`` read ``cli.py:<line>``) or exit code follow.  The exit status is
+0 when every output is identical, else 1.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ COMMANDS = (
     "solve --n 8 --omega 2 --omega-prime 8 --g sampled:{data} --times 0.25 --xs=-1:1:21",
     "solve --n 64 --xs=1e200,0",
     "kernel --n 64 --xs=1e200,0",
+    "solve --n 128 --g indicator:-1,1 --times 0.25:2:8 --xs=-4:4:2001",
+    "solve --n 128 --g sampled:{data} --times 0.25:2:8 --xs=-4:4:2001",
 )
 
 
