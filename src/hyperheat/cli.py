@@ -1,8 +1,9 @@
 """Batch command line: validation suites, solves, kernel tables, sweeps, rate checks.
 
 Exit codes: 0 success, 1 a validation/bound verdict failed, a computation
-gave up or the output could not be written (one line ``<command> failed:
-...``) or the reader closed stdout (no message), 2 bad configuration.
+gave up or ran out of memory, or the output could not be written (one line
+``<command> failed: ...``), or the reader closed stdout (no message), 2 bad
+configuration.
 All tabular output is RFC 4180 CSV (UTF-8, '.' decimal, round-trip float
 formatting); identical arguments and seed give byte-identical files.
 """
@@ -109,12 +110,16 @@ def _load_sampled(path: str) -> oracle.BoundaryCondition:
 def _parse_floats(flag: str, text: str) -> tuple[float, ...]:
     """The value of ``--flag``: comma list ``a,b,c`` or linspace sugar ``lo:hi:count``."""
     try:
-        if ":" in text:
-            lo, hi, count = text.split(":")
-            return tuple(np.linspace(float(lo), float(hi), int(count)))
-        return tuple(float(p) for p in text.split(","))
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(","))
+        lo, hi, count = text.split(":")
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(float(lo), float(hi), int(count))
     except ValueError:
         raise ValueError(f"--{flag} expects a,b,c or lo:hi:count with a whole count >= 0, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"--{flag} expects lo, hi and hi - lo finite, got {text!r}")
+    return tuple(values)
 
 
 # -- validate ----------------------------------------------------------------
@@ -342,6 +347,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             print(f"{args.command} failed: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"{args.command} failed: not enough memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

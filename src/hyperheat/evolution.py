@@ -14,12 +14,10 @@ Two routes compute the same evolution:
   two routes agree to rounding for arbitrary data; without them they agree
   while the support stays off the three boundary-sensitive indices.
 
-Production solving is :func:`solve`, whose docstring is the one full
-statement of the pipeline: it never builds an array over the full 2n^2
-grid.  Its band stage, the growth powers and the query, is one function
-that :func:`kernel` calls too, with the data transform replaced by 1.
-:func:`propagator` gives the growth factor at any set of frequency
-indices: the band there, the full grid in :func:`spectral_hat`.
+Production solving is :func:`solve`, whose docstring is the one
+statement of the pipeline; :func:`kernel` is its band stage on data
+transforms of 1.  :func:`propagator` gives the growth factor at any set
+of frequency indices: the band there, the full grid in :func:`spectral_hat`.
 
 :func:`convolve` is the ``1/n``-weighted circular convolution (period
 ``2 n^2``); the transform turns it into a pointwise product exactly.
@@ -219,8 +217,7 @@ def _windowed_symbol(window: Window, t: float) -> GridFunction:
     params = window.params
     ks = window.band_indices()
     q = np.zeros(params.space_count, dtype=np.complex128)
-    powers = _powers(params.n, propagator(params.n, ks), (t,))
-    q[ks + params.n**2] = _coefficients(powers, 1.0)[:, 0]
+    q[ks + params.n**2] = 0.5 * _powers(params.n, propagator(params.n, ks), (t,))[:, 0]
     return GridFunction(params, q)
 
 
@@ -252,13 +249,9 @@ def _queries(n: int, times: Sequence[float], xs: Sequence[float]
 def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> SolveResult:
     """Kernel table ``u[i, j]`` at ``times[i]`` and offsets ``xs[j] = zs[j]``.
 
-    The band stage of :func:`solve`, :func:`_band_table`, with one real
-    row of data transforms, all 1: the imaginary part is exactly 0 below
-    ``omega' = n``.  Mass over offsets is exactly 1 (the round-trip
-    constant 2 against the window's 1/2).  ``max_growth`` is the largest
-    ``|growth|`` in the band, warned about as in :func:`solve`, and
-    ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.  The plan
-    parts are a solve's on the same grid.
+    :func:`solve` from real data transforms of 1, so the mass over offsets
+    is exactly 1 (the round-trip constant 2 against the window's 1/2);
+    ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
     """
     times, zs = _queries(window.params.n, times, zs)
     ones = np.ones((1, window.cutoff + 1), dtype=np.complex128)
@@ -347,8 +340,8 @@ class _Plan:
     """The data-independent parts of one :func:`solve` or :func:`kernel` call.
 
     A part is a tuple of read-only arrays (and scalars) that depends only on
-    the grid quantities in its key: the forward chirp-z's chirps and filter,
-    the band's growth powers, the query's chirps or exponentials.
+    the grid quantities in its key: a chirp-z's chirps and filter, the
+    band's growth powers, the query's centring phase or exponentials.
     :meth:`part` returns it from the cache shared by all calls, or builds
     it.  The call holds the parts it builds while all its parts together
     stay within ``_PLAN_BUDGET`` bytes, and :meth:`keep` then caches them,
@@ -451,55 +444,43 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _bluestein_plan(
-    ins: np.ndarray, outs: np.ndarray, chirp: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The data-independent arrays of :func:`_bluestein` from the range ``ins`` to ``outs``.
-
-    They are ``chirp`` on ``ins``, ``chirp`` on ``outs``, and the FFT of
-    ``conj(chirp)`` over every difference ``d = p - q``, at the 7-smooth
-    length :func:`_fft_length` of the differences, the shortest with no
-    wrap-around.  ``ins`` and ``outs`` are contiguous ascending integer
-    ranges; ``chirp`` is even in ``m``, so it is evaluated once at every
-    ``|m|`` of the three ranges.
-    """
-    diffs = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)
-    ranges = [np.abs(r) for r in (ins, outs, diffs)]
-    even = chirp(np.arange(max(int(r.max()) for r in ranges) + 1))
-    c_in, c_out, c_diff = (even[r] for r in ranges)
-    return c_in, c_out, np.fft.fft(np.conj(c_diff, out=c_diff), _fft_length(diffs.size))
-
-
-def _bluestein(vals: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
-               filter_hat: np.ndarray) -> np.ndarray:
+def _chirp_z(plan: _Plan, key: tuple, vals: np.ndarray, ins: np.ndarray, outs: np.ndarray,
+             chirp: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``chirp(p) sum_q vals[..., q] chirp(q) conj(chirp(p - q))`` for each ``p`` in ``outs``.
 
-    The arrays after ``vals`` are those of :func:`_bluestein_plan`; the last
+    ``ins`` and ``outs`` are contiguous ascending integer ranges; the last
     axis of ``vals`` runs over ``ins``, and leading axes are batched.  The
-    sum is a linear convolution over every difference, done by one FFT
-    convolution in O((Q + P) log(Q + P)) (Bluestein's chirp-z).
+    sum is a linear convolution over every difference ``d = p - q``, done by
+    one FFT convolution at the 7-smooth length :func:`_fft_length` of the
+    differences, the shortest with no wrap-around (Bluestein's chirp-z).
+    The plan part under ``key`` holds ``chirp`` on ``ins``, on ``outs`` and
+    the filter spectrum; ``chirp`` is even in ``m``, so it is evaluated
+    once at every ``|m|`` of the three ranges.
     """
-    Q = c_in.size
+    def build():
+        diffs = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)
+        ranges = [np.abs(r) for r in (ins, outs, diffs)]
+        even = chirp(np.arange(max(int(r.max()) for r in ranges) + 1))
+        c_in, c_out, c_diff = (even[r] for r in ranges)
+        return c_in, c_out, np.fft.fft(np.conj(c_diff, out=c_diff), _fft_length(diffs.size))
+
+    c_in, c_out, filter_hat = plan.part(key, build)
     a = np.fft.fft(vals * c_in, filter_hat.size)
     a *= filter_hat
-    return c_out * np.fft.ifft(a)[..., Q - 1 : Q - 1 + c_out.size]
+    return c_out * np.fft.ifft(a)[..., ins.size - 1 : ins.size - 1 + outs.size]
 
 
 def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.ndarray,
                         n: int) -> np.ndarray:
-    """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k (Bluestein chirp-z).
+    """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k, over the ranges ``js`` and ``ks``.
 
-    ``js`` and ``ks`` are contiguous ascending integer ranges; the last axis
-    of ``vals`` runs over ``js``, and leading axes are batched.  With
-    ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is a chirp-z transform with
-    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``; its chirps and
-    filter are a part of ``plan``.  Overflow is left in the result as inf
-    or NaN, as in :func:`_band_table`.
+    With ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is :func:`_chirp_z` with
+    the exactly reduced chirp ``exp(-i pi m^2 / (2 n^2))``.  Overflow is
+    left in the result as inf or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        chirps = plan.part(("forward", n, int(js[0]), js.size, int(ks[0]), ks.size),
-                           lambda: _bluestein_plan(js, ks, lambda m: _chirp(m, n)))
-        return _bluestein(vals, *chirps) / n
+        key = ("forward", n, int(js[0]), js.size, int(ks[0]), ks.size)
+        return _chirp_z(plan, key, vals, js, ks, lambda m: _chirp(m, n)) / n
 
 
 def _uniform_step(xs: np.ndarray) -> float | None:
@@ -523,18 +504,17 @@ def _chirp_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray
 
     Points are taken as ``x_j = xs[c] + (j - c) h`` about the middle index
     ``c``, so that ``e^{i pi x_j k / n} = e^{i pi xs[c] k / n} e^{i pi h (j - c) k / n}``;
-    the second factor is a chirp-z transform of rate ``pi h / (2n)`` over the
+    the second factor is :func:`_chirp_z` of rate ``pi h / (2n)`` over the
     band, done for all times at once.  Centring keeps ``|j - c - k|`` small.
-    The centring phase, chirps and filter are a part of ``plan``.
+    The centring phase is a part of ``plan`` of its own, beside the
+    chirp-z part, which depends only on ``h`` and the number of points.
     """
-    def build():
-        c = (xs.size - 1) // 2
-        rate = math.fmod(h, 2 * n) / (4 * n)                 # the factor has period 2n in h
-        return (np.exp(1j * np.pi * (ks / n) * xs[c]),
-                *_bluestein_plan(ks, np.arange(-c, xs.size - c), lambda m: _rate_chirp(m, rate)))
-
-    phase, *chirps = plan.part(("chirp", n, int(ks[0]), ks.size, h, xs.tobytes()), build)
-    return _bluestein(coeffs.T * phase, *chirps) / n
+    c = (xs.size - 1) // 2
+    rate = math.fmod(h, 2 * n) / (4 * n)                     # the factor has period 2n in h
+    key = ("chirp", n, int(ks[0]), ks.size)
+    phase, = plan.part(key + (xs.tobytes(),), lambda: (np.exp(1j * np.pi * (ks / n) * xs[c]),))
+    return _chirp_z(plan, key + (h, xs.size), coeffs.T * phase, ks, np.arange(-c, xs.size - c),
+                    lambda m: _rate_chirp(m, rate)) / n
 
 
 def _matrix_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray,
@@ -586,36 +566,13 @@ def _powers(n: int, growth: np.ndarray, times: Sequence[float]) -> np.ndarray:
     return powers
 
 
-def _coefficients(powers: np.ndarray, ghat: np.ndarray | float) -> np.ndarray:
-    """``0.5 ghat_k powers[k, i]``: the columns of :func:`_powers` times half the data transform.
-
-    A two-dimensional ``ghat`` gives one block of columns, one per time,
-    for each column of ``ghat``.
-    """
-    data = 0.5 * np.asarray(ghat, dtype=np.complex128)
-    data = data.reshape(powers.shape[0] if data.ndim else 1, -1)          # one column per data set
-    return (data[:, :, None] * powers[:, None, :]).reshape(powers.shape[0], -1)
-
-
 def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[float, ...],
                 xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """``u[i, j] = (1/n) sum_k 0.5 ghat_k growth_k^{floor(n t_i)} e^{i pi x_j k / n}`` over the
-    window's band, and the band's max ``|growth|``: the powers and the query.
+    """The powers and the query of :func:`solve`: ``u`` and the band's max ``|growth|``.
 
-    ``parts`` holds the transforms of ``Re g`` and, for complex data, of
-    ``Im g``, one row each, on the half band ``k = 0..window.cutoff``.  Each
-    row is one block of columns of one query, ``k > 0`` weighted by 2, and
-    the real part of a block's sums is the real or imaginary part of ``u``.
-    At ``omega' = n`` the half band's last index ``n^2`` carries the
-    unpaired ``-n^2``: as ``ghat(-n^2) = ghat(n^2)`` and ``growth(-n^2) =
-    conj(growth(n^2))``, its term is the conjugate of the ``n^2`` term of
-    ``conj(ghat)``, which is ``conj(ghat)`` in the real block and
-    ``i conj(ghat)`` in the imaginary one, real data's too.  A uniform
-    ``xs`` (:func:`_uniform_step`) takes :func:`_chirp_query`, any other set
-    :func:`_matrix_query`.  The powers and max ``|growth|`` are a part of
-    ``plan``, which is then kept.  A max ``|growth|`` above 1 warns, naming
-    the caller of :func:`solve` or :func:`kernel`; overflow in the powers is
-    left in the table as inf or NaN.
+    ``parts`` holds the transforms, one row per part, on the half band
+    ``k = 0..window.cutoff``; each row is one block of columns of the
+    query.  The warning names the caller of :func:`solve` or :func:`kernel`.
     """
     n = window.params.n
     ks = np.arange(window.cutoff + 1)
@@ -638,10 +595,10 @@ def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[flo
         data = np.zeros((ks.size, 2 if unpaired else len(parts)), dtype=np.complex128)
         data[:, : len(parts)] = 2.0 * parts.T          # the weight 2 of k > 0; k = 0 has weight 1
         data[0] *= 0.5
-        if unpaired:
+        if unpaired:                                   # the conjugate term of -n^2
             ghat = np.conj(parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0))
             data[-1] = ghat, 1j * ghat
-        coeffs = _coefficients(powers, data)
+        coeffs = (0.5 * data[:, :, None] * powers[:, None, :]).reshape(ks.size, -1)
         h = _uniform_step(xs)
         if h is None:
             sums = _matrix_query(plan, coeffs, ks, xs, n)
@@ -664,24 +621,25 @@ def solve(config: SolveConfig) -> SolveResult:
     ``K = floor(omega' n)``, by one batched chirp-z transform; multiply by
     the window's 1/2 and ``growth^{floor(nt)}``, one column per time and
     part; inverse-transform at the query points, all columns at once,
-    keeping real parts (chirp-z for a uniform set, O((|xs| + omega' n) log);
-    the factored direct sum otherwise, O(|xs| omega' n |times|)).  The band
-    is Hermitian, ``growth(-k) = conj(growth(k))``, so for real parts the
-    sum over ``-K..K`` is ``Re`` of the sum over ``k >= 0`` with ``k > 0``
-    weighted by 2.  The powers and the query are :func:`_band_table`,
-    which :func:`kernel` shares.  At ``omega' = n`` the band is
-    ``-n^2..n^2 - 1``: the unpaired ``-n^2`` takes the transforms at
-    ``k = n^2``, as ``e^{-i pi j} = e^{i pi j}``, and its term is the
-    conjugate of a ``k = n^2`` term of the same query.  Real data takes
-    one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
+    keeping real parts: chirp-z for a uniform set (:func:`_uniform_step`),
+    O((|xs| + omega' n) log), the factored direct sum otherwise,
+    O(|xs| omega' n |times|).  The band is Hermitian,
+    ``growth(-k) = conj(growth(k))``, so for real parts the sum over
+    ``-K..K`` is ``Re`` of the sum over ``k >= 0`` with ``k > 0`` weighted
+    by 2.  At ``omega' = n`` the band is ``-n^2..n^2 - 1``: the unpaired
+    ``-n^2`` takes the transforms at ``k = n^2``, as
+    ``e^{-i pi j} = e^{i pi j}``, and its term is the conjugate of a
+    ``k = n^2`` term with ``conj(ghat)``, in the real part's columns, and
+    ``i conj(ghat)``, in the imaginary part's, real data's too.  Real data
+    takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
     Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
     Everything that does not depend on the data (chirps, filter spectra,
     growth powers, query exponentials) is the grid's plan (:class:`_Plan`),
     reused by later solves and :func:`kernel` tables on that grid with the
-    same result bit for bit.  Outside the stability band
-    (:func:`stability_radius`) ``|growth| > 1`` and a ``RuntimeWarning``
-    says so; overflow in the powers is left to
-    :meth:`SolveResult.first_non_finite` to report.
+    same result bit for bit.  ``max_growth`` is the largest ``|growth|`` in
+    the band; above 1, outside the stability band
+    (:func:`stability_radius`), a ``RuntimeWarning`` says so, and overflow
+    in the powers is left to :meth:`SolveResult.first_non_finite` to report.
     """
     js, gvals = _truncated_samples(config)
     window = Window(config.params, config.omega_prime)

@@ -51,24 +51,14 @@ __all__ = [
     "boundary_corrections",
 ]
 
-@lru_cache(maxsize=8)
-def _half_period_signs(n: int) -> np.ndarray:
-    """``(-1)^k`` for k = -n^2..n^2-1 (phase from shifting the DFT origin)."""
-    k = np.arange(-n * n, n * n)
-    return np.where(k % 2 == 0, 1.0, -1.0)
-
 
 def _transform(f: GridFunction, sign: int) -> GridFunction:
     # Index shift j -> j + n^2 turns the kernel into a plain DFT of
     # period M = 2 n^2, at the price of the (-1)^k prefactor.
-    n = f.params.n
     M = f.params.space_count
-    if sign < 0:
-        spec = np.fft.fft(f.values, axis=-1)
-    else:
-        spec = M * np.fft.ifft(f.values, axis=-1)
-    k = np.arange(-n * n, n * n)
-    return GridFunction(f.params, (_half_period_signs(n) * spec[..., k % M]) / n)
+    spec = np.fft.fft(f.values, axis=-1) if sign < 0 else M * np.fft.ifft(f.values, axis=-1)
+    k = f.params.space_indices()
+    return GridFunction(f.params, (np.where(k % 2, -1.0, 1.0) * spec[..., k % M]) / f.params.n)
 
 
 def forward(f: GridFunction) -> GridFunction:
@@ -128,7 +118,7 @@ def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     # e^{-i pi ((n^2-1)/n) x} and e^{-i pi (-n) x} at frequency x = k/n; the
     # latter collapses to (-1)^k on the grid.
     exp_top = np.exp(-1j * np.pi * (n * n - 1) * k / (n * n))
-    exp_bot = _half_period_signs(n).astype(np.complex128)
+    exp_bot = np.where(k % 2, -1.0 + 0j, 1.0 + 0j)
     exp_cell = np.exp(1j * np.pi * k / (n * n))     # e^{+i pi x / n}
 
     c = f_top * exp_top - f_bot * exp_bot

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import hyperheat.transform
 from conftest import fresh_env, run_fresh
-from hyperheat import oracle
+from hyperheat import evolution, oracle
 from hyperheat.cli import _write_csv, _write_table, main, parse_boundary
 from hyperheat.evolution import SolveConfig, SolveResult, solve
 from hyperheat.grid import GridFunction
@@ -654,6 +654,38 @@ def test_malformed_range_names_its_syntax(tmp_path, capsys, spec):
     assert main(["solve", f"--xs={spec}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"configuration error: --xs expects a,b,c or lo:hi:count with a whole count >= 0, got {spec!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warning_mode", ["default", "error"])
+@pytest.mark.parametrize("flag, spec", [("xs", "-1e308:1e308:20"), ("xs", "-1e308:1e308:1"),
+                                        ("times", "-1e308:1e308:3")])
+def test_overflowing_range_is_one_line_config_error(tmp_path, flag, spec, warning_mode):
+    # every endpoint is finite, but hi - lo is not; numpy must not warn about it first
+    out = tmp_path / "out.csv"
+    argv, env = cli_command(["solve", "--n", "8", f"--{flag}={spec}", "--out", str(out)])
+    proc = subprocess.run(argv, env=dict(env, PYTHONWARNINGS=warning_mode), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: --{flag} expects lo, hi and hi - lo finite, got {spec!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_allocation_failure_is_one_line(tmp_path, monkeypatch, capsys, to_file):
+    # a stub: numpy refuses the n=3037000500 samples (181 GiB) at once, but a test must not ask
+    message = "Unable to allocate 181. GiB for an array with shape (24296004000,) and data type int64"
+
+    def refuse(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(evolution, "solve", refuse)
+    out = tmp_path / "out.csv"
+    argv = ["solve", "--n", "3037000500", "--xs", "0"] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"solve failed: not enough memory: {message}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

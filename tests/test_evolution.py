@@ -235,7 +235,7 @@ class TestWindow:
         ks = w.band_indices()
         for t in (0.0, 0.25, 1.0, 7.5):
             values = _windowed_symbol(w, t).values
-            column = evolution._coefficients(evolution._powers(p.n, propagator(p.n, ks), (t,)), 1.0)[:, 0]
+            column = 0.5 * evolution._powers(p.n, propagator(p.n, ks), (t,))[:, 0]
             assert np.array_equal(values[ks + p.n**2], column)
             assert np.count_nonzero(values) == np.count_nonzero(column)
 
@@ -477,7 +477,7 @@ class TestGrowthPowers:
         params = GridParams(64)
         ks = Window(params, 3.0).band_indices()
         ghat = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-        coeffs = evolution._coefficients(evolution._powers(64, propagator(64, ks), (0.01, 0.5)), ghat)
+        coeffs = 0.5 * ghat[:, None] * evolution._powers(64, propagator(64, ks), (0.01, 0.5))
         assert np.array_equal(coeffs[:, 0], 0.5 * ghat)
 
 
@@ -493,6 +493,34 @@ def band_cases(draw):
         return np.arange(start, start + length)
 
     return n, contiguous(), contiguous(), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def chirp_z_cases(draw):
+    """Ranges ``ins`` and ``outs`` anywhere about 0, 1 to 3 rows of data, a chirp and a data seed."""
+    def contiguous():
+        start = draw(st.integers(-150, 150))
+        return np.arange(start, start + draw(st.integers(1, 100)))
+
+    n = draw(st.integers(1, 64))
+    rate = draw(st.floats(-1.0, 1.0))
+    chirp = draw(st.sampled_from([lambda m: _chirp(m, n), lambda m: evolution._rate_chirp(m, rate)]))
+    return contiguous(), contiguous(), draw(st.integers(1, 3)), chirp, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chirp_z_cases())
+@example(case=(np.arange(-40, -10), np.arange(5, 60), 2, lambda m: _chirp(m, 4), 0))
+@example(case=(np.arange(-7, 9), np.arange(-30, 3), 3, lambda m: evolution._rate_chirp(m, 0.3), 1))
+def test_chirp_z_routine_matches_direct_sum(case):
+    ins, outs, rows, chirp, seed = case
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((rows, ins.size)) + 1j * rng.standard_normal((rows, ins.size))
+    got = evolution._chirp_z(evolution._Plan(), ("test",), vals, ins, outs, chirp)
+    ref = np.array([[chirp(np.array([p]))[0] * np.sum(row * chirp(ins) * np.conj(chirp(p - ins)))
+                     for p in outs] for row in vals])
+    assert got.shape == (rows, outs.size)
+    assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum(axis=1).max())
 
 
 class TestBandTransform:
@@ -522,7 +550,9 @@ class TestBandTransform:
         # the solve-band forward (4096 samples onto k = 0..1536) and query (1537 onto 41 points)
         for ins, outs, size in ((np.arange(-2048, 2048), np.arange(1537), 5670),
                                 (np.arange(1537), np.arange(-20, 21), 1600)):
-            filter_hat = evolution._bluestein_plan(ins, outs, lambda m: _chirp(m, 512))[2]
+            plan = evolution._Plan()
+            evolution._chirp_z(plan, ("filter",), np.zeros(ins.size), ins, outs, lambda m: _chirp(m, 512))
+            filter_hat = plan.built[("filter",)][2]
             assert filter_hat.size == evolution._fft_length(ins.size + outs.size - 1) == size
 
     # small grids put part of the window outside the stability band; the warning is expected
@@ -752,7 +782,7 @@ def _full_band_reference(config, ghat=None):
     if ghat is None:
         ghat = _restricted_forward(evolution._Plan(), js, gvals, ks, config.n)
     growth = propagator(config.n, ks)
-    coeffs = evolution._coefficients(evolution._powers(config.n, growth, config.times), ghat)
+    coeffs = 0.5 * np.reshape(ghat, (-1, 1)) * evolution._powers(config.n, growth, config.times)
     scale = 4e-14 if np.abs(growth).max() > 1.0 + 1e-12 else 1e-14
     bound = scale * (1 + np.abs(coeffs).sum(axis=0).max() / config.n)
     return reference_query(np.asarray(config.xs), ks, coeffs, config.n), bound

@@ -36,6 +36,34 @@ def test_every_command_is_a_hyperheat_command():
     assert commands == {"validate", "solve", "kernel", "converge", "rates"}
 
 
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # and a trailing one\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    'One line.'\n"
+        "\n"
+        "    def f(self, x):\n"
+        '        """Two\n'
+        '        lines."""\n'
+        '        s = """not a\n'
+        'docstring"""\n'
+        "        return math.sqrt(x)\n"
+    )
+    # import, class, def, the two lines of s and return
+    assert compare_outputs.code_lines(source) == 6
+    package = tmp_path / "src" / "hyperheat"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(source, encoding="utf-8")
+    (package / "b.py").write_text("x = 1\n", encoding="utf-8")
+    assert compare_outputs.package_size(tmp_path) == (16 + 1, 6 + 1)
+
+
 def test_stderr_differing_only_in_the_cli_line_number_compares_equal():
     tree = Path("/checkout")
     warning = ("{}/src/hyperheat/cli.py:{}: RuntimeWarning: |growth| reaches 33 inside the "

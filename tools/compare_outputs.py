@@ -12,16 +12,21 @@ matrix and on the chirp-z query, and a ``solve`` and a ``kernel`` at a
 point so far out that the closed forms' squares overflow, and the
 pricing surface's 8 x 2001 rows without the oracle columns, for
 ``indicator:-1,1``, and with a non-zero imaginary column, for the complex
-file) runs in both trees, each in a fresh interpreter with the CSV on
-standard output.  For each command one line says ``identical``, or names
-each column that changed with its count of changed cells and its largest
-``|delta|``; differences in standard error (where the line numbers of
-``cli.py`` read ``cli.py:<line>``) or exit code follow.  The exit status is
-0 when every output is identical, else 1.
+file, and a ``solve`` of 16 non-uniform points at 2 times at n=512, on
+the factored matrix) runs in both trees, each in a fresh interpreter with
+the CSV on standard output.  For each command one line says
+``identical``, or names each column that changed with its count of changed
+cells and its largest ``|delta|``; differences in standard error (where
+the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
+follow.  A last line gives the size of ``src/hyperheat`` in both trees:
+its ``wc -l`` lines and its code lines, those that hold a token other
+than a comment and are not part of a docstring (:func:`code_lines`).  The
+exit status is 0 when every output is identical, else 1.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import math
@@ -30,6 +35,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +62,12 @@ COMMANDS = (
     "kernel --n 64 --xs=1e200,0",
     "solve --n 128 --g indicator:-1,1 --times 0.25:2:8 --xs=-4:4:2001",
     "solve --n 128 --g sampled:{data} --times 0.25:2:8 --xs=-4:4:2001",
+    "solve --n 512 --times 0.5,1 --xs=-3,-2.6,-2.1,-1.7,-1.2,-0.9,-0.5,-0.2,0,0.15,0.4,0.8,1.3,1.9,2.6,3.4",
 )
+
+# tokens that hold no code
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
 
 
 def write_complex_data(path: Path) -> None:
@@ -86,6 +97,27 @@ def run(tree: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
                           env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True, text=True, timeout=600)
     return proc.returncode, proc.stdout, normalise_stderr(proc.stderr, tree)
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold a token other than a comment and are not part of a
+    docstring (of the module, a class or a function)."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _LAYOUT:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docs)
+
+
+def package_size(tree: Path) -> tuple[int, int]:
+    """``wc -l`` lines and :func:`code_lines` of the modules of ``tree/src/hyperheat``."""
+    texts = [path.read_text(encoding="utf-8") for path in (tree / "src" / "hyperheat").glob("*.py")]
+    return sum(text.count("\n") for text in texts), sum(map(code_lines, texts))
 
 
 def compare_csv(old: str, new: str) -> list[str]:
@@ -143,6 +175,9 @@ def main(argv: list[str]) -> int:
             print(f"{command}: {'identical' if not diff else diff[0]}")
             for line in diff[1:]:
                 print(f"    {line}")
+        (old_lines, old_code), (new_lines, new_code) = package_size(base), package_size(ROOT)
+    print(f"src/hyperheat: {old_lines:,} -> {new_lines:,} lines (wc -l), "
+          f"{old_code:,} -> {new_code:,} code lines")
     return 0 if same else 1
 
 
