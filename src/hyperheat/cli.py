@@ -52,17 +52,12 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield fh
 
 
-def _write_csv(out: str | None, header: Sequence[str], columns) -> None:
-    """Write equal-length ``columns`` under ``header`` through :mod:`csv`.
+def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
+    """Write ``rows`` under ``header`` through :mod:`csv`.
 
     For the small mixed tables (``validate``, ``converge``, ``rates``), whose
-    cells may need quoting.  Each column goes through
-    ``numpy.asarray(...).tolist()``, so cells reach the writer as Python
-    scalars: floats print as their shortest round-trip ``repr``, everything
-    else via ``str()``.  A column that mixes strings with numbers becomes
-    strings, which numpy prints the same way.
+    cells may need quoting.
     """
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with _output(out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -149,7 +144,7 @@ def run_validate(args) -> int:
         rows.append((name, ratio, ok))
         if not ok and failed is None:
             failed = name
-    _write_csv(args.out, ("identity", "residual_over_tolerance", "pass"), zip(*rows))
+    _write_csv(args.out, ("identity", "residual_over_tolerance", "pass"), rows)
     if failed is not None:
         print(f"validation failed: {failed}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -253,7 +248,6 @@ def run_converge(args) -> int:
     reference = bc.closed_form if bc.closed_form_fn is not None else (
         lambda t, xs: oracle.classical_column(bc, t, xs))
     refs = np.array([reference(t, configs[0].xs).real for t in configs[0].times])
-    errs = []
     rows = []
     for config in configs:
         result = evolution.solve(config)
@@ -266,11 +260,10 @@ def run_converge(args) -> int:
             print(f"converge failed at n={config.n}: the error is exactly 0, "
                   f"so no convergence order can be fitted", file=sys.stderr)
             return EXIT_VALIDATION
-        errs.append(err)
         rows.append((config.n, err, config.regime_flag))
-    order = checks.fitted_order(n_list, errs)
+    order = checks.fitted_order(n_list, [err for _, err, _ in rows])
     rows.append(("order", order, ""))
-    _write_csv(args.out, ("n", "max_err", "regime_flag"), zip(*rows))
+    _write_csv(args.out, ("n", "max_err", "regime_flag"), rows)
     print(f"fitted convergence order: {order:.4f}", file=sys.stderr)
     return EXIT_OK
 
@@ -281,7 +274,7 @@ def run_converge(args) -> int:
 def run_rates(args) -> int:
     """One row per verdict of :func:`checks.rate_verdicts`; exit 0 iff all pass."""
     rows = checks.rate_verdicts()
-    _write_csv(args.out, ("check", "param", "observed", "bound_or_bracket", "pass"), zip(*rows))
+    _write_csv(args.out, ("check", "param", "observed", "bound_or_bracket", "pass"), rows)
     bad = sorted({check for check, *_, ok in rows if not ok})
     if bad:
         print(f"rate checks failed: {', '.join(bad)}", file=sys.stderr)

@@ -63,9 +63,6 @@ _MAX_CHIRP_INDEX = math.isqrt(2**63 - 1)
 # Complex entries in one block of the factored query product (points x coarse x times): 4 MiB.
 _QUERY_BLOCK_ENTRIES = 1 << 18
 
-# Uniform query sets of this many points take the chirp-z evaluation.
-_MIN_CHIRP_POINTS = 16
-
 # Bytes of plan arrays kept between calls (see _Plan): 32 MiB.
 _PLAN_BUDGET = 32 << 20
 
@@ -484,14 +481,13 @@ def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.nd
 
 
 def _uniform_step(xs: np.ndarray) -> float | None:
-    """The step ``h`` when ``xs`` is an arithmetic progression of at least
-    ``_MIN_CHIRP_POINTS`` points, else ``None``.
+    """The step ``h`` when ``xs`` is an arithmetic progression of at least 2 points, else ``None``.
 
     Every point must lie within 4 ulps of ``max|x|`` of ``xs[0] + j h``, with
     ``h = (xs[-1] - xs[0]) / (J - 1)``; ``lo:hi:count`` query sets do.
     """
     J = xs.size
-    if J < _MIN_CHIRP_POINTS:
+    if J < 2:
         return None
     h = (xs[-1] - xs[0]) / (J - 1)
     tol = 4.0 * np.spacing(np.abs(xs).max())
@@ -599,7 +595,8 @@ def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[flo
             ghat = np.conj(parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0))
             data[-1] = ghat, 1j * ghat
         coeffs = (0.5 * data[:, :, None] * powers[:, None, :]).reshape(ks.size, -1)
-        h = _uniform_step(xs)
+        # the chirp-z once the set fills one fine block of the matrix, B = ceil(sqrt(|ks|)) points
+        h = _uniform_step(xs) if xs.size ** 2 >= ks.size else None
         if h is None:
             sums = _matrix_query(plan, coeffs, ks, xs, n)
         else:
@@ -621,9 +618,10 @@ def solve(config: SolveConfig) -> SolveResult:
     ``K = floor(omega' n)``, by one batched chirp-z transform; multiply by
     the window's 1/2 and ``growth^{floor(nt)}``, one column per time and
     part; inverse-transform at the query points, all columns at once,
-    keeping real parts: chirp-z for a uniform set (:func:`_uniform_step`),
-    O((|xs| + omega' n) log), the factored direct sum otherwise,
-    O(|xs| omega' n |times|).  The band is Hermitian,
+    keeping real parts: chirp-z, O((|xs| + omega' n) log), for a uniform
+    set (:func:`_uniform_step`) of ``|xs|^2 >= K + 1`` points, so at least
+    one fine block of the matrix; the factored direct sum,
+    O(|xs| omega' n |times|), otherwise.  The band is Hermitian,
     ``growth(-k) = conj(growth(k))``, so for real parts the sum over
     ``-K..K`` is ``Re`` of the sum over ``k >= 0`` with ``k > 0`` weighted
     by 2.  At ``omega' = n`` the band is ``-n^2..n^2 - 1``: the unpaired

@@ -90,7 +90,7 @@ class TestCsvFormat:
     def test_cells_print_as_python_scalars(self, tmp_path):
         out = tmp_path / "cells.csv"
         _write_csv(str(out), ("a", "b", "c", "d", "e", "f"),
-                   [[np.float64(0.1)], [1e-05], [-0.0], [np.True_], [3], ["order"]])
+                   [(np.float64(0.1), 1e-05, -0.0, np.True_, 3, "order")])
         assert out.read_bytes() == b"a,b,c,d,e,f\r\n0.1,1e-05,-0.0,True,3,order\r\n"
 
     @settings(max_examples=200, deadline=None)

@@ -635,7 +635,7 @@ def uniform_query_cases(draw):
     # six decimals: arbitrary steps, but no subnormal range, where linspace
     # itself strays by more than 4 ulps from an arithmetic progression
     lo, hi = (draw(st.floats(-8.0, 8.0).map(lambda v: round(v, 6))) for _ in range(2))
-    count = draw(st.integers(evolution._MIN_CHIRP_POINTS, 600))
+    count = draw(st.integers(2, 600))
     return n, radius, np.linspace(lo, hi, count), draw(st.integers(0, 2**32 - 1))
 
 
@@ -717,17 +717,35 @@ class TestUniformQuery:
     @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
     @pytest.mark.parametrize("radius", [3.0, 8.0])
     def test_one_query_per_call(self, radius):
-        # the unpaired index of omega' = n rides in the same query: a uniform
-        # set never takes the matrix, any other set takes it once
+        # the unpaired index of omega' = n rides in the same query: a uniform set
+        # of |xs|^2 >= |ks| points takes the chirp-z once, any other set the matrix
         for xs in (np.linspace(-1, 1, 21), np.linspace(-1, 1, 5)):
             config, _ = _random_data_solve(8, radius, xs, 0, imaginary=False)
             window = Window(config.params, radius)
-            for run in (lambda: solve(config), lambda: kernel(window, config.times, xs)):
-                with mock.patch.object(evolution, "_matrix_query", wraps=evolution._matrix_query) as matrix, \
-                        mock.patch.object(evolution, "_chirp_query", wraps=evolution._chirp_query) as chirp:
-                    run()
-                expected = (1, 0) if xs.size == 21 else (0, 1)
-                assert (chirp.call_count, matrix.call_count) == expected
+            expected = (1, 0) if xs.size ** 2 >= window.cutoff + 1 else (0, 1)
+            assert _query_calls(lambda: solve(config)) == expected
+            assert _query_calls(lambda: kernel(window, config.times, xs)) == expected
+
+    # at n=8, omega' = 3 reaches outside the stability band; the warning is expected
+    @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+    @pytest.mark.parametrize("n", [8, 512, 4096])
+    def test_chirp_z_from_one_fine_block(self, n):
+        # B = ceil(sqrt(|ks|)) points, one fine block of the matrix, take the chirp-z; one fewer do not
+        window = Window(GridParams(n), 3.0)
+        block = math.isqrt(window.cutoff) + 1
+        for count, expected in ((block - 1, (0, 1)), (block, (1, 0))):
+            xs = np.linspace(-2, 2, count)
+            config = SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(),
+                                 times=(0.5,), xs=tuple(xs))
+            assert _query_calls(lambda: solve(config)) == expected
+            assert _query_calls(lambda: kernel(window, (0.5,), xs)) == expected
+
+    def test_set_below_one_fine_block_on_a_large_band(self):
+        # 41 points against B = 79 at n=2048: the matrix, which matches the full band
+        config, _ = _random_data_solve(2048, 3.0, np.linspace(-2, 2, 41), 0, imaginary=True)
+        u = solve(config).u
+        ref, bound = _full_band_reference(config)
+        assert np.abs(u - ref).max() <= bound
 
     def test_gaussian_surface_is_real(self):
         config = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=gaussian(),
@@ -755,6 +773,14 @@ class TestUniformQuery:
         assert np.array_equal(run(xs[perm]), shuffled)
         for points, u in zip(few, default):
             assert np.array_equal(run(points), u)
+
+
+def _query_calls(run):
+    """The calls of ``run()`` to the chirp-z and to the factored matrix query."""
+    with mock.patch.object(evolution, "_matrix_query", wraps=evolution._matrix_query) as matrix, \
+            mock.patch.object(evolution, "_chirp_query", wraps=evolution._chirp_query) as chirp:
+        run()
+    return chirp.call_count, matrix.call_count
 
 
 def _random_data_solve(n, radius, xs, seed, imaginary):
