@@ -5,7 +5,13 @@ of data, or a stack of draws, as residual over its identity's only tolerance
 (at most 1 when it holds), taken per slice; each criterion function returns
 the worst ratio over ``trials`` random complex grid functions per ``n`` in
 ``ns``, drawn from ``rng``.  Criteria 1-3 judge the ``trials`` draws of one
-``n`` as one stack, so each transform runs once per ``n``.
+``n`` as one stack, and the arrays a ratio transforms together are stacked
+too.  Per ``n``, the convolution theorem makes one call in each direction
+over ``(f, g, f*g)``, and the difference identities one ``forward`` over
+``(f, d_x f, d_xx f)`` and one ``boundary_corrections``; the two round trips
+are two calls in each direction, because each transforms the other's input.
+Criterion 4 stacks the slices stepped from one draw: one ``forward`` and
+one ``boundary_corrections`` per draw.
 Rate estimates (criterion 8) carry existence-only constants, so
 :func:`rate_verdicts` judges shapes: a fitted decay order inside a bracket,
 or a concrete bound evaluated numerically.
@@ -20,7 +26,7 @@ import numpy as np
 
 from . import oracle, transform
 from .evolution import convolve, evolve, spectral_hat
-from .grid import GridFunction, GridParams, d_x, d_xx
+from .grid import GridFunction, GridParams, d_x
 
 # Tolerance of the exact identities (criteria 1-3), scaled per identity.
 _IDENTITY_TOL = 1e-9
@@ -57,19 +63,14 @@ def convolution_ratio(f: GridFunction, g: GridFunction) -> float:
     """``hat(f*g) = f_hat g_hat`` and its inverse analogue.
 
     The tolerance is ``_IDENTITY_TOL (1 + max|f_hat g_hat|)``.  ``f`` and
-    ``g`` are stacks of one shape; :func:`convolve` takes one pair of slices
-    at a time, the transforms the whole stack.
+    ``g`` are stacks of one shape: :func:`convolve` takes them whole, and
+    each direction transforms ``f``, ``g`` and ``f*g`` in one call.
     """
-    if f.values.shape != g.values.shape:
-        raise ValueError(f"stack shapes differ: {f.values.shape} and {g.values.shape}")
-    p = f.params
-    pairs = zip(f.values.reshape(-1, p.space_count), g.values.reshape(-1, p.space_count))
-    conv = GridFunction(p, np.reshape([convolve(GridFunction(p, a), GridFunction(p, b)).values
-                                       for a, b in pairs], f.values.shape))
-    fg_hat = transform.forward(f).values * transform.forward(g).values
-    r_fwd = _peak(transform.forward(conv).values - fg_hat)
-    r_inv = _peak(transform.inverse(conv).values
-                  - transform.inverse(f).values * transform.inverse(g).values)
+    stack = GridFunction(f.params, (f.values, g.values, convolve(f, g).values))
+    fwd, inv = transform.forward(stack).values, transform.inverse(stack).values
+    fg_hat = fwd[0] * fwd[1]
+    r_fwd = _peak(fwd[2] - fg_hat)
+    r_inv = _peak(inv[2] - inv[0] * inv[1])
     return float((np.maximum(r_fwd, r_inv) / (_IDENTITY_TOL * (1.0 + _peak(fg_hat)))).max())
 
 
@@ -80,27 +81,32 @@ def derivative_ratio(f: GridFunction) -> float:
     """
     n = f.params.n
     psi = transform.spectral_symbols(f.params).values
-    f_hat = transform.forward(f).values
+    df = d_x(f)                                     # d_xx(f) is d_x(d_x(f))
+    stack = GridFunction(f.params, (f.values, df.values, d_x(df).values))
+    f_hat, dx_hat, dxx_hat = transform.forward(stack).values
     corr = transform.boundary_corrections(f)
     peak = _peak(f.values)
-    r_dx = _peak(transform.forward(d_x(f)).values - (psi * f_hat - corr.e.values))
-    r_dxx = _peak(transform.forward(d_xx(f)).values - (psi * psi * f_hat - corr.f_corr.values))
+    r_dx = _peak(dx_hat - (psi * f_hat - corr.e.values))
+    r_dxx = _peak(dxx_hat - (psi * psi * f_hat - corr.f_corr.values))
     return float(np.maximum(r_dx / (_IDENTITY_TOL * (1.0 + n * peak)),
                             r_dxx / (_IDENTITY_TOL * (1.0 + n * n * peak))).max())
 
 
 def _stepper_ratio(g: GridFunction, steps: int, corrected: bool) -> float:
-    slices = evolve(g, steps)
-    corrections = ([transform.boundary_corrections(s).f_corr for s in slices[:steps]]
+    """Worst residual over tolerance of slices ``0 .. steps`` stepped from one slice ``g``.
+
+    The stepped slices are one stack: one transform gives ``g_hat`` (row 0)
+    and every reference, one boundary-corrections call every correction.
+    """
+    p = g.params
+    slices = GridFunction(p, [s.values for s in evolve(g, steps)])
+    refs = transform.forward(slices).values
+    corrections = ([GridFunction(p, c) for c in
+                    transform.boundary_corrections(GridFunction(p, slices.values[:steps])).f_corr.values]
                    if corrected else None)
-    ghat = transform.forward(g)
-    worst = 0.0
-    for i, s in enumerate(slices):
-        ref = transform.forward(s)
-        got = spectral_hat(ghat, corrections, i)
-        tol = _STEPPER_TOL * max(1.0, ref.max_abs())
-        worst = max(worst, np.abs(got.values - ref.values).max() / tol)
-    return float(worst)
+    ghat = GridFunction(p, refs[0])
+    got = np.stack([spectral_hat(ghat, corrections, i).values for i in range(steps + 1)])
+    return float((_peak(got - refs) / (_STEPPER_TOL * np.maximum(1.0, _peak(refs)))).max())
 
 
 def _worst(ratio, arity: int, ns: Iterable[int], trials: int, rng) -> float:

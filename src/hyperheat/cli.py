@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import os
@@ -243,7 +244,8 @@ def run_converge(args) -> int:
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"converge needs distinct grid sizes, got {args.n_list}")
     bc = parse_boundary(args.g)
-    configs = [_solve_config(args, bc, n) for n in n_list]
+    first = _solve_config(args, bc, n_list[0])      # parses --times and --xs once
+    configs = [dataclasses.replace(first, n=n) for n in n_list]
     # the reference does not depend on n: one evaluation per time, over all points
     reference = bc.closed_form if bc.closed_form_fn is not None else (
         lambda t, xs: oracle.classical_column(bc, t, xs))

@@ -174,16 +174,23 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
     Periodicity with period ``2 n^2`` is exactly the convention under which
     the transform of a convolution factorises; a unit-mass discrete delta
-    ``n * delta_0`` is the identity element.
+    ``n * delta_0`` is the identity element.  ``f`` and ``g`` are slices or
+    stacks of one shape, convolved slice with slice, each by a direct sum
+    (not an FFT), with the same result as each pair on its own.
     """
     if f.params != g.params:
         raise ValueError("grid mismatch")
+    if f.values.shape != g.values.shape:
+        raise ValueError(f"stack shapes differ: {f.values.shape} and {g.values.shape}")
     M = f.params.space_count
-    lin = np.convolve(f.values, g.values)      # direct summation, not FFT
-    circ = lin[:M].copy()
-    circ[: M - 1] += lin[M:]
+    h = M // 2
+    lin = np.array([np.convolve(a, b) for a, b in
+                    zip(f.values.reshape(-1, M), g.values.reshape(-1, M))])
+    circ = lin[:, :M].copy()
+    circ[:, : M - 1] += lin[:, M:]
     # positions encode index+n^2, so the folded result is rotated by n^2
-    return GridFunction(f.params, np.roll(circ, -(M // 2)) / f.params.n)
+    folded = np.concatenate((circ[:, h:], circ[:, :h]), axis=-1)
+    return GridFunction(f.params, folded.reshape(f.values.shape) / f.params.n)
 
 
 class Window:

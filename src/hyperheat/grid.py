@@ -97,13 +97,12 @@ class GridFunction:
     __slots__ = ("params", "_values")
 
     def __init__(self, params: GridParams, values: np.ndarray) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = np.array(values, dtype=np.complex128)    # always a fresh copy, made once
         if arr.ndim == 0 or arr.shape[-1] != params.space_count:
             raise ValueError(
                 f"expected {params.space_count} values on the last axis for n={params.n}, "
                 f"got shape {arr.shape}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         self.params = params
         self._values = arr

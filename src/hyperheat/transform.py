@@ -52,13 +52,32 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=8)
+def _half_shift_signs(params: GridParams) -> np.ndarray:
+    """``(-1)^k`` at the frequency indices ``k = -n^2 .. n^2 - 1``, read-only.
+
+    It is ``e^{-i pi (-n) x}`` at the frequencies ``x = k/n``.  The values
+    are ``-1 + 0j`` and ``1 + 0j``: a product with a complex value casts a
+    real ``-1.0`` or ``1.0`` to these, so the complex type saves the cast
+    and changes no bit.
+    """
+    signs = np.where(params.space_indices() % 2, -1.0 + 0j, 1.0 + 0j)
+    signs.setflags(write=False)
+    return signs
+
+
 def _transform(f: GridFunction, sign: int) -> GridFunction:
     # Index shift j -> j + n^2 turns the kernel into a plain DFT of
-    # period M = 2 n^2, at the price of the (-1)^k prefactor.
-    M = f.params.space_count
+    # period M = 2 n^2, at the price of the (-1)^k prefactor.  Frequency k
+    # sits at DFT position k mod M: k < 0 in the top half, k >= 0 in the
+    # bottom half, so the reorder is a rotation by h = n^2.
+    p = f.params
+    M, h = p.space_count, p.n * p.n
     spec = np.fft.fft(f.values, axis=-1) if sign < 0 else M * np.fft.ifft(f.values, axis=-1)
-    k = f.params.space_indices()
-    return GridFunction(f.params, (np.where(k % 2, -1.0, 1.0) * spec[..., k % M]) / f.params.n)
+    out = np.concatenate((spec[..., h:], spec[..., :h]), axis=-1)
+    np.multiply(_half_shift_signs(p), out, out=out)     # signs first: NaN bits follow operand order
+    out /= p.n
+    return GridFunction(p, out)
 
 
 def forward(f: GridFunction) -> GridFunction:
@@ -102,6 +121,21 @@ class BoundaryCorrections:
     f_corr: GridFunction
 
 
+@lru_cache(maxsize=8)
+def _boundary_phases(params: GridParams) -> tuple[np.ndarray, np.ndarray]:
+    """``e^{-i pi ((n^2-1)/n) x}`` and ``e^{+i pi x / n}`` at the frequencies ``x = k/n``, read-only.
+
+    With :func:`_half_shift_signs`, the phases of :func:`boundary_corrections`.
+    """
+    n = params.n
+    k = params.space_indices()
+    exp_top = np.exp(-1j * np.pi * (n * n - 1) * k / (n * n))
+    exp_cell = np.exp(1j * np.pi * k / (n * n))
+    exp_top.setflags(write=False)
+    exp_cell.setflags(write=False)
+    return exp_top, exp_cell
+
+
 def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     """Evaluate both correction functions on the full frequency grid, per slice of a stack."""
     params = slice_.params
@@ -114,13 +148,8 @@ def boundary_corrections(slice_: GridFunction) -> BoundaryCorrections:
     f_bot = slice_.values[..., :1]                  # value at -n
     df_bot = d_x(slice_).values[..., :1]            # forward difference at -n
 
-    k = params.space_indices()
-    # e^{-i pi ((n^2-1)/n) x} and e^{-i pi (-n) x} at frequency x = k/n; the
-    # latter collapses to (-1)^k on the grid.
-    exp_top = np.exp(-1j * np.pi * (n * n - 1) * k / (n * n))
-    exp_bot = np.where(k % 2, -1.0 + 0j, 1.0 + 0j)
-    exp_cell = np.exp(1j * np.pi * k / (n * n))     # e^{+i pi x / n}
-
+    exp_top, exp_cell = _boundary_phases(params)
+    exp_bot = _half_shift_signs(params)
     c = f_top * exp_top - f_bot * exp_bot
     d = -(1.0 / n) * f_bot * exp_cell * exp_bot
     c_prime = -df_bot * exp_bot

@@ -9,8 +9,9 @@ import pytest
 
 import hyperheat
 from hyperheat import (GridFunction, GridParams, SolveConfig, SolveResult, Window, convolve,
-                       kernel_slice)
-from hyperheat.evolution import _truncated_samples
+                       kernel_slice, transform)
+from hyperheat.checks import _STEPPER_TOL
+from hyperheat.evolution import _truncated_samples, evolve, spectral_hat
 
 
 def fresh_env() -> dict:
@@ -69,6 +70,37 @@ def reference_inverse(f: GridFunction) -> np.ndarray:
     for p, k in enumerate(js):
         out[p] = np.sum(f.values * np.exp(1j * np.pi * js * k / (n * n))) / n
     return out
+
+
+def gather_transform(f: GridFunction, sign: int) -> np.ndarray:
+    """The transform pair as one FFT of period ``M = 2 n^2``, reordered by a gather.
+
+    Frequency ``k`` is read from FFT position ``k mod M`` by fancy indexing,
+    times ``(-1)^k`` and ``1/n``; ``sign < 0`` is :func:`forward`, else
+    :func:`inverse`.  The library's rotation by ``n^2`` must equal it bit for bit.
+    """
+    M = f.params.space_count
+    spec = np.fft.fft(f.values, axis=-1) if sign < 0 else M * np.fft.ifft(f.values, axis=-1)
+    k = f.params.space_indices()
+    return (np.where(k % 2, -1.0, 1.0) * spec[..., k % M]) / f.params.n
+
+
+def stepper_ratio_per_slice(g: GridFunction, steps: int, corrected: bool) -> float:
+    """Criterion 4's ratio for one slice ``g``, one transform and one correction per stepped slice.
+
+    The reference for ``checks._stepper_ratio``, which stacks the slices.
+    """
+    slices = evolve(g, steps)
+    corrections = ([transform.boundary_corrections(s).f_corr for s in slices[:steps]]
+                   if corrected else None)
+    ghat = transform.forward(g)
+    worst = 0.0
+    for i, s in enumerate(slices):
+        ref = transform.forward(s)
+        got = spectral_hat(ghat, corrections, i)
+        tol = _STEPPER_TOL * max(1.0, ref.max_abs())
+        worst = max(worst, np.abs(got.values - ref.values).max() / tol)
+    return float(worst)
 
 
 def reference_restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:

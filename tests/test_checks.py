@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hyperheat import GridFunction, GridParams, checks, transform
 from hyperheat.transform import BoundaryCorrections
 
+from conftest import stepper_ratio_per_slice
+
 
 @st.composite
 def supported_functions(draw, count):
@@ -66,6 +68,15 @@ def worst_single_draw(ratio, arity, ns, trials, rng) -> float:
 def test_stacked_criterion_equals_worst_single_draw(criterion, ratio, arity, ns, trials, seed):
     stacked = criterion(ns, trials, np.random.default_rng(seed))
     assert stacked == worst_single_draw(ratio, arity, ns, trials, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 12345])
+def test_stacked_stepper_equals_per_slice_reference(monkeypatch, seed):
+    # n = 1 steps 0 times; supported_ns adds uncorrected runs of 0 to 8 steps
+    args = ((1, 2, 4), 1)
+    stacked = checks.stepper_vs_spectral(*args, np.random.default_rng(seed), supported_ns=(2, 4, 8))
+    monkeypatch.setattr(checks, "_stepper_ratio", stepper_ratio_per_slice)
+    assert stacked == checks.stepper_vs_spectral(*args, np.random.default_rng(seed), supported_ns=(2, 4, 8))
 
 
 # An additive residual of 1e-7 breaks the 1e-9 (1 + max|f|) tolerances of a slice of

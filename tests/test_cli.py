@@ -511,6 +511,20 @@ class TestConverge:
         _, rows = read_csv(out)
         assert [r[0] for r in rows] == ["32", "64", "128", "order"]
 
+    def test_times_and_xs_parsed_once(self, monkeypatch, tmp_path):
+        flags = []
+        real = hyperheat.cli._parse_floats
+
+        def counting(flag, text):
+            flags.append(flag)
+            return real(flag, text)
+
+        monkeypatch.setattr(hyperheat.cli, "_parse_floats", counting)
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--n-list", "64,128,256", "--times", "0.5", "--xs=-2:2:7",
+                     "--out", str(out)]) == 0
+        assert flags == ["times", "xs"]
+
 
 @pytest.mark.parametrize("argv, message", [
     (["solve"], "need at least one query point"),

@@ -46,8 +46,8 @@ from hyperheat.evolution import (
     _windowed_symbol,
 )
 
-from conftest import (random_grid_function, reference_query, reference_restricted_forward, same_bits,
-                      solve_via_convolution)
+from conftest import (random_grid_function, random_stack, reference_query, reference_restricted_forward,
+                      same_bits, solve_via_convolution)
 
 
 def supported_random(params, lo, hi, rng):
@@ -185,6 +185,15 @@ class TestConvolve:
         f, g = random_grid_function(p, rng), random_grid_function(p, rng)
         a, b = convolve(f, g).values, convolve(g, f).values
         assert np.abs(a - b).max() <= 1e-10 * (1 + np.abs(a).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_stack_equals_row_by_row_bit_for_bit(self, n, rng):
+        p = GridParams(n)
+        f, g = random_stack(p, rng), random_stack(p, rng)
+        rows = [convolve(GridFunction(p, a), GridFunction(p, b)).values for a, b in zip(f.values, g.values)]
+        assert same_bits(convolve(f, g).values, np.array(rows))
+        with pytest.raises(ValueError, match="stack shapes differ"):
+            convolve(f, GridFunction(p, g.values[0]))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_transform_factorises(self, n, rng):

@@ -13,7 +13,8 @@ from hyperheat import (
     spectral_symbols,
 )
 
-from conftest import random_grid_function, random_stack, reference_forward, reference_inverse, same_bits
+from conftest import (gather_transform, random_grid_function, random_stack, reference_forward,
+                      reference_inverse, same_bits)
 
 
 class TestForwardInverseExamples:
@@ -74,6 +75,13 @@ class TestStacks:
             single = boundary_corrections(row)
             assert same_bits(e, single.e.values)
             assert same_bits(f_corr, single.f_corr.values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16])
+    def test_rotation_equals_gather_bit_for_bit(self, n, rng):
+        p = GridParams(n)
+        for f in (random_grid_function(p, rng), random_stack(p, rng)):
+            for op, sign in ((forward, -1), (inverse, +1)):
+                assert same_bits(op(f).values, gather_transform(f, sign))
 
     def test_rows_match_reference_summation(self, rng):
         for n in (1, 2, 4, 7):

@@ -15,8 +15,10 @@ pricing surface's 8 x 2001 rows without the oracle columns, for
 file, and a ``solve`` of 16 non-uniform points at 2 times at n=512, on
 the factored matrix, and a ``solve`` of 41 uniform points at n=4096 and a
 ``kernel`` of 61 at n=2048, on the factored matrix too, as fewer points
-than ``ceil(sqrt(|band|))``) runs in both trees, each in a fresh
-interpreter with the CSV on standard output.  For each command one line says
+than ``ceil(sqrt(|band|))``, and ``validate`` at ``--n 1 --seed 0``,
+the smallest grid, and at ``--n 16 --seed 921``, every grid) runs in
+both trees, each in a fresh interpreter with the CSV on standard
+output.  For each command one line says
 ``identical``, or names each column that changed with its count of changed
 cells and its largest ``|delta|``; differences in standard error (where
 the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
@@ -67,6 +69,8 @@ COMMANDS = (
     "solve --n 512 --times 0.5,1 --xs=-3,-2.6,-2.1,-1.7,-1.2,-0.9,-0.5,-0.2,0,0.15,0.4,0.8,1.3,1.9,2.6,3.4",
     "solve --n 4096 --times 0.5,1 --xs=-2:2:41",
     "kernel --n 2048 --times 0.25,1 --xs=-3:3:61",
+    "validate --n 1 --seed 0",
+    "validate --n 16 --seed 921",
 )
 
 # tokens that hold no code
