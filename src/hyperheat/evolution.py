@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridFunction, GridParams, d_xx
-from .transform import _psi, inverse
+from .transform import _psi, inverse, spectral_symbols
 
 __all__ = [
     "OVERFLOW_LIMIT",
@@ -65,6 +65,12 @@ _QUERY_BLOCK_ENTRIES = 1 << 18
 
 # Bytes of plan arrays kept between calls (see _Plan): 32 MiB.
 _PLAN_BUDGET = 32 << 20
+
+# Largest max |growth| in the band taken as stable: above it solve and kernel warn.
+_STABLE_GROWTH = 1.0 + 1e-12
+
+# Bytes of one FFT buffer while the operator's rows are built (see _operator): 1 MiB.
+_OPERATOR_BLOCK_BYTES = 1 << 20
 
 _plans: OrderedDict[tuple, tuple] = OrderedDict()   # key -> plan part, least recently used first
 _plans_lock = threading.Lock()
@@ -161,7 +167,7 @@ def spectral_hat(
         raise ValueError(f"step index must lie in [0, {params.time_count - 1}], got {i}")
     if corrections_per_step is not None and len(corrections_per_step) < i:
         raise ValueError(f"need {i} per-step corrections, got {len(corrections_per_step)}")
-    growth = propagator(params.n, params.space_indices())
+    growth = 1.0 + spectral_symbols(params).values ** 2 / params.n   # propagator on the full grid
     acc = g_hat.values * growth**i
     if corrections_per_step is not None:
         for j in range(i):
@@ -258,8 +264,11 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
     """
     times, zs = _queries(window.params.n, times, zs)
+    plan = _Plan()
+    powers, gmax = _band(plan, window, times)
     ones = np.ones((1, window.cutoff + 1), dtype=np.complex128)
-    u, gmax = _band_table(_Plan(), window, ones, times, np.asarray(zs))
+    u = _band_table(plan, window, ones, powers, np.asarray(zs))
+    plan.keep()
     return SolveResult(times, zs, u, max_growth=gmax)
 
 
@@ -351,7 +360,16 @@ class _Plan:
     stay within ``_PLAN_BUDGET`` bytes, and :meth:`keep` then caches them,
     evicting the least recently used.  Once over the budget the call lets
     go of them, so a larger plan is used by its call and not kept, and the
-    parts a call holds but no longer uses never exceed the budget.
+    parts a call holds but no longer uses never exceed the budget.  A part
+    the call has built and still holds is returned again as it is.
+
+    The cache also counts the solves of each grid, set of times and set of
+    points, in a part of 0 bytes holding a one-entry list, which every
+    solve updates in place under the lock, whether or not its plan is kept;
+    once they outnumber the table's cells, the samples-to-table operator
+    (:func:`_operator`) is built and kept as a part of its own.  The count
+    is taken just before the operator is, so the budget evicts it first:
+    an evicted operator is counted for again from 0.
     """
 
     def __init__(self) -> None:
@@ -359,6 +377,8 @@ class _Plan:
         self.built: dict[tuple, tuple] | None = {}
 
     def part(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+        if self.built and key in self.built:
+            return self.built[key]                     # built by this call, and counted
         with _plans_lock:
             part = _plans.get(key)
             if part is not None:
@@ -569,31 +589,53 @@ def _powers(n: int, growth: np.ndarray, times: Sequence[float]) -> np.ndarray:
     return powers
 
 
-def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[float, ...],
-                xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The powers and the query of :func:`solve`: ``u`` and the band's max ``|growth|``.
+def _band(plan: _Plan, window: Window, times: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """The band's growth powers, one column per time, and its max ``|growth|``.
 
-    ``parts`` holds the transforms, one row per part, on the half band
-    ``k = 0..window.cutoff``; each row is one block of columns of the
-    query.  The warning names the caller of :func:`solve` or :func:`kernel`.
+    The warning names the caller of :func:`solve` or :func:`kernel`.
     """
     n = window.params.n
-    ks = np.arange(window.cutoff + 1)
-    T = len(times)
 
     def build():
-        growth = propagator(n, ks)
+        growth = propagator(n, np.arange(window.cutoff + 1))
         return _powers(n, growth, times), float(np.abs(growth).max())
 
     with np.errstate(over="ignore", invalid="ignore"):
         powers, gmax = plan.part(("band", n, window.cutoff, times), build)
-        if gmax > 1.0 + 1e-12:
-            warnings.warn(
-                f"|growth| reaches {gmax:.6g} inside the frequency window "
-                f"(omega_prime={window.radius}, n={n}); powers will grow",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    if gmax > _STABLE_GROWTH:
+        warnings.warn(
+            f"|growth| reaches {gmax:.6g} inside the frequency window "
+            f"(omega_prime={window.radius}, n={n}); powers will grow",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return powers, gmax
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """``parts[0] + 1j parts[1]``, or ``parts[0]`` with an imaginary part of 0 for one part.
+
+    The halves are set apart: ``re + 1j * im`` would turn an infinite
+    ``im`` into a NaN real part.
+    """
+    u = np.zeros(parts.shape[1:], dtype=np.complex128)
+    u.real = parts[0]
+    if len(parts) > 1:
+        u.imag = parts[1]
+    return u
+
+
+def _band_table(plan: _Plan, window: Window, parts: np.ndarray, powers: np.ndarray,
+                xs: np.ndarray) -> np.ndarray:
+    """The table ``u`` of :func:`solve` from the transforms and the band's powers (:func:`_band`).
+
+    ``parts`` holds the transforms, one row per part, on the half band
+    ``k = 0..window.cutoff``; each row is one block of columns of the
+    query.
+    """
+    n = window.params.n
+    ks = np.arange(window.cutoff + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
         unpaired = window.cutoff == n * n
         data = np.zeros((ks.size, 2 if unpaired else len(parts)), dtype=np.complex128)
         data[:, : len(parts)] = 2.0 * parts.T          # the weight 2 of k > 0; k = 0 has weight 1
@@ -608,13 +650,52 @@ def _band_table(plan: _Plan, window: Window, parts: np.ndarray, times: tuple[flo
             sums = _matrix_query(plan, coeffs, ks, xs, n)
         else:
             sums = _chirp_query(plan, coeffs, ks, xs, h, n)
-        # set apart: re + 1j * im would turn an infinite im into a NaN re
-        u = np.zeros((T, xs.size), dtype=np.complex128)
-        u.real = sums[:T].real
-        if data.shape[1] > 1:
-            u.imag = sums[T:].real
-    plan.keep()
-    return u, gmax
+        return _complex(sums.real.reshape(-1, powers.shape[1], xs.size))
+
+
+def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, ...],
+              xs: np.ndarray, powers: np.ndarray, gmax: float) -> np.ndarray | None:
+    """The real matrix ``A`` from the samples to the table's cells, or ``None`` for the spectral route.
+
+    Row ``(t, x)`` of ``A`` (row-major over ``times`` and ``xs``) is
+    ``(1/n^2) sum_k w_k growth_k^{floor(nt)} e^{i pi x k / n} e^{-i pi j k / n^2}``
+    over the half band ``k = 0..K`` at the samples ``j``, real part, with
+    ``w_0 = 1/2`` and ``w_k = 1``: ``Re g @ A.T`` is the real part of the
+    table, and ``Im g @ A.T`` its imaginary part.  Every row is one
+    :func:`_chirp_z` from ``k`` onto ``j`` (the phase ``jk`` is symmetric),
+    built in blocks of about ``_OPERATOR_BLOCK_BYTES`` of FFT buffer.  A row
+    costs about one solve, so the operator is built on the first solve after
+    ``|times| |xs|`` of its set (ski rental: any sequence of solves then
+    costs at most about twice the cheaper route's in hindsight); see
+    :func:`solve` for where it is never built.
+    """
+    n, K = window.params.n, window.cutoff
+    rows = len(times) * xs.size
+    # omega' = n, whose unpaired index adds a complex term, has growth(n^2) = 1 + 4n
+    if gmax > _STABLE_GROWTH or plan.nbytes + 8 * rows * js.size > _PLAN_BUDGET:
+        return None
+    key = (n, int(js[0]), js.size, K, times, xs.tobytes())
+    with _plans_lock:                                  # 0 bytes, kept whether or not the plan is
+        calls, = _plans.setdefault(("calls",) + key, ([0],))
+        _plans.move_to_end(("calls",) + key)
+        calls[0] += 1
+        if calls[0] <= rows:
+            return None
+
+    def build():
+        ks = np.arange(K + 1)
+        t_of, x_of = np.divmod(np.arange(rows), xs.size)
+        block = max(1, _OPERATOR_BLOCK_BYTES // (16 * _fft_length(K + js.size)))
+        chirps = _Plan()                               # one chirp-z part for every block, not kept
+        operator = np.empty((rows, js.size))
+        for s in range(0, rows, block):
+            r = slice(s, s + block)
+            vals = powers.T[t_of[r]] * np.exp(1j * np.pi * np.outer(xs[x_of[r]], ks / n))
+            vals[:, 0] *= 0.5
+            operator[r] = _chirp_z(chirps, key[:4], vals / n, ks, js, lambda m: _chirp(m, n)).real / n
+        return (operator,)
+
+    return plan.part(("operator",) + key, build)[0]
 
 
 def solve(config: SolveConfig) -> SolveResult:
@@ -637,19 +718,42 @@ def solve(config: SolveConfig) -> SolveResult:
     ``k = n^2`` term with ``conj(ghat)``, in the real part's columns, and
     ``i conj(ghat)``, in the imaginary part's, real data's too.  Real data
     takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
-    Memory is O(omega n + |xs|); no array spans the full 2n^2 grid.
-    Everything that does not depend on the data (chirps, filter spectra,
-    growth powers, query exponentials) is the grid's plan (:class:`_Plan`),
-    reused by later solves and :func:`kernel` tables on that grid with the
-    same result bit for bit.  ``max_growth`` is the largest ``|growth|`` in
-    the band; above 1, outside the stability band
-    (:func:`stability_radius`), a ``RuntimeWarning`` says so, and overflow
-    in the powers is left to :meth:`SolveResult.first_non_finite` to report.
+    Memory is O((omega n + |xs|) |times|); no array spans the full 2n^2
+    grid.  Everything that does not depend on the data (chirps, filter
+    spectra, growth powers, query exponentials) is the grid's plan
+    (:class:`_Plan`), reused by later solves and :func:`kernel` tables on
+    that grid with the same result bit for bit.
+
+    All of it but the sampling is linear in the samples and fixed by the
+    grid, the window, the times and the points: one real matrix from the
+    samples to the table's cells (:func:`_operator`).  After ``|times| |xs|``
+    solves of one such set, which take the route above, the next builds the
+    matrix, at about the cost of one solve per cell, and it and every later
+    one return ``Re g`` and ``Im g`` times that matrix, with no FFT.  These
+    tables are the same from call to call, bit for bit, but differ from the
+    route above by rounding.  The matrix is never built when ``|growth|``
+    exceeds ``1 + 1e-12`` in the band, where the warning below is raised
+    (so never at ``omega' = n``, where the unpaired index would add a
+    complex term: ``growth(n^2) = 1 + 4n``), or when its
+    ``8 |times| |xs| J`` bytes, with ``J`` the sample count, would not fit
+    the plan budget beside the call's other parts.
+
+    ``max_growth`` is the largest ``|growth|`` in the band; above 1, outside
+    the stability band (:func:`stability_radius`), a ``RuntimeWarning``
+    says so on every call, and overflow in the powers is left to
+    :meth:`SolveResult.first_non_finite` to report.
     """
     js, gvals = _truncated_samples(config)
     window = Window(config.params, config.omega_prime)
+    xs = np.asarray(config.xs, dtype=float)
     plan = _Plan()
+    powers, gmax = _band(plan, window, config.times)
     rows = np.stack((gvals.real, gvals.imag)) if gvals.imag.any() else gvals.real[None]
-    parts = _restricted_forward(plan, js, rows, np.arange(window.cutoff + 1), config.n)
-    u, gmax = _band_table(plan, window, parts, config.times, np.asarray(config.xs, dtype=float))
+    operator = _operator(plan, window, js, config.times, xs, powers, gmax)
+    if operator is None:
+        parts = _restricted_forward(plan, js, rows, np.arange(window.cutoff + 1), config.n)
+        u = _band_table(plan, window, parts, powers, xs)
+    else:
+        u = _complex((rows @ operator.T).reshape(len(rows), len(config.times), xs.size))
+    plan.keep()
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)

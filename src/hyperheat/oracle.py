@@ -277,6 +277,12 @@ def _integrate(kernel: Callable[[np.ndarray], np.ndarray], data: Callable[[np.nd
     return total
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted values, each once: ``np.unique`` without its first-call import of ``numpy.ma``."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
 def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     """Heat-kernel convolution ``(4 pi t)^{-1/2} int exp(-(x-y)^2/4t) g(y) dy`` at every ``x`` in ``xs``.
 
@@ -298,11 +304,11 @@ def classical_column(g: BoundaryCondition, t: float, xs) -> np.ndarray:
     lo, hi = float(xs.min()) - L, float(xs.max()) + L
     # The query points split the window too, with no gap between them longer
     # than L: a narrow kernel then peaks at an interval edge, next to a node.
-    q = np.unique(xs)
+    q = _sorted_distinct(xs)
     fill = [np.linspace(a, b, int(np.ceil((b - a) / L)), endpoint=False)[1:]
             for a, b in zip(q[:-1], q[1:])]
     inside = [p for p in g.breakpoints if lo < p < hi]
-    edges = np.unique(np.concatenate([[lo, hi], q, *fill, inside]))
+    edges = _sorted_distinct(np.concatenate([[lo, hi], q, *fill, inside]))
 
     def kernel(y: np.ndarray) -> np.ndarray:
         d = xs[:, None] - y[:, None, :]

@@ -161,6 +161,16 @@ class TestSpectralHat:
             scale = max(1.0, ref.max_abs())
             assert np.abs(got.values - ref.values).max() <= 1e-8 * scale
 
+    def test_growth_comes_from_the_cached_symbol(self, rng):
+        # criterion 4 takes spectral_hat at every step index; none rebuilds the full-grid growth
+        with mock.patch.object(evolution, "propagator", wraps=propagator) as growth:
+            checks.stepper_vs_spectral((2, 4), 1, rng)
+        assert growth.call_count == 0
+        p = GridParams(4)
+        ghat = forward(random_grid_function(p, rng))
+        expected = ghat.values * propagator(4, p.space_indices()) ** 3
+        assert same_bits(spectral_hat(ghat, None, 3).values, expected)
+
     def test_correction_list_length_checked(self, rng):
         p = GridParams(2)
         ghat = forward(random_grid_function(p, rng))
@@ -979,7 +989,7 @@ class TestPlan:
             # kernel shares the band and query parts of the same grid
             kernel(Window(config.params, 3.0), config.times, config.xs)
             assert growth.call_count == 1 and set(evolution._plans) == keys
-        assert {key[0] for key in keys} == {"forward", "band", "chirp"}
+        assert {key[0] for key in keys} == {"forward", "band", "chirp", "calls"}   # calls: solve's count
 
     def test_patched_uniform_step_still_forces_the_matrix_path(self, empty_plans):
         config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
@@ -1114,6 +1124,128 @@ class TestPlan:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
         assert sum(map(evolution._nbytes, evolution._plans.values())) <= budget
+
+
+def _operator_parts():
+    """The samples-to-table operators in the plan cache."""
+    return {key: part for key, part in evolution._plans.items() if key[0] == "operator"}
+
+
+def _operator_solve(config):
+    """``solve(config).u`` on the operator route: the ``|times| |xs|`` solves that
+    take the spectral route, then the one that builds the operator."""
+    built = len(_operator_parts())
+    for _ in range(len(config.times) * len(config.xs)):
+        solve(config)
+    assert len(_operator_parts()) == built
+    u = solve(config).u
+    assert len(_operator_parts()) == built + 1
+    return u
+
+
+class TestOperator:
+    @pytest.mark.parametrize("imaginary", [False, True])
+    @pytest.mark.parametrize("n", [64, 128, 200])
+    def test_matches_direct_sums(self, empty_plans, n, imaginary):
+        # scattered points and a uniform set, inside the stability band
+        for seed, xs in enumerate((np.linspace(-2.5, 2.5, 17), np.random.default_rng(n).uniform(-3, 3, 7))):
+            config, vals = _random_data_solve(n, 3.0, xs, seed, imaginary)
+            u = _operator_solve(config)
+            js, _ = _truncated_samples(config)
+            ks = Window(config.params, 3.0).band_indices()
+            ref, bound = _full_band_reference(config, reference_restricted_forward(js, vals + 0j, ks, n))
+            assert np.abs(u - ref).max() <= bound
+            assert imaginary or not u.imag.any()
+            assert same_bits(solve(config).u, u)           # the next call applies the same operator
+
+    def test_built_once_after_one_solve_per_cell(self, empty_plans):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=True)
+        cells = len(config.times) * len(config.xs)
+        with mock.patch.object(evolution, "_chirp_z", wraps=evolution._chirp_z) as chirp_z:
+            spectral = [solve(config).u for _ in range(cells)]
+            assert not _operator_parts() and chirp_z.call_count == cells   # 5 points take the matrix
+            switched = solve(config).u
+            operator, = _operator_parts().values()
+            kept = dict(evolution._plans)
+            later = [solve(config).u for _ in range(3)]
+            assert chirp_z.call_count == cells + 1            # the build, in one block at n=64
+        assert all(evolution._plans[key] is part for key, part in kept.items())
+        assert all(same_bits(u, spectral[0]) for u in spectral)
+        assert all(same_bits(u, switched) for u in later)
+        assert np.abs(switched - spectral[0]).max() <= 1e-14 * (1 + np.abs(spectral[0]).max())
+        assert operator[0].shape == (cells, 4 * 64) and not operator[0].flags.writeable
+
+    def test_blocks_share_one_chirp_part(self, empty_plans, monkeypatch):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
+        whole = _operator_solve(config)
+        evolution._plans.clear()
+        monkeypatch.setattr(evolution, "_OPERATOR_BLOCK_BYTES", 1)        # one row per block
+        for _ in range(len(config.times) * len(config.xs)):
+            solve(config)
+        with mock.patch.object(evolution, "_chirp", wraps=_chirp) as chirp:
+            assert same_bits(solve(config).u, whole)
+        assert chirp.call_count == 1
+
+    @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")
+    @pytest.mark.parametrize("n, radius", [(8, 8.0), (16, 4.0)], ids=["full-grid", "unstable"])
+    def test_never_built_at_the_unpaired_index_or_above_unit_growth(self, empty_plans, n, radius):
+        config, _ = _random_data_solve(n, radius, np.linspace(-1, 1, 3), 0, imaginary=False)
+        first = solve(config)
+        for _ in range(3 * len(config.times) * len(config.xs)):
+            assert same_bits(solve(config).u, first.u)
+        assert first.max_growth > evolution._STABLE_GROWTH      # at omega' = n, growth(n^2) = 1 + 4n
+        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+
+    def test_never_built_over_the_budget(self, empty_plans, monkeypatch):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 41), 0, imaginary=False)
+        band = 16 * (Window(config.params, 3.0).cutoff + 1) * len(config.times)
+        operator = 8 * len(config.times) * len(config.xs) * 4 * 64
+        # the operator must fit the budget beside the band's powers, which the call holds
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator - 1)
+        for _ in range(2 * len(config.times) * len(config.xs)):
+            solve(config)
+        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
+        _operator_solve(config)
+        assert sum(map(evolution._nbytes, evolution._plans.values())) <= band + operator
+
+    def test_threads_count_every_solve(self, empty_plans):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 41), 0, imaginary=False)
+        failures = []
+
+        def worker():
+            try:
+                for _ in range(10):
+                    solve(config)
+            except Exception as exc:                     # reported below, not lost in the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        # 80 solves, below the 82 cells: a lost update would leave fewer
+        (calls,), = [part for key, part in evolution._plans.items() if key[0] == "calls"]
+        assert calls == [80] and not _operator_parts()
+
+    def test_kernel_counts_nothing(self, empty_plans):
+        window = Window(GridParams(64), 3.0)
+        for _ in range(10):
+            kernel(window, (0.5,), (0.0, 1.0))
+        assert {key[0] for key in evolution._plans} == {"band", "matrix"}
+
+    def test_clearing_the_cache_restarts_the_count(self, empty_plans):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 3), 0, imaginary=False)
+        _operator_solve(config)
+        evolution._plans.clear()
+        _operator_solve(config)
 
 
 @pytest.mark.filterwarnings("ignore:.*growth.*:RuntimeWarning")

@@ -478,3 +478,21 @@ assert not any(m.partition(".")[0] == "scipy" for m in sys.modules)
 print(np.asarray(value).tobytes().hex())
 """)
     assert cold == np.asarray(eval(call)).tobytes().hex() + "\n"
+
+
+def test_converge_sweep_loads_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on its first call; the quadrature's edges use a sort instead
+    loaded = run_fresh(f"""
+import sys
+from hyperheat import cli
+assert cli.main(["converge", "--n-list", "64,128,256", "--g", "bump:0,1", "--times", "0.5",
+                 "--xs=-2:2:7", "--out", {str(tmp_path / "out.csv")!r}]) == 0
+print("numpy.ma" in sys.modules)
+""")
+    assert loaded == "False\n"
+
+
+@pytest.mark.parametrize("values", [[], [0.5], [2.0, -1.0, 2.0, 0.0, -0.0, -1.0], [-0.0, 0.0, 3.0, -0.0]])
+def test_sorted_distinct_is_unique_bit_for_bit(values):
+    values = np.array(values, dtype=float)
+    assert oracle._sorted_distinct(values).tobytes() == np.unique(values).tobytes()

@@ -1,7 +1,10 @@
 """The report of ``tools/compare_outputs.py``, on hand-made outputs."""
 
 import importlib.util
+from collections import OrderedDict
 from pathlib import Path
+
+from hyperheat import evolution
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
@@ -34,6 +37,14 @@ def test_header_shape_stderr_and_exit_code_changes_are_reported():
 def test_every_command_is_a_hyperheat_command():
     commands = {c.split()[0] for c in compare_outputs.COMMANDS}
     assert commands == {"validate", "solve", "kernel", "converge", "rates"}
+
+
+def test_repeated_solve_ends_on_the_operator_route(monkeypatch, capsys):
+    monkeypatch.setattr(evolution, "_plans", OrderedDict())
+    exec(compare_outputs.REPEATED_SOLVE, {})
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,x,u_re,u_im" and len(rows) == 1 + 2 * 41
+    assert [key[0] for key in evolution._plans].count("operator") == 1
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):

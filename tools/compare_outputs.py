@@ -18,7 +18,9 @@ the factored matrix, and a ``solve`` of 41 uniform points at n=4096 and a
 than ``ceil(sqrt(|band|))``, and ``validate`` at ``--n 1 --seed 0``,
 the smallest grid, and at ``--n 16 --seed 921``, every grid) runs in
 both trees, each in a fresh interpreter with the CSV on standard
-output.  For each command one line says
+output.  So does one library script, :data:`REPEATED_SOLVE`: the CLI
+solves each grid once per process, and only a repeated solve reaches the
+samples-to-table operator.  For each command one line says
 ``identical``, or names each column that changed with its count of changed
 cells and its largest ``|delta|``; differences in standard error (where
 the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
@@ -73,6 +75,22 @@ COMMANDS = (
     "validate --n 16 --seed 921",
 )
 
+# solve-band's configuration (n=512, omega=4, omega'=3, times 0.5 and 1, 41 points on
+# [-2, 2], gaussian:1,1) solved |xs| |times| + 1 times, so that the last solve builds and
+# applies the samples-to-table operator; its table on standard output, as CSV
+REPEATED_SOLVE = """
+import numpy as np
+import hyperheat
+config = hyperheat.SolveConfig(n=512, omega=4.0, omega_prime=3.0, boundary=hyperheat.gaussian(1.0, 1.0),
+                               times=(0.5, 1.0), xs=tuple(np.linspace(-2.0, 2.0, 41)))
+for _ in range(len(config.times) * len(config.xs) + 1):
+    u = hyperheat.solve(config).u
+print("t,x,u_re,u_im")
+for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
+    for x, a, b in zip(config.xs, re, im):
+        print(f"{t!r},{x!r},{a!r},{b!r}")
+"""
+
 # tokens that hold no code
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
@@ -98,10 +116,10 @@ def normalise_stderr(text: str, tree: Path) -> str:
     return re.sub(r"cli\.py:\d+:", "cli.py:<line>:", text.replace(str(tree), "<tree>"))
 
 
-def run(tree: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+def run(tree: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
     """Exit code, standard output and standard error (see :func:`normalise_stderr`) of
-    ``hyperheat ARGV`` from ``tree/src``."""
-    proc = subprocess.run([sys.executable, "-m", "hyperheat.cli", *argv], cwd=cwd,
+    ``python ARGS`` with ``tree/src`` on the path."""
+    proc = subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True, text=True, timeout=600)
     return proc.returncode, proc.stdout, normalise_stderr(proc.stderr, tree)
@@ -175,12 +193,13 @@ def main(argv: list[str]) -> int:
         export(argv[0], base)
         data = Path(tmp) / "complex.csv"
         write_complex_data(data)
+        runs = [(c, ["-m", "hyperheat.cli", *c.format(data=data).split()]) for c in COMMANDS]
+        runs.append(("repeated solve (REPEATED_SOLVE)", ["-c", REPEATED_SOLVE]))
         same = True
-        for command in COMMANDS:
-            args = command.format(data=data).split()
+        for label, args in runs:
             diff = compare(run(base, args, Path(tmp)), run(ROOT, args, Path(tmp)))
             same = same and not diff
-            print(f"{command}: {'identical' if not diff else diff[0]}")
+            print(f"{label}: {'identical' if not diff else diff[0]}")
             for line in diff[1:]:
                 print(f"    {line}")
         (old_lines, old_code), (new_lines, new_code) = package_size(base), package_size(ROOT)
