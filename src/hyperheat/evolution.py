@@ -60,7 +60,8 @@ OVERFLOW_LIMIT = 1e100
 # Largest chirp index whose square fits in int64.
 _MAX_CHIRP_INDEX = math.isqrt(2**63 - 1)
 
-# Complex entries in one block of the factored query product (points x coarse x times): 4 MiB.
+# Complex entries in one block's largest array, 4 MiB: the factored query product's
+# (points x coarse x times), or the FFT buffer of the operator's rows (see _operator).
 _QUERY_BLOCK_ENTRIES = 1 << 18
 
 # Bytes of plan arrays kept between calls (see _Plan): 32 MiB.
@@ -68,9 +69,6 @@ _PLAN_BUDGET = 32 << 20
 
 # Largest max |growth| in the band taken as stable: above it solve and kernel warn.
 _STABLE_GROWTH = 1.0 + 1e-12
-
-# Bytes of one FFT buffer while the operator's rows are built (see _operator): 1 MiB.
-_OPERATOR_BLOCK_BYTES = 1 << 20
 
 _plans: OrderedDict[tuple, tuple] = OrderedDict()   # key -> plan part, least recently used first
 _plans_lock = threading.Lock()
@@ -363,18 +361,20 @@ class _Plan:
     parts a call holds but no longer uses never exceed the budget.  A part
     the call has built and still holds is returned again as it is.
 
-    The cache also counts the solves of each grid, set of times and set of
-    points, in a part of 0 bytes holding a one-entry list, which every
-    solve updates in place under the lock, whether or not its plan is kept;
-    once they outnumber the table's cells, the samples-to-table operator
-    (:func:`_operator`) is built and kept as a part of its own.  The count
-    is taken just before the operator is, so the budget evicts it first:
-    an evicted operator is counted for again from 0.
+    A solve that may switch to the samples-to-table operator
+    (:func:`_operator`) names its count in :attr:`counted`, and :meth:`keep`
+    adds one to it under the lock as it keeps the plan.  The count is a part
+    of 0 bytes holding a one-entry list, the one part that changes in
+    place.  A solve whose plan is not kept is not counted.  The solve that
+    finds the count at the table's cells removes it and builds the
+    operator, a part of its own; once the budget evicts the operator, its
+    solves are counted again from 0.
     """
 
     def __init__(self) -> None:
         self.nbytes = 0
         self.built: dict[tuple, tuple] | None = {}
+        self.counted: tuple | None = None
 
     def part(self, key: tuple, build: Callable[[], tuple]) -> tuple:
         if self.built and key in self.built:
@@ -393,10 +393,13 @@ class _Plan:
         return part
 
     def keep(self) -> None:
-        if not self.built:
+        if self.built is None or not (self.built or self.counted):
             return
         with _plans_lock:
             _plans.update(self.built)
+            if self.counted is not None:               # the one part that changes in place
+                _plans.setdefault(self.counted, ([0],))[0][0] += 1
+                _plans.move_to_end(self.counted)
             total = sum(map(_nbytes, _plans.values()))
             while total > _PLAN_BUDGET:
                 total -= _nbytes(_plans.popitem(last=False)[1])
@@ -519,6 +522,20 @@ def _uniform_step(xs: np.ndarray) -> float | None:
     h = (xs[-1] - xs[0]) / (J - 1)
     tol = 4.0 * np.spacing(np.abs(xs).max())
     return float(h) if np.abs(xs - (xs[0] + np.arange(J) * h)).max() <= tol else None
+
+
+def _query_step(xs: np.ndarray, bands: int) -> float | None:
+    """The step ``h`` of :func:`_chirp_query` over ``bands`` band indices, or ``None`` for :func:`_matrix_query`.
+
+    The chirp-z takes a uniform set (:func:`_uniform_step`) once it fills
+    one fine block of the matrix, ``|xs|^2 >= bands``.
+    """
+    return _uniform_step(xs) if xs.size ** 2 >= bands else None
+
+
+def _fft_flops(m: int) -> float:
+    """The usual count of one complex FFT of length ``m``: ``5 m log2 m`` flops."""
+    return 5 * m * math.log2(m)
 
 
 def _chirp_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float,
@@ -644,8 +661,7 @@ def _band_table(plan: _Plan, window: Window, parts: np.ndarray, powers: np.ndarr
             ghat = np.conj(parts[0, -1] + (1j * parts[1, -1] if len(parts) > 1 else 0))
             data[-1] = ghat, 1j * ghat
         coeffs = (0.5 * data[:, :, None] * powers[:, None, :]).reshape(ks.size, -1)
-        # the chirp-z once the set fills one fine block of the matrix, B = ceil(sqrt(|ks|)) points
-        h = _uniform_step(xs) if xs.size ** 2 >= ks.size else None
+        h = _query_step(xs, ks.size)
         if h is None:
             sums = _matrix_query(plan, coeffs, ks, xs, n)
         else:
@@ -663,11 +679,18 @@ def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, .
     ``w_0 = 1/2`` and ``w_k = 1``: ``Re g @ A.T`` is the real part of the
     table, and ``Im g @ A.T`` its imaginary part.  Every row is one
     :func:`_chirp_z` from ``k`` onto ``j`` (the phase ``jk`` is symmetric),
-    built in blocks of about ``_OPERATOR_BLOCK_BYTES`` of FFT buffer.  A row
-    costs about one solve, so the operator is built on the first solve after
-    ``|times| |xs|`` of its set (ski rental: any sequence of solves then
-    costs at most about twice the cheaper route's in hindsight); see
-    :func:`solve` for where it is never built.
+    built in blocks of ``_QUERY_BLOCK_ENTRIES`` entries of FFT buffer.
+
+    The operator is considered only where its product, 2 flops an entry per
+    part, takes fewer flops than the spectral route's FFTs alone
+    (:func:`_fft_flops` of the differences each convolves, which its
+    7-smooth length only lengthens: two for the transform, and two per time
+    for a chirp-z query), so fewer than that route in all.  A row then costs
+    at most about one solve, so the operator is built on the first solve
+    after ``|times| |xs|`` kept ones of its set (ski rental: as each solve
+    after the build is the cheaper, any sequence of solves costs at most
+    about twice the cheaper route's in hindsight).  See :func:`solve` for
+    the other cases where it is never built.
     """
     n, K = window.params.n, window.cutoff
     rows = len(times) * xs.size
@@ -675,24 +698,34 @@ def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, .
     if gmax > _STABLE_GROWTH or plan.nbytes + 8 * rows * js.size > _PLAN_BUDGET:
         return None
     key = (n, int(js[0]), js.size, K, times, xs.tobytes())
-    with _plans_lock:                                  # 0 bytes, kept whether or not the plan is
-        calls, = _plans.setdefault(("calls",) + key, ([0],))
-        _plans.move_to_end(("calls",) + key)
-        calls[0] += 1
-        if calls[0] <= rows:
+    with _plans_lock:
+        built = ("operator",) + key in _plans
+        calls, = _plans.get(("calls",) + key, ([0],))
+    if not built:
+        # each FFT is at least as long as the differences it convolves
+        ffts = 2 * _fft_flops(K + js.size)
+        if _query_step(xs, K + 1) is not None:
+            ffts += 2 * len(times) * _fft_flops(K + xs.size)
+        if 2 * rows * js.size >= ffts:
             return None
+        if calls[0] < rows:
+            plan.counted = ("calls",) + key
+            return None
+        with _plans_lock:
+            _plans.pop(("calls",) + key, None)
 
     def build():
         ks = np.arange(K + 1)
         t_of, x_of = np.divmod(np.arange(rows), xs.size)
-        block = max(1, _OPERATOR_BLOCK_BYTES // (16 * _fft_length(K + js.size)))
+        block = max(1, _QUERY_BLOCK_ENTRIES // _fft_length(K + js.size))
         chirps = _Plan()                               # one chirp-z part for every block, not kept
         operator = np.empty((rows, js.size))
         for s in range(0, rows, block):
             r = slice(s, s + block)
             vals = powers.T[t_of[r]] * np.exp(1j * np.pi * np.outer(xs[x_of[r]], ks / n))
             vals[:, 0] *= 0.5
-            operator[r] = _chirp_z(chirps, key[:4], vals / n, ks, js, lambda m: _chirp(m, n)).real / n
+            operator[r] = _chirp_z(chirps, ("operator-chirp",) + key[:4], vals / n, ks, js,
+                                   lambda m: _chirp(m, n)).real / n
         return (operator,)
 
     return plan.part(("operator",) + key, build)[0]
@@ -718,25 +751,33 @@ def solve(config: SolveConfig) -> SolveResult:
     ``k = n^2`` term with ``conj(ghat)``, in the real part's columns, and
     ``i conj(ghat)``, in the imaginary part's, real data's too.  Real data
     takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
-    Memory is O((omega n + |xs|) |times|); no array spans the full 2n^2
-    grid.  Everything that does not depend on the data (chirps, filter
-    spectra, growth powers, query exponentials) is the grid's plan
-    (:class:`_Plan`), reused by later solves and :func:`kernel` tables on
-    that grid with the same result bit for bit.
+    Memory is O((omega n + |xs|) |times|) on this route, and the operator
+    below holds ``8 |times| |xs| J`` bytes within the plan budget; no array
+    spans the full 2n^2 grid.  Everything that does not depend on the data
+    (chirps, filter spectra, growth powers, query exponentials) is the
+    grid's plan (:class:`_Plan`), reused by later solves and :func:`kernel`
+    tables on that grid with the same result bit for bit, up to the
+    operator below.
 
     All of it but the sampling is linear in the samples and fixed by the
     grid, the window, the times and the points: one real matrix from the
     samples to the table's cells (:func:`_operator`).  After ``|times| |xs|``
-    solves of one such set, which take the route above, the next builds the
-    matrix, at about the cost of one solve per cell, and it and every later
-    one return ``Re g`` and ``Im g`` times that matrix, with no FFT.  These
-    tables are the same from call to call, bit for bit, but differ from the
-    route above by rounding.  The matrix is never built when ``|growth|``
-    exceeds ``1 + 1e-12`` in the band, where the warning below is raised
-    (so never at ``omega' = n``, where the unpaired index would add a
-    complex term: ``growth(n^2) = 1 + 4n``), or when its
-    ``8 |times| |xs| J`` bytes, with ``J`` the sample count, would not fit
-    the plan budget beside the call's other parts.
+    kept solves of one such set, which take the route above, the next
+    builds the matrix, at about the cost of one solve per cell, and it and
+    every later one return ``Re g`` and ``Im g`` times that matrix, with no
+    FFT.  These tables differ from the route above by rounding, so the last
+    bits of a result depend on the earlier calls in the process: a set
+    takes the route above again for its next ``|times| |xs|`` solves once
+    the plan budget evicts its matrix (other grids' plans, from any
+    thread, or ``_plans.clear()``), and then the matrix again.  The matrix
+    is never built where its product, ``2 |times| |xs| J`` flops per part
+    with ``J`` the sample count, is not below the flops of the route
+    above's FFTs alone (:func:`_operator`), as for 401 points at two times
+    on ``n = 512``; when ``|growth|`` exceeds ``1 + 1e-12`` in the band,
+    where the warning below is raised (so never at ``omega' = n``, where
+    the unpaired index would add a complex term: ``growth(n^2) = 1 + 4n``);
+    or when its ``8 |times| |xs| J`` bytes would not fit the plan budget
+    beside the call's other parts.
 
     ``max_growth`` is the largest ``|growth|`` in the band; above 1, outside
     the stability band (:func:`stability_radius`), a ``RuntimeWarning``

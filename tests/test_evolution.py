@@ -1174,12 +1174,13 @@ class TestOperator:
         assert all(same_bits(u, switched) for u in later)
         assert np.abs(switched - spectral[0]).max() <= 1e-14 * (1 + np.abs(spectral[0]).max())
         assert operator[0].shape == (cells, 4 * 64) and not operator[0].flags.writeable
+        assert not [key for key in evolution._plans if key[0] == "calls"]   # the count goes at the switch
 
     def test_blocks_share_one_chirp_part(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
         whole = _operator_solve(config)
         evolution._plans.clear()
-        monkeypatch.setattr(evolution, "_OPERATOR_BLOCK_BYTES", 1)        # one row per block
+        monkeypatch.setattr(evolution, "_QUERY_BLOCK_ENTRIES", 1)         # one row per block
         for _ in range(len(config.times) * len(config.xs)):
             solve(config)
         with mock.patch.object(evolution, "_chirp", wraps=_chirp) as chirp:
@@ -1208,6 +1209,50 @@ class TestOperator:
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
         _operator_solve(config)
         assert sum(map(evolution._nbytes, evolution._plans.values())) <= band + operator
+
+    @pytest.mark.parametrize("xs, times", [(np.linspace(-2, 2, 401), (0.25, 0.5)),
+                                           (np.random.default_rng(1).uniform(-2, 2, 101), (0.5,))],
+                             ids=["chirp-query", "matrix-query"])
+    def test_never_built_where_the_product_is_not_cheaper(self, empty_plans, xs, times):
+        config, _ = _random_data_solve(64, 3.0, xs, 0, imaginary=False)
+        config = dataclasses.replace(config, times=times)
+        K, J = Window(config.params, 3.0).cutoff, 4 * 64
+        rows = len(config.times) * xs.size
+        ffts = 2 * evolution._fft_flops(K + J)
+        if evolution._query_step(xs, K + 1) is not None:
+            ffts += 2 * len(config.times) * evolution._fft_flops(K + xs.size)
+        assert 2 * rows * J >= ffts                          # the product takes more flops than the FFTs
+        assert 8 * rows * J < evolution._PLAN_BUDGET          # and would fit
+        first = solve(config).u
+        for _ in range(rows):
+            assert same_bits(solve(config).u, first)
+        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+
+    def test_a_plan_not_kept_is_not_counted(self, empty_plans, monkeypatch):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-1, 1, 2), 0, imaginary=False)
+        config = dataclasses.replace(config, times=(0.5,))
+        band, operator = 16 * (Window(config.params, 3.0).cutoff + 1), 8 * 2 * 4 * 64
+        # the operator fits beside the band, but the spectral route's plan does not fit at all
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
+        for _ in range(3 * len(config.xs)):
+            solve(config)
+        assert not evolution._plans
+
+    def test_an_evicted_operator_is_counted_for_again(self, empty_plans, monkeypatch):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
+        other, _ = _random_data_solve(64, 2.5, np.linspace(-2, 2, 5), 1, imaginary=False)
+        cells = len(config.times) * len(config.xs)
+        spectral = solve(config).u
+        evolution._plans.clear()
+        switched = _operator_solve(config)
+        # a budget that holds the band and the operator, which another grid's plan then evicts
+        band = 16 * (Window(config.params, 3.0).cutoff + 1) * len(config.times)
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + 8 * cells * 4 * 64)
+        solve(other)
+        assert not _operator_parts()
+        for _ in range(cells):                               # the spectral route's bits again
+            assert same_bits(solve(config).u, spectral)
+        assert same_bits(solve(config).u, switched) and _operator_parts()
 
     def test_threads_count_every_solve(self, empty_plans):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 41), 0, imaginary=False)
