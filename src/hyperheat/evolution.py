@@ -64,7 +64,7 @@ _MAX_CHIRP_INDEX = math.isqrt(2**63 - 1)
 # (points x coarse x times), or the FFT buffer of the operator's rows (see _operator).
 _QUERY_BLOCK_ENTRIES = 1 << 18
 
-# Bytes of plan arrays kept between calls (see _Plan): 32 MiB.
+# Bytes of plan parts and their keys kept between calls (see _part): 32 MiB.
 _PLAN_BUDGET = 32 << 20
 
 # Largest max |growth| in the band taken as stable: above it solve and kernel warn.
@@ -262,11 +262,9 @@ def kernel(window: Window, times: Sequence[float], zs: Sequence[float]) -> Solve
     ``times`` and ``zs`` obey the rules of :class:`SolveConfig`.
     """
     times, zs = _queries(window.params.n, times, zs)
-    plan = _Plan()
-    powers, gmax = _band(plan, window, times)
+    powers, gmax = _band(window, times)
     ones = np.ones((1, window.cutoff + 1), dtype=np.complex128)
-    u = _band_table(plan, window, ones, powers, np.asarray(zs))
-    plan.keep()
+    u = _band_table(window, ones, powers, np.asarray(zs))
     return SolveResult(times, zs, u, max_growth=gmax)
 
 
@@ -342,67 +340,42 @@ def _read_only(value):
     return value
 
 
-def _nbytes(part: tuple) -> int:
-    """Bytes of the arrays in ``part``."""
-    return sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+def _nbytes(key: tuple, part: tuple) -> int:
+    """Bytes of the arrays in ``part`` and of the ``bytes`` in its ``key`` (a query set's points)."""
+    return (sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+            + sum(len(v) for v in key if isinstance(v, bytes)))
 
 
-class _Plan:
-    """The data-independent parts of one :func:`solve` or :func:`kernel` call.
+def _keep(key: tuple, part: tuple) -> None:
+    """Cache ``part`` under ``key`` as the most recently used, and evict the least recently
+    used parts until the cache fits ``_PLAN_BUDGET``; the caller holds ``_plans_lock``."""
+    _plans[key] = part
+    _plans.move_to_end(key)
+    total = sum(_nbytes(*item) for item in _plans.items())
+    while total > _PLAN_BUDGET:
+        total -= _nbytes(*_plans.popitem(last=False))
+
+
+def _part(key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The plan part under ``key``, from the cache shared by all calls or from ``build()``.
 
     A part is a tuple of read-only arrays (and scalars) that depends only on
     the grid quantities in its key: a chirp-z's chirps and filter, the
-    band's growth powers, the query's centring phase or exponentials.
-    :meth:`part` returns it from the cache shared by all calls, or builds
-    it.  The call holds the parts it builds while all its parts together
-    stay within ``_PLAN_BUDGET`` bytes, and :meth:`keep` then caches them,
-    evicting the least recently used.  Once over the budget the call lets
-    go of them, so a larger plan is used by its call and not kept, and the
-    parts a call holds but no longer uses never exceed the budget.  A part
-    the call has built and still holds is returned again as it is.
-
-    A solve that may switch to the samples-to-table operator
-    (:func:`_operator`) names its count in :attr:`counted`, and :meth:`keep`
-    adds one to it under the lock as it keeps the plan.  The count is a part
-    of 0 bytes holding a one-entry list, the one part that changes in
-    place.  A solve whose plan is not kept is not counted.  The solve that
-    finds the count at the table's cells removes it and builds the
-    operator, a part of its own; once the budget evicts the operator, its
-    solves are counted again from 0.
+    band's growth powers, the query's centring phase or exponentials, the
+    samples-to-table operator.  A hit becomes the most recently used.  A
+    part built here is cached (:func:`_keep`) when it alone, with its key,
+    fits ``_PLAN_BUDGET``; a larger one is used by its call and not kept.
     """
-
-    def __init__(self) -> None:
-        self.nbytes = 0
-        self.built: dict[tuple, tuple] | None = {}
-        self.counted: tuple | None = None
-
-    def part(self, key: tuple, build: Callable[[], tuple]) -> tuple:
-        if self.built and key in self.built:
-            return self.built[key]                     # built by this call, and counted
+    with _plans_lock:
+        part = _plans.get(key)
+        if part is not None:
+            _plans.move_to_end(key)
+            return part
+    part = tuple(map(_read_only, build()))
+    if _nbytes(key, part) <= _PLAN_BUDGET:
         with _plans_lock:
-            part = _plans.get(key)
-            if part is not None:
-                _plans.move_to_end(key)
-        if part is None:
-            part = tuple(map(_read_only, build()))
-            if self.built is not None:
-                self.built[key] = part
-        self.nbytes += _nbytes(part)
-        if self.nbytes > _PLAN_BUDGET:
-            self.built = None
-        return part
-
-    def keep(self) -> None:
-        if self.built is None or not (self.built or self.counted):
-            return
-        with _plans_lock:
-            _plans.update(self.built)
-            if self.counted is not None:               # the one part that changes in place
-                _plans.setdefault(self.counted, ([0],))[0][0] += 1
-                _plans.move_to_end(self.counted)
-            total = sum(map(_nbytes, _plans.values()))
-            while total > _PLAN_BUDGET:
-                total -= _nbytes(_plans.popitem(last=False)[1])
+            _keep(key, part)
+    return part
 
 
 def _truncated_samples(config: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -471,34 +444,38 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _chirp_z(plan: _Plan, key: tuple, vals: np.ndarray, ins: np.ndarray, outs: np.ndarray,
-             chirp: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _chirp_part(ins: np.ndarray, outs: np.ndarray,
+                chirp: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """The plan part of :func:`_chirp_z` from ``ins`` onto ``outs``: ``chirp`` on each, and the filter.
+
+    ``ins`` and ``outs`` are contiguous ascending integer ranges.  The
+    filter is ``conj(chirp(d))`` over every difference ``d = p - q``,
+    transformed at the 7-smooth length :func:`_fft_length` of the
+    differences, the shortest with no wrap-around.  ``chirp`` is even in
+    ``m``, so it is evaluated once at every ``|m|`` of the three ranges.
+    """
+    diffs = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)
+    ranges = [np.abs(r) for r in (ins, outs, diffs)]
+    even = chirp(np.arange(max(int(r.max()) for r in ranges) + 1))
+    c_in, c_out, c_diff = (even[r] for r in ranges)
+    return c_in, c_out, np.fft.fft(np.conj(c_diff, out=c_diff), _fft_length(diffs.size))
+
+
+def _chirp_z(part: tuple, vals: np.ndarray) -> np.ndarray:
     """``chirp(p) sum_q vals[..., q] chirp(q) conj(chirp(p - q))`` for each ``p`` in ``outs``.
 
-    ``ins`` and ``outs`` are contiguous ascending integer ranges; the last
-    axis of ``vals`` runs over ``ins``, and leading axes are batched.  The
-    sum is a linear convolution over every difference ``d = p - q``, done by
-    one FFT convolution at the 7-smooth length :func:`_fft_length` of the
-    differences, the shortest with no wrap-around (Bluestein's chirp-z).
-    The plan part under ``key`` holds ``chirp`` on ``ins``, on ``outs`` and
-    the filter spectrum; ``chirp`` is even in ``m``, so it is evaluated
-    once at every ``|m|`` of the three ranges.
+    ``part`` is :func:`_chirp_part` of ``ins``, ``outs`` and ``chirp``; the
+    last axis of ``vals`` runs over ``ins``, and leading axes are batched.
+    The sum is a linear convolution over every difference, done by one FFT
+    convolution with the part's filter (Bluestein's chirp-z).
     """
-    def build():
-        diffs = np.arange(outs[0] - ins[-1], outs[-1] - ins[0] + 1)
-        ranges = [np.abs(r) for r in (ins, outs, diffs)]
-        even = chirp(np.arange(max(int(r.max()) for r in ranges) + 1))
-        c_in, c_out, c_diff = (even[r] for r in ranges)
-        return c_in, c_out, np.fft.fft(np.conj(c_diff, out=c_diff), _fft_length(diffs.size))
-
-    c_in, c_out, filter_hat = plan.part(key, build)
+    c_in, c_out, filter_hat = part
     a = np.fft.fft(vals * c_in, filter_hat.size)
     a *= filter_hat
-    return c_out * np.fft.ifft(a)[..., ins.size - 1 : ins.size - 1 + outs.size]
+    return c_out * np.fft.ifft(a)[..., c_in.size - 1 : c_in.size - 1 + c_out.size]
 
 
-def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.ndarray,
-                        n: int) -> np.ndarray:
+def _restricted_forward(js: np.ndarray, vals: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
     """``(1/n) sum_j vals_j e^{-i pi j k / n^2}`` for each k, over the ranges ``js`` and ``ks``.
 
     With ``jk = (j^2 + k^2 - (k-j)^2) / 2`` the sum is :func:`_chirp_z` with
@@ -506,31 +483,25 @@ def _restricted_forward(plan: _Plan, js: np.ndarray, vals: np.ndarray, ks: np.nd
     left in the result as inf or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        key = ("forward", n, int(js[0]), js.size, int(ks[0]), ks.size)
-        return _chirp_z(plan, key, vals, js, ks, lambda m: _chirp(m, n)) / n
-
-
-def _uniform_step(xs: np.ndarray) -> float | None:
-    """The step ``h`` when ``xs`` is an arithmetic progression of at least 2 points, else ``None``.
-
-    Every point must lie within 4 ulps of ``max|x|`` of ``xs[0] + j h``, with
-    ``h = (xs[-1] - xs[0]) / (J - 1)``; ``lo:hi:count`` query sets do.
-    """
-    J = xs.size
-    if J < 2:
-        return None
-    h = (xs[-1] - xs[0]) / (J - 1)
-    tol = 4.0 * np.spacing(np.abs(xs).max())
-    return float(h) if np.abs(xs - (xs[0] + np.arange(J) * h)).max() <= tol else None
+        part = _part(("forward", n, int(js[0]), js.size, int(ks[0]), ks.size),
+                     lambda: _chirp_part(js, ks, lambda m: _chirp(m, n)))
+        return _chirp_z(part, vals) / n
 
 
 def _query_step(xs: np.ndarray, bands: int) -> float | None:
     """The step ``h`` of :func:`_chirp_query` over ``bands`` band indices, or ``None`` for :func:`_matrix_query`.
 
-    The chirp-z takes a uniform set (:func:`_uniform_step`) once it fills
-    one fine block of the matrix, ``|xs|^2 >= bands``.
+    The chirp-z takes an arithmetic progression of ``J >= 2`` points once it
+    fills one fine block of the matrix, ``J^2 >= bands``.  Every point must
+    lie within 4 ulps of ``max|x|`` of ``xs[0] + j h``, with
+    ``h = (xs[-1] - xs[0]) / (J - 1)``; ``lo:hi:count`` query sets do.
     """
-    return _uniform_step(xs) if xs.size ** 2 >= bands else None
+    J = xs.size
+    if J < 2 or J * J < bands:
+        return None
+    h = (xs[-1] - xs[0]) / (J - 1)
+    tol = 4.0 * np.spacing(np.abs(xs).max())
+    return float(h) if np.abs(xs - (xs[0] + np.arange(J) * h)).max() <= tol else None
 
 
 def _fft_flops(m: int) -> float:
@@ -538,27 +509,26 @@ def _fft_flops(m: int) -> float:
     return 5 * m * math.log2(m)
 
 
-def _chirp_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float,
-                 n: int) -> np.ndarray:
+def _chirp_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, h: float, n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` on the uniform set ``xs``.
 
     Points are taken as ``x_j = xs[c] + (j - c) h`` about the middle index
     ``c``, so that ``e^{i pi x_j k / n} = e^{i pi xs[c] k / n} e^{i pi h (j - c) k / n}``;
     the second factor is :func:`_chirp_z` of rate ``pi h / (2n)`` over the
     band, done for all times at once.  Centring keeps ``|j - c - k|`` small.
-    The centring phase is a part of ``plan`` of its own, beside the
-    chirp-z part, which depends only on ``h`` and the number of points.
+    The centring phase is a plan part of its own, beside the chirp-z
+    part, which depends only on ``h`` and the number of points.
     """
     c = (xs.size - 1) // 2
     rate = math.fmod(h, 2 * n) / (4 * n)                     # the factor has period 2n in h
     key = ("chirp", n, int(ks[0]), ks.size)
-    phase, = plan.part(key + (xs.tobytes(),), lambda: (np.exp(1j * np.pi * (ks / n) * xs[c]),))
-    return _chirp_z(plan, key + (h, xs.size), coeffs.T * phase, ks, np.arange(-c, xs.size - c),
-                    lambda m: _rate_chirp(m, rate)) / n
+    phase, = _part(key + (xs.tobytes(),), lambda: (np.exp(1j * np.pi * (ks / n) * xs[c]),))
+    part = _part(key + (h, xs.size),
+                 lambda: _chirp_part(ks, np.arange(-c, xs.size - c), lambda m: _rate_chirp(m, rate)))
+    return _chirp_z(part, coeffs.T * phase) / n
 
 
-def _matrix_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray,
-                  n: int) -> np.ndarray:
+def _matrix_query(coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
     """``u[i, j] = (1/n) sum_k coeffs[k, i] e^{i pi x_j k / n}`` at any points ``xs``.
 
     Each band index is written ``k = ks[0] + a B + b`` with ``0 <= b < B =
@@ -567,8 +537,8 @@ def _matrix_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarra
     per point, one matrix product of the fine factors against the
     zero-padded coefficients (all coarse indices ``a`` and times at once),
     and one reduction over ``a`` with the coarse factors.  Each block's
-    exponentials are a part of ``plan``, so memory stays bounded by the
-    block size when the plan is not kept.
+    exponentials are a plan part, so memory stays bounded by the block
+    size when the parts are not kept.
     """
     T = coeffs.shape[1]
     B = math.isqrt(ks.size - 1) + 1
@@ -579,7 +549,7 @@ def _matrix_query(plan: _Plan, coeffs: np.ndarray, ks: np.ndarray, xs: np.ndarra
     rows = max(1, _QUERY_BLOCK_ENTRIES // (A * T + B))
     for s in range(0, xs.size, rows):
         x = xs[s : s + rows]
-        fine, coarse = plan.part(
+        fine, coarse = _part(
             ("matrix", n, int(ks[0]), ks.size, x.tobytes()),
             lambda: (np.exp(1j * np.pi * np.outer(x, np.arange(B) / n)),
                      np.exp(1j * np.pi * np.outer(x, (ks[0] + B * np.arange(A)) / n))))
@@ -606,7 +576,7 @@ def _powers(n: int, growth: np.ndarray, times: Sequence[float]) -> np.ndarray:
     return powers
 
 
-def _band(plan: _Plan, window: Window, times: tuple[float, ...]) -> tuple[np.ndarray, float]:
+def _band(window: Window, times: tuple[float, ...]) -> tuple[np.ndarray, float]:
     """The band's growth powers, one column per time, and its max ``|growth|``.
 
     The warning names the caller of :func:`solve` or :func:`kernel`.
@@ -618,7 +588,7 @@ def _band(plan: _Plan, window: Window, times: tuple[float, ...]) -> tuple[np.nda
         return _powers(n, growth, times), float(np.abs(growth).max())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        powers, gmax = plan.part(("band", n, window.cutoff, times), build)
+        powers, gmax = _part(("band", n, window.cutoff, times), build)
     if gmax > _STABLE_GROWTH:
         warnings.warn(
             f"|growth| reaches {gmax:.6g} inside the frequency window "
@@ -642,8 +612,7 @@ def _complex(parts: np.ndarray) -> np.ndarray:
     return u
 
 
-def _band_table(plan: _Plan, window: Window, parts: np.ndarray, powers: np.ndarray,
-                xs: np.ndarray) -> np.ndarray:
+def _band_table(window: Window, parts: np.ndarray, powers: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The table ``u`` of :func:`solve` from the transforms and the band's powers (:func:`_band`).
 
     ``parts`` holds the transforms, one row per part, on the half band
@@ -663,14 +632,14 @@ def _band_table(plan: _Plan, window: Window, parts: np.ndarray, powers: np.ndarr
         coeffs = (0.5 * data[:, :, None] * powers[:, None, :]).reshape(ks.size, -1)
         h = _query_step(xs, ks.size)
         if h is None:
-            sums = _matrix_query(plan, coeffs, ks, xs, n)
+            sums = _matrix_query(coeffs, ks, xs, n)
         else:
-            sums = _chirp_query(plan, coeffs, ks, xs, h, n)
+            sums = _chirp_query(coeffs, ks, xs, h, n)
         return _complex(sums.real.reshape(-1, powers.shape[1], xs.size))
 
 
-def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, ...],
-              xs: np.ndarray, powers: np.ndarray, gmax: float) -> np.ndarray | None:
+def _operator(window: Window, js: np.ndarray, times: tuple[float, ...], xs: np.ndarray,
+              powers: np.ndarray, gmax: float) -> np.ndarray | None:
     """The real matrix ``A`` from the samples to the table's cells, or ``None`` for the spectral route.
 
     Row ``(t, x)`` of ``A`` (row-major over ``times`` and ``xs``) is
@@ -679,28 +648,37 @@ def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, .
     ``w_0 = 1/2`` and ``w_k = 1``: ``Re g @ A.T`` is the real part of the
     table, and ``Im g @ A.T`` its imaginary part.  Every row is one
     :func:`_chirp_z` from ``k`` onto ``j`` (the phase ``jk`` is symmetric),
-    built in blocks of ``_QUERY_BLOCK_ENTRIES`` entries of FFT buffer.
+    built in blocks of ``_QUERY_BLOCK_ENTRIES`` entries of FFT buffer, all
+    with one chirp-z part that is not kept.
 
-    The operator is considered only where its product, 2 flops an entry per
-    part, takes fewer flops than the spectral route's FFTs alone
-    (:func:`_fft_flops` of the differences each convolves, which its
-    7-smooth length only lengthens: two for the transform, and two per time
-    for a chirp-z query), so fewer than that route in all.  A row then costs
-    at most about one solve, so the operator is built on the first solve
-    after ``|times| |xs|`` kept ones of its set (ski rental: as each solve
-    after the build is the cheaper, any sequence of solves costs at most
-    about twice the cheaper route's in hindsight).  See :func:`solve` for
-    the other cases where it is never built.
+    The operator is never built, and its set's solves have no count:
+
+    * where ``|growth|`` exceeds ``_STABLE_GROWTH`` in the band, so never at
+      ``omega' = n``, where the unpaired index would add a complex term
+      (``growth(n^2) = 1 + 4n``);
+    * where its ``8 |times| |xs| J`` bytes, ``J`` the sample count, would
+      not fit the plan budget beside the band's powers;
+    * where its product, 2 flops an entry per part, does not take fewer
+      flops than the spectral route's FFTs alone (:func:`_fft_flops` of the
+      differences each convolves, which its 7-smooth length only
+      lengthens: two for the transform, and two per time for a chirp-z
+      query), as for 401 points at two times on ``n = 512``.
+
+    Otherwise a row costs at most about one solve, so the operator is built
+    on the first solve after ``|times| |xs|`` earlier ones of its set (ski
+    rental: as each solve after the build is the cheaper, any sequence of
+    solves costs at most about twice the cheaper route's in hindsight).
+    The count is a part ``(count,)`` that each solve replaces under the
+    lock while the set has no operator, and that the build removes; once
+    the budget evicts the operator, its count starts again from 0.
     """
     n, K = window.params.n, window.cutoff
     rows = len(times) * xs.size
-    # omega' = n, whose unpaired index adds a complex term, has growth(n^2) = 1 + 4n
-    if gmax > _STABLE_GROWTH or plan.nbytes + 8 * rows * js.size > _PLAN_BUDGET:
+    if gmax > _STABLE_GROWTH or powers.nbytes + 8 * rows * js.size > _PLAN_BUDGET:
         return None
     key = (n, int(js[0]), js.size, K, times, xs.tobytes())
     with _plans_lock:
         built = ("operator",) + key in _plans
-        calls, = _plans.get(("calls",) + key, ([0],))
     if not built:
         # each FFT is at least as long as the differences it convolves
         ffts = 2 * _fft_flops(K + js.size)
@@ -708,27 +686,27 @@ def _operator(plan: _Plan, window: Window, js: np.ndarray, times: tuple[float, .
             ffts += 2 * len(times) * _fft_flops(K + xs.size)
         if 2 * rows * js.size >= ffts:
             return None
-        if calls[0] < rows:
-            plan.counted = ("calls",) + key
-            return None
         with _plans_lock:
-            _plans.pop(("calls",) + key, None)
+            calls, = _plans.pop(("calls",) + key, (0,))
+            if calls < rows:
+                _keep(("calls",) + key, (calls + 1,))
+                return None
 
     def build():
         ks = np.arange(K + 1)
         t_of, x_of = np.divmod(np.arange(rows), xs.size)
         block = max(1, _QUERY_BLOCK_ENTRIES // _fft_length(K + js.size))
-        chirps = _Plan()                               # one chirp-z part for every block, not kept
+        # the operator first: the chirp part built before it raised solve-band's peak RSS by 0.35 MB
         operator = np.empty((rows, js.size))
+        part = _chirp_part(ks, js, lambda m: _chirp(m, n))
         for s in range(0, rows, block):
             r = slice(s, s + block)
             vals = powers.T[t_of[r]] * np.exp(1j * np.pi * np.outer(xs[x_of[r]], ks / n))
             vals[:, 0] *= 0.5
-            operator[r] = _chirp_z(chirps, ("operator-chirp",) + key[:4], vals / n, ks, js,
-                                   lambda m: _chirp(m, n)).real / n
+            operator[r] = _chirp_z(part, vals / n).real / n
         return (operator,)
 
-    return plan.part(("operator",) + key, build)[0]
+    return _part(("operator",) + key, build)[0]
 
 
 def solve(config: SolveConfig) -> SolveResult:
@@ -740,7 +718,7 @@ def solve(config: SolveConfig) -> SolveResult:
     the window's 1/2 and ``growth^{floor(nt)}``, one column per time and
     part; inverse-transform at the query points, all columns at once,
     keeping real parts: chirp-z, O((|xs| + omega' n) log), for a uniform
-    set (:func:`_uniform_step`) of ``|xs|^2 >= K + 1`` points, so at least
+    set of ``|xs|^2 >= K + 1`` points (:func:`_query_step`), so at least
     one fine block of the matrix; the factored direct sum,
     O(|xs| omega' n |times|), otherwise.  The band is Hermitian,
     ``growth(-k) = conj(growth(k))``, so for real parts the sum over
@@ -751,33 +729,29 @@ def solve(config: SolveConfig) -> SolveResult:
     ``k = n^2`` term with ``conj(ghat)``, in the real part's columns, and
     ``i conj(ghat)``, in the imaginary part's, real data's too.  Real data
     takes one part, and ``u.imag`` is then exactly 0 below ``omega' = n``.
-    Memory is O((omega n + |xs|) |times|) on this route, and the operator
-    below holds ``8 |times| |xs| J`` bytes within the plan budget; no array
-    spans the full 2n^2 grid.  Everything that does not depend on the data
+    Memory is O((omega n + |xs|) |times|) on this route; no array spans
+    the full 2n^2 grid.  Everything that does not depend on the data
     (chirps, filter spectra, growth powers, query exponentials) is the
-    grid's plan (:class:`_Plan`), reused by later solves and :func:`kernel`
-    tables on that grid with the same result bit for bit, up to the
-    operator below.
+    grid's plan: each part is taken from the cache shared by all calls or
+    built and kept there (:func:`_part`), within ``_PLAN_BUDGET`` bytes,
+    least recently used out first.  Later solves and :func:`kernel` tables on
+    that grid reuse it with the same result bit for bit, up to the
+    operator below.  A part larger than the budget is used by its call and
+    not kept; a call whose parts together exceed it keeps those that fit,
+    evicting other grids' parts.
 
     All of it but the sampling is linear in the samples and fixed by the
     grid, the window, the times and the points: one real matrix from the
-    samples to the table's cells (:func:`_operator`).  After ``|times| |xs|``
-    kept solves of one such set, which take the route above, the next
-    builds the matrix, at about the cost of one solve per cell, and it and
-    every later one return ``Re g`` and ``Im g`` times that matrix, with no
-    FFT.  These tables differ from the route above by rounding, so the last
-    bits of a result depend on the earlier calls in the process: a set
-    takes the route above again for its next ``|times| |xs|`` solves once
-    the plan budget evicts its matrix (other grids' plans, from any
-    thread, or ``_plans.clear()``), and then the matrix again.  The matrix
-    is never built where its product, ``2 |times| |xs| J`` flops per part
-    with ``J`` the sample count, is not below the flops of the route
-    above's FFTs alone (:func:`_operator`), as for 401 points at two times
-    on ``n = 512``; when ``|growth|`` exceeds ``1 + 1e-12`` in the band,
-    where the warning below is raised (so never at ``omega' = n``, where
-    the unpaired index would add a complex term: ``growth(n^2) = 1 + 4n``);
-    or when its ``8 |times| |xs| J`` bytes would not fit the plan budget
-    beside the call's other parts.
+    samples to the table's cells (:func:`_operator`, which also names the
+    sets that never take it).  After ``|times| |xs|`` solves of one such
+    set, which take the route above, the next builds the matrix, at about
+    the cost of one solve per cell, and it and every later one return
+    ``Re g`` and ``Im g`` times that matrix, with no FFT.  These tables
+    differ from the route above by rounding, so the last bits of a result
+    depend on the earlier calls in the process: a set takes the route
+    above again for its next ``|times| |xs|`` solves once the budget
+    evicts its matrix (other grids' parts, from any thread, or
+    ``_plans.clear()``), and then the matrix again.
 
     ``max_growth`` is the largest ``|growth|`` in the band; above 1, outside
     the stability band (:func:`stability_radius`), a ``RuntimeWarning``
@@ -787,14 +761,12 @@ def solve(config: SolveConfig) -> SolveResult:
     js, gvals = _truncated_samples(config)
     window = Window(config.params, config.omega_prime)
     xs = np.asarray(config.xs, dtype=float)
-    plan = _Plan()
-    powers, gmax = _band(plan, window, config.times)
+    powers, gmax = _band(window, config.times)
     rows = np.stack((gvals.real, gvals.imag)) if gvals.imag.any() else gvals.real[None]
-    operator = _operator(plan, window, js, config.times, xs, powers, gmax)
+    operator = _operator(window, js, config.times, xs, powers, gmax)
     if operator is None:
-        parts = _restricted_forward(plan, js, rows, np.arange(window.cutoff + 1), config.n)
-        u = _band_table(plan, window, parts, powers, xs)
+        parts = _restricted_forward(js, rows, np.arange(window.cutoff + 1), config.n)
+        u = _band_table(window, parts, powers, xs)
     else:
         u = _complex((rows @ operator.T).reshape(len(rows), len(config.times), xs.size))
-    plan.keep()
     return SolveResult(config.times, config.xs, u, config.regime_flag, gmax)

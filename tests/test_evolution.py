@@ -41,8 +41,8 @@ from hyperheat.evolution import (
     _chirp,
     _chirp_query,
     _restricted_forward,
+    _query_step,
     _truncated_samples,
-    _uniform_step,
     _windowed_symbol,
 )
 
@@ -354,7 +354,7 @@ class TestKernel:
         ks = w.band_indices()
         growth = propagator(n, ks)
         coeffs = np.stack([0.5 * growth ** math.floor(n * t) for t in times], axis=1)
-        assert (_uniform_step(zs) is None) == (zs.size == 3)
+        assert (_query_step(zs, w.cutoff + 1) is None) == (zs.size == 3)
         assert np.abs(kernel(w, times, zs).u - reference_query(zs, ks, coeffs, n)).max() <= 1e-12
 
     def test_gaussian_shape_moderate_grid(self):
@@ -535,7 +535,7 @@ def test_chirp_z_routine_matches_direct_sum(case):
     ins, outs, rows, chirp, seed = case
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((rows, ins.size)) + 1j * rng.standard_normal((rows, ins.size))
-    got = evolution._chirp_z(evolution._Plan(), ("test",), vals, ins, outs, chirp)
+    got = evolution._chirp_z(evolution._chirp_part(ins, outs, chirp), vals)
     ref = np.array([[chirp(np.array([p]))[0] * np.sum(row * chirp(ins) * np.conj(chirp(p - ins)))
                      for p in outs] for row in vals])
     assert got.shape == (rows, outs.size)
@@ -551,7 +551,7 @@ class TestBandTransform:
         n, js, ks, seed = case
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(js.size) + 1j * rng.standard_normal(js.size)
-        got = _restricted_forward(evolution._Plan(), js, vals, ks, n)
+        got = _restricted_forward(js, vals, ks, n)
         ref = reference_restricted_forward(js, vals, ks, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(vals).sum() / n)
 
@@ -569,9 +569,7 @@ class TestBandTransform:
         # the solve-band forward (4096 samples onto k = 0..1536) and query (1537 onto 41 points)
         for ins, outs, size in ((np.arange(-2048, 2048), np.arange(1537), 5670),
                                 (np.arange(1537), np.arange(-20, 21), 1600)):
-            plan = evolution._Plan()
-            evolution._chirp_z(plan, ("filter",), np.zeros(ins.size), ins, outs, lambda m: _chirp(m, 512))
-            filter_hat = plan.built[("filter",)][2]
+            _, _, filter_hat = evolution._chirp_part(ins, outs, lambda m: _chirp(m, 512))
             assert filter_hat.size == evolution._fft_length(ins.size + outs.size - 1) == size
 
     # small grids put part of the window outside the stability band; the warning is expected
@@ -583,7 +581,7 @@ class TestBandTransform:
             config, vals = _random_data_solve(n, radius, np.linspace(-1, 1, 5), n, imaginary)
             with mock.patch.object(evolution, "_band_table", wraps=evolution._band_table) as spy:
                 solve(config)
-            parts = spy.call_args.args[2]
+            parts = spy.call_args.args[1]
             js, _ = _truncated_samples(config)
             ks = np.arange(Window(config.params, radius).cutoff + 1)      # 0..n^2 at omega' = n
             rows = (vals.real, vals.imag) if imaginary else (vals.real,)
@@ -672,14 +670,14 @@ def scattered_query_cases(draw):
 
 def _matrix_path_only(monkeypatch):
     """Make ``solve`` treat every query set as non-uniform."""
-    monkeypatch.setattr(evolution, "_uniform_step", lambda xs: None)
+    monkeypatch.setattr(evolution, "_query_step", lambda xs, bands: None)
 
 
 def _coefficient_scale(config):
     """``sum_k |c_k| / n`` over the solve's band coefficients at any time (``|growth| <= 1``)."""
     js, gvals = _truncated_samples(config)
     ks = Window(config.params, config.omega_prime).band_indices()
-    return np.abs(0.5 * _restricted_forward(evolution._Plan(), js, gvals, ks, config.n)).sum() / config.n
+    return np.abs(0.5 * _restricted_forward(js, gvals, ks, config.n)).sum() / config.n
 
 
 class TestUniformQuery:
@@ -692,9 +690,9 @@ class TestUniformQuery:
         ks = Window(GridParams(n), radius).band_indices()
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal((ks.size, 2)) + 1j * rng.standard_normal((ks.size, 2))
-        h = _uniform_step(xs)
+        h = _query_step(xs, 1)
         assert h is not None
-        got = _chirp_query(evolution._Plan(), coeffs, ks, xs, h, n)
+        got = _chirp_query(coeffs, ks, xs, h, n)
         ref = reference_query(xs, ks, coeffs, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
 
@@ -711,7 +709,7 @@ class TestUniformQuery:
         # |x| <= 8: beyond it every route, the reference too, loses phase alike
         xs = rng.uniform(-8.0, 8.0, points)
         with mock.patch.object(evolution, "_QUERY_BLOCK_ENTRIES", entries):
-            got = evolution._matrix_query(evolution._Plan(), coeffs, ks, xs, n)
+            got = evolution._matrix_query(coeffs, ks, xs, n)
         ref = reference_query(xs, ks, coeffs, n)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(coeffs).sum(axis=0).max() / n)
 
@@ -770,7 +768,7 @@ class TestUniformQuery:
         config = SolveConfig(n=128, omega=4.0, omega_prime=3.0, boundary=gaussian(),
                              times=tuple(np.linspace(0.25, 2, 8)),
                              xs=tuple(np.linspace(-4, 4, 2001)))
-        assert _uniform_step(np.asarray(config.xs)) is not None
+        assert _query_step(np.asarray(config.xs), 1) is not None
         assert not solve(config).u.imag.any()
 
     def test_non_uniform_sets_take_the_matrix_path(self, monkeypatch):
@@ -782,7 +780,7 @@ class TestUniformQuery:
         def run(points):
             return solve(dataclasses.replace(config, xs=tuple(points))).u
 
-        assert _uniform_step(xs[perm]) is None
+        assert _query_step(xs[perm], 1) is None
         uniform, shuffled = run(xs), run(xs[perm])
         assert np.abs(shuffled - uniform[:, perm]).max() <= 1e-12 * (1 + _coefficient_scale(config))
 
@@ -825,7 +823,7 @@ def _full_band_reference(config, ghat=None):
     js, gvals = _truncated_samples(config)
     ks = Window(config.params, config.omega_prime).band_indices()
     if ghat is None:
-        ghat = _restricted_forward(evolution._Plan(), js, gvals, ks, config.n)
+        ghat = _restricted_forward(js, gvals, ks, config.n)
     growth = propagator(config.n, ks)
     coeffs = 0.5 * np.reshape(ghat, (-1, 1)) * evolution._powers(config.n, growth, config.times)
     scale = 4e-14 if np.abs(growth).max() > 1.0 + 1e-12 else 1e-14
@@ -837,7 +835,7 @@ def _query_path(path):
     """The chirp-z path as ``solve`` chooses it, or every query set on the factored matrix."""
     if path == "chirp":
         return contextlib.nullcontext()
-    return mock.patch.object(evolution, "_uniform_step", lambda xs: None)
+    return mock.patch.object(evolution, "_query_step", lambda xs, bands: None)
 
 
 # small grids put part of the window outside the stability band; the warning is expected
@@ -924,12 +922,13 @@ class TestHermitianHalfBand:
 
 def _cold_and_warm(run, inputs):
     """``run(x)`` for each input once with an empty plan cache, and then again with the
-    plan that the last cold call left; the warm calls must build no part."""
+    plan that the last cold call left; the warm calls must build no part (the count of
+    repeated solves, which each solve replaces, aside)."""
     cold = []
     for x in inputs:
         evolution._plans.clear()
         cold.append(run(x))
-    kept = dict(evolution._plans)
+    kept = {key: part for key, part in evolution._plans.items() if key[0] != "calls"}
     assert kept
     warm = [run(x) for x in inputs]
     assert all(evolution._plans[key] is part for key, part in kept.items())
@@ -938,6 +937,17 @@ def _cold_and_warm(run, inputs):
 
 def _cached_arrays():
     return [v for part in evolution._plans.values() for v in part if isinstance(v, np.ndarray)]
+
+
+def _entry_bytes(key, part):
+    """Bytes of the arrays in a plan part and of the point sets in its key."""
+    return (sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+            + sum(len(v) for v in key if isinstance(v, bytes)))
+
+
+def _cached_bytes():
+    """Bytes of the plan cache's parts and keys, as the budget counts them."""
+    return sum(_entry_bytes(key, part) for key, part in evolution._plans.items())
 
 
 @pytest.fixture
@@ -1047,27 +1057,27 @@ class TestPlan:
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", 3000)
 
         def use(*keys, size=100):                        # 800 bytes per part
-            plan = evolution._Plan()
             for key in keys:
-                plan.part((key,), lambda: (np.zeros(size), 1.0))
-            plan.keep()
+                evolution._part((key,), lambda: (np.zeros(size), 1.0))
 
         use("a"), use("b"), use("c")
         use("a")                                         # a becomes the most recent
         use("d")                                         # 3200 bytes: b, the least recent, goes
         assert list(evolution._plans) == [("c",), ("a",), ("d",)]
-        use("e", "f", "g", "h")                          # one call over the budget keeps nothing
-        use("big", size=400)
-        assert list(evolution._plans) == [("c",), ("a",), ("d",)]
-        assert sum(map(evolution._nbytes, evolution._plans.values())) == 2400
+        use("e", "f", "g", "h")                          # each part is kept, evicting c, a, d and e
+        use("big", size=400)                             # 3200 bytes alone: used, not kept
+        assert list(evolution._plans) == [("f",), ("g",), ("h",)]
+        assert _cached_bytes() == 2400
 
-    def test_plan_over_the_budget_is_used_and_not_kept(self, empty_plans, monkeypatch):
+    def test_part_over_the_budget_is_not_kept(self, empty_plans, monkeypatch):
         config = SolveConfig(n=1024, omega=4.0, omega_prime=3.0, boundary=gaussian(),
                              times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 41)))
         kept = solve(config).u
-        size = sum(map(evolution._nbytes, evolution._plans.values()))
+        sizes = {key: _entry_bytes(key, part) for key, part in evolution._plans.items()}
+        largest = max(sizes, key=sizes.get)
         evolution._plans.clear()
-        monkeypatch.setattr(evolution, "_PLAN_BUDGET", size - 1)
+        budget = sizes[largest] - 1
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", budget)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1076,8 +1086,18 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert same_bits(u, kept)
-        assert not evolution._plans
-        assert retained < 4096                           # no plan array outlives the call
+        assert largest not in evolution._plans and evolution._plans    # the parts that fit are kept
+        assert _cached_bytes() <= budget
+        assert retained - _cached_bytes() < 4096         # no other plan array outlives the call
+
+    def test_key_bytes_count_toward_the_budget(self, empty_plans, monkeypatch):
+        # each 2001-point set keys its 3 kB centring phase by its 16 kB of points: 6.4 MB of keys
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 1 << 20)
+        for i in range(400):
+            solve(SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
+                              xs=tuple(np.linspace(-2 - i / 1000, 2, 2001))))
+            assert _cached_bytes() <= 1 << 20
+        assert any(isinstance(v, bytes) for key in evolution._plans for v in key)
 
     def test_retained_bytes_never_exceed_the_budget(self, empty_plans, monkeypatch):
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", 400_000)
@@ -1085,7 +1105,7 @@ class TestPlan:
             for xs in (np.linspace(-2, 2, 41), np.array([0.0, 0.3])):
                 solve(SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(),
                                   times=(0.5,), xs=tuple(xs)))
-                assert sum(map(evolution._nbytes, evolution._plans.values())) <= 400_000
+                assert _cached_bytes() <= 400_000
         assert evolution._plans
 
     def test_threads_share_the_cache(self, empty_plans, monkeypatch):
@@ -1095,7 +1115,7 @@ class TestPlan:
         expected = [solve(c).u for c in configs]
         # a budget for the two largest of the three grids' plans keeps the threads
         # evicting each other's parts
-        sizes = [sum(evolution._nbytes(part) for key, part in evolution._plans.items() if key[1] == n)
+        sizes = [sum(_entry_bytes(key, part) for key, part in evolution._plans.items() if key[1] == n)
                  for n in (16, 24, 32)]
         budget = sum(sorted(sizes)[1:])
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", budget)
@@ -1123,7 +1143,7 @@ class TestPlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert sum(map(evolution._nbytes, evolution._plans.values())) <= budget
+        assert _cached_bytes() <= budget
 
 
 def _operator_parts():
@@ -1208,7 +1228,7 @@ class TestOperator:
         assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
         _operator_solve(config)
-        assert sum(map(evolution._nbytes, evolution._plans.values())) <= band + operator
+        assert _cached_bytes() <= band + operator
 
     @pytest.mark.parametrize("xs, times", [(np.linspace(-2, 2, 401), (0.25, 0.5)),
                                            (np.random.default_rng(1).uniform(-2, 2, 101), (0.5,))],
@@ -1228,15 +1248,18 @@ class TestOperator:
             assert same_bits(solve(config).u, first)
         assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
 
-    def test_a_plan_not_kept_is_not_counted(self, empty_plans, monkeypatch):
+    def test_a_set_whose_plan_does_not_fit_is_counted_and_switches(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-1, 1, 2), 0, imaginary=False)
         config = dataclasses.replace(config, times=(0.5,))
         band, operator = 16 * (Window(config.params, 3.0).cutoff + 1), 8 * 2 * 4 * 64
-        # the operator fits beside the band, but the spectral route's plan does not fit at all
+        # the operator fits beside the band, but the forward transform's part alone does not fit
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
-        for _ in range(3 * len(config.xs)):
+        for _ in range(len(config.times) * len(config.xs)):
             solve(config)
-        assert not evolution._plans
+            assert "forward" not in {key[0] for key in evolution._plans}     # used, not kept
+        assert not _operator_parts()
+        solve(config)
+        assert _operator_parts() and _cached_bytes() <= band + operator
 
     def test_an_evicted_operator_is_counted_for_again(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
@@ -1253,6 +1276,25 @@ class TestOperator:
         for _ in range(cells):                               # the spectral route's bits again
             assert same_bits(solve(config).u, spectral)
         assert same_bits(solve(config).u, switched) and _operator_parts()
+
+    def test_a_used_operator_outlives_newer_parts(self, empty_plans, monkeypatch):
+        config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
+        others = [_random_data_solve(n, 3.0, np.linspace(-2, 2, 5), 1, imaginary=False)[0] for n in (48, 56)]
+        sizes = []
+        for other in others:                             # each other grid's parts, on its own
+            solve(other)
+            sizes.append(_cached_bytes())
+            evolution._plans.clear()
+        switched = _operator_solve(config)
+        held = sum(_entry_bytes(key, part) for key, part in evolution._plans.items()
+                   if key[0] in ("band", "operator"))
+        # room for the set's band and operator beside one other grid's parts, not two
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", held + max(sizes))
+        solve(others[0])
+        assert same_bits(solve(config).u, switched)      # its operator becomes the most recent
+        solve(others[1])                                 # so the first other grid's parts go first
+        assert _operator_parts() and not [key for key in evolution._plans if key[1] == 48]
+        assert same_bits(solve(config).u, switched)
 
     def test_threads_count_every_solve(self, empty_plans):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 41), 0, imaginary=False)
@@ -1278,7 +1320,7 @@ class TestOperator:
         assert not any(t.is_alive() for t in threads) and failures == []
         # 80 solves, below the 82 cells: a lost update would leave fewer
         (calls,), = [part for key, part in evolution._plans.items() if key[0] == "calls"]
-        assert calls == [80] and not _operator_parts()
+        assert calls == 80 and not _operator_parts()
 
     def test_kernel_counts_nothing(self, empty_plans):
         window = Window(GridParams(64), 3.0)

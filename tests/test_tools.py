@@ -47,6 +47,14 @@ def test_repeated_solve_ends_on_the_operator_route(monkeypatch, capsys):
     assert [key[0] for key in evolution._plans].count("operator") == 1
 
 
+def test_interleaved_solves_end_with_both_operators_cached(monkeypatch, capsys):
+    monkeypatch.setattr(evolution, "_plans", OrderedDict())
+    exec(compare_outputs.INTERLEAVED_SOLVES, {})
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "n,t,x,u_re,u_im" and len(rows) == 1 + 2 * 2 * 41
+    assert sorted(key[1] for key in evolution._plans if key[0] == "operator") == [256, 512]
+
+
 def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
     source = (
         '"""Module docstring,\n'

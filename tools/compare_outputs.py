@@ -18,9 +18,9 @@ the factored matrix, and a ``solve`` of 41 uniform points at n=4096 and a
 than ``ceil(sqrt(|band|))``, and ``validate`` at ``--n 1 --seed 0``,
 the smallest grid, and at ``--n 16 --seed 921``, every grid) runs in
 both trees, each in a fresh interpreter with the CSV on standard
-output.  So does one library script, :data:`REPEATED_SOLVE`: the CLI
-solves each grid once per process, and only a repeated solve reaches the
-samples-to-table operator.  For each command one line says
+output.  So do two library scripts, :data:`REPEATED_SOLVE` and
+:data:`INTERLEAVED_SOLVES`: the CLI solves each grid once per process,
+and only a repeated solve reaches the samples-to-table operator.  For each command one line says
 ``identical``, or names each column that changed with its count of changed
 cells and its largest ``|delta|``; differences in standard error (where
 the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
@@ -89,6 +89,24 @@ print("t,x,u_re,u_im")
 for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
     for x, a, b in zip(config.xs, re, im):
         print(f"{t!r},{x!r},{a!r},{b!r}")
+"""
+
+# solve-band's configuration and the same at n=256, solved alternately until both are on the
+# samples-to-table operator route, both held in the one plan cache; both tables on standard
+# output, as CSV, so that a part taken under the other set's key would show
+INTERLEAVED_SOLVES = """
+import numpy as np
+import hyperheat
+configs = [hyperheat.SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=hyperheat.gaussian(1.0, 1.0),
+                                 times=(0.5, 1.0), xs=tuple(np.linspace(-2.0, 2.0, 41)))
+           for n in (512, 256)]
+for _ in range(len(configs[0].times) * len(configs[0].xs) + 1):
+    tables = [hyperheat.solve(config).u for config in configs]
+print("n,t,x,u_re,u_im")
+for config, u in zip(configs, tables):
+    for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
+        for x, a, b in zip(config.xs, re, im):
+            print(f"{config.n},{t!r},{x!r},{a!r},{b!r}")
 """
 
 # tokens that hold no code
@@ -195,6 +213,7 @@ def main(argv: list[str]) -> int:
         write_complex_data(data)
         runs = [(c, ["-m", "hyperheat.cli", *c.format(data=data).split()]) for c in COMMANDS]
         runs.append(("repeated solve (REPEATED_SOLVE)", ["-c", REPEATED_SOLVE]))
+        runs.append(("interleaved solves (INTERLEAVED_SOLVES)", ["-c", INTERLEAVED_SOLVES]))
         same = True
         for label, args in runs:
             diff = compare(run(base, args, Path(tmp)), run(ROOT, args, Path(tmp)))
