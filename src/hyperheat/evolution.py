@@ -72,6 +72,7 @@ _STABLE_GROWTH = 1.0 + 1e-12
 
 _plans: OrderedDict[tuple, tuple] = OrderedDict()   # key -> plan part, least recently used first
 _plans_lock = threading.Lock()
+_plans_bytes = 0        # _nbytes of every entry of _plans, kept by _keep and _drop
 
 
 class EvolutionOverflowError(RuntimeError):
@@ -348,12 +349,27 @@ def _nbytes(key: tuple, part: tuple) -> int:
 
 def _keep(key: tuple, part: tuple) -> None:
     """Cache ``part`` under ``key`` as the most recently used, and evict the least recently
-    used parts until the cache fits ``_PLAN_BUDGET``; the caller holds ``_plans_lock``."""
+    used parts until the cache fits ``_PLAN_BUDGET``; the caller holds ``_plans_lock``.
+
+    The cache's bytes are a running total, restarted from 0 when the cache is
+    found empty (cleared, or replaced by an empty one)."""
+    global _plans_bytes
+    if not _plans:
+        _plans_bytes = 0
+    _drop(key)
     _plans[key] = part
-    _plans.move_to_end(key)
-    total = sum(_nbytes(*item) for item in _plans.items())
-    while total > _PLAN_BUDGET:
-        total -= _nbytes(*_plans.popitem(last=False))
+    _plans_bytes += _nbytes(key, part)
+    while _plans_bytes > _PLAN_BUDGET and _plans:
+        _plans_bytes -= _nbytes(*_plans.popitem(last=False))
+
+
+def _drop(key: tuple) -> tuple | None:
+    """Remove and return the part under ``key``, or ``None``; the caller holds ``_plans_lock``."""
+    global _plans_bytes
+    part = _plans.pop(key, None)
+    if part is not None:
+        _plans_bytes -= _nbytes(key, part)
+    return part
 
 
 def _part(key: tuple, build: Callable[[], tuple]) -> tuple:
@@ -687,7 +703,7 @@ def _operator(window: Window, js: np.ndarray, times: tuple[float, ...], xs: np.n
         if 2 * rows * js.size >= ffts:
             return None
         with _plans_lock:
-            calls, = _plans.pop(("calls",) + key, (0,))
+            calls, = _drop(("calls",) + key) or (0,)
             if calls < rows:
                 _keep(("calls",) + key, (calls + 1,))
                 return None

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import hyperheat.transform
 from conftest import fresh_env, run_fresh
-from hyperheat import evolution, oracle
+from hyperheat import cli, evolution, oracle
 from hyperheat.cli import _write_csv, _write_table, main, parse_boundary
 from hyperheat.evolution import SolveConfig, SolveResult, solve
 from hyperheat.grid import GridFunction
@@ -96,19 +98,22 @@ class TestCsvFormat:
     @settings(max_examples=200, deadline=None)
     @given(case=table_cases())
     def test_table_bytes_match_the_csv_module(self, case):
+        # on both paths: the numpy formatter (a cut of 0 cells) and repr per cell
         result, header, refs, to_file = case
         reference = None if refs is None else (lambda t, xs: refs[result.times.index(t)])
-        if to_file:
-            with tempfile.TemporaryDirectory() as tmp:
-                out = os.path.join(tmp, "table.csv")
-                assert _write_table("solve", out, result, header, reference) == 0
-                got = Path(out).read_bytes()
-        else:
-            buf = io.StringIO(newline="")
-            with contextlib.redirect_stdout(buf):
-                assert _write_table("solve", None, result, header, reference) == 0
-            got = buf.getvalue().encode("utf-8")
-        assert got == reference_table(result, header, reference)
+        for cut in (0, math.inf):
+            with mock.patch.object(cli, "_VECTOR_CELLS", cut):
+                if to_file:
+                    with tempfile.TemporaryDirectory() as tmp:
+                        out = os.path.join(tmp, "table.csv")
+                        assert _write_table("solve", out, result, header, reference) == 0
+                        got = Path(out).read_bytes()
+                else:
+                    buf = io.StringIO(newline="")
+                    with contextlib.redirect_stdout(buf):
+                        assert _write_table("solve", None, result, header, reference) == 0
+                    got = buf.getvalue().encode("utf-8")
+            assert got == reference_table(result, header, reference)
 
     @pytest.mark.parametrize("reference", [None, lambda t, xs: oracle.gaussian().closed_form(t, xs).real],
                              ids=["no-oracle", "oracle"])
@@ -120,8 +125,30 @@ class TestCsvFormat:
         assert result.u.shape == (8, 2001) and not result.u.imag.any()
         out = tmp_path / "surface.csv"
         header = ("t", "x", "u_re", "u_im_diag")
-        assert _write_table("solve", str(out), result, header, reference) == 0
-        assert out.read_bytes() == reference_table(result, header, reference)
+        for cut in (0, math.inf):
+            with mock.patch.object(cli, "_VECTOR_CELLS", cut):
+                assert _write_table("solve", str(out), result, header, reference) == 0
+            assert out.read_bytes() == reference_table(result, header, reference)
+
+    def test_large_table_with_a_nan_oracle_cell(self, tmp_path):
+        # a NaN in the oracle's columns (which the non-finite check does not cover) keeps
+        # repr per cell, which writes it as 'nan'
+        g = oracle.gaussian(1.0, 1e308)                 # its closed form overflows to inf / inf
+        config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=g,
+                             times=tuple(np.linspace(0.25, 2, 8)), xs=tuple(np.linspace(-2, 2, 601)))
+        out = tmp_path / "nan.csv"
+        header = ("t", "x", "u_re", "u_im_diag")
+
+        def reference(t, xs):
+            return g.closed_form(t, xs).real
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = solve(config)
+            assert result.u.size * 3 >= cli._VECTOR_CELLS
+            assert _write_table("solve", str(out), result, header, reference) == 0
+            assert out.read_bytes() == reference_table(result, header, reference)
+        assert b",nan," in out.read_bytes()
 
 
 class TestBoundaryParsing:

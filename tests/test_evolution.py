@@ -1108,6 +1108,34 @@ class TestPlan:
                 assert _cached_bytes() <= 400_000
         assert evolution._plans
 
+    def test_byte_total_is_the_sum_of_the_entries(self, empty_plans, monkeypatch):
+        # three grids in turn under a budget for about two: parts enter and are evicted,
+        # each set's count is replaced and then dropped for its operator, and the cache is
+        # cleared on the way
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 200_000)
+        configs = [SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
+                               xs=tuple(np.linspace(-2, 2, 5))) for n in (64, 128, 256)]
+        evicted, operators = 0, set()
+        for i in range(40):
+            if i == 20:
+                evolution._plans.clear()
+            before = set(evolution._plans)
+            solve(configs[i % 3])
+            evicted += len(before - set(evolution._plans) - {key for key in before if key[0] == "calls"})
+            operators |= {key[1] for key in evolution._plans if key[0] == "operator"}
+            assert evolution._plans_bytes == _cached_bytes()
+        assert evicted and operators == {64, 128, 256}
+
+    def test_an_insert_reads_no_other_entry(self, empty_plans):
+        with evolution._plans_lock:
+            for i in range(1000):
+                evolution._keep(("tiny", i), (np.zeros(1),))
+            with mock.patch.object(evolution, "_nbytes", wraps=evolution._nbytes) as nbytes:
+                evolution._keep(("tiny", 1000), (np.zeros(1),))
+                evolution._keep(("tiny", 0), (np.zeros(2),))            # a replaced entry
+        assert nbytes.call_count == 3
+        assert evolution._plans_bytes == _cached_bytes() == 1000 * 8 + 16
+
     def test_threads_share_the_cache(self, empty_plans, monkeypatch):
         configs = [SolveConfig(n=n, omega=2.0, omega_prime=1.0, boundary=gaussian(a, 1.0),
                                times=(0.5,), xs=tuple(np.linspace(-2, 2, 41)))

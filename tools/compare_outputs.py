@@ -16,7 +16,10 @@ file, and a ``solve`` of 16 non-uniform points at 2 times at n=512, on
 the factored matrix, and a ``solve`` of 41 uniform points at n=4096 and a
 ``kernel`` of 61 at n=2048, on the factored matrix too, as fewer points
 than ``ceil(sqrt(|band|))``, and ``validate`` at ``--n 1 --seed 0``,
-the smallest grid, and at ``--n 16 --seed 921``, every grid) runs in
+the smallest grid, and at ``--n 16 --seed 921``, every grid, and a
+``kernel`` of 8 x 2001 rows at ``omega' = n = 8``, whose table is large
+enough for the vectorised float formatter and holds a non-zero imaginary
+column, negative cells, values above 10 and exponent notation) runs in
 both trees, each in a fresh interpreter with the CSV on standard
 output.  So do two library scripts, :data:`REPEATED_SOLVE` and
 :data:`INTERLEAVED_SOLVES`: the CLI solves each grid once per process,
@@ -73,6 +76,7 @@ COMMANDS = (
     "kernel --n 2048 --times 0.25,1 --xs=-3:3:61",
     "validate --n 1 --seed 0",
     "validate --n 16 --seed 921",
+    "kernel --n 8 --omega-prime 8 --times 0.25:2:8 --xs=-1:1:2001",
 )
 
 # solve-band's configuration (n=512, omega=4, omega'=3, times 0.5 and 1, 41 points on
