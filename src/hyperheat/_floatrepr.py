@@ -11,10 +11,12 @@ The text is laid out as ``repr`` lays it out: positional when the decimal
 point falls in ``-4 < decpt <= 16``, with ``.0`` after an integral value,
 else ``d.ddde±XX``; ``-0.0`` keeps its sign.
 
-Nothing is computed at import.  The table of 126-bit powers of ten is
-filled on first use, and only for the exponents that occur; the small
-digit and layout tables are built on first use with numpy arithmetic.
-Only finite values are valid input.
+Every lookup table is built once, by :func:`_build`, when the module is
+imported (about 1.5 ms, 1.2 of it for the 126-bit powers of ten of all 617
+exponents).  The import lock holds other threads back until then, and
+nothing changes the tables after it, so threads may call :func:`reprs` at
+once.  ``cli`` imports this module only for a large table.  Only finite
+values are valid input.
 """
 
 from __future__ import annotations
@@ -39,36 +41,61 @@ PASS = 2048
 # layout codes: 0 no dot; p = 1..16 a dot after p digits; 17 + z: '0.' and z zeros first
 _CODES = 21
 
-_g: np.ndarray | None = None        # (3, _K_SIZE) uint64: g1, g0 and h - q of each power
-_built: np.ndarray | None = None    # which columns of _g are filled
-_tables: dict[str, np.ndarray] = {}
-
 
 def _flog2pow10(e):
     """floor(e log2 10), exact for |e| <= 1233."""
     return (e * 913124641741) >> 38
 
 
-def _powers(k: np.ndarray) -> np.ndarray:
-    """Rows ``g1, g0, h - q`` for each ``k``: ``g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1`` in
-    ``[2^125, 2^126)``, and the shift ``h = q + floor(-k log2 10) + 2``; each column is
-    computed once, with Python ints."""
-    global _g, _built
-    if _g is None:
-        _g, _built = np.zeros((3, _K_SIZE), np.uint64), np.zeros(_K_SIZE, bool)
-    i = k - _K_MIN
-    if not _built[i].all():
-        for j in np.flatnonzero(~_built & (np.bincount(i, minlength=_K_SIZE) > 0)).tolist():
-            kj = j + _K_MIN
-            shift = 125 - _flog2pow10(-kj)                  # -r
-            if kj > 0:
-                g = (1 << shift) // 10 ** kj + 1
-            else:
-                g = (10 ** -kj << shift if shift >= 0 else 10 ** -kj >> -shift) + 1
-            # h - q can be negative: kept modulo 2^64, so that adding q in uint64 wraps to h
-            _g[:, j] = g >> 63, g & ((1 << 63) - 1), (_flog2pow10(-kj) + 2) % (1 << 64)
-            _built[j] = True
-    return _g[:, i]
+def _windows(flat: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` consecutive bytes of the contiguous ``flat`` as one item; item
+    ``i`` starts at byte ``i`` (a view: assigning to an item writes ``flat``)."""
+    return np.ndarray(buffer=flat, dtype=f"V{width}", shape=(flat.size - width + 1,), strides=(1,))
+
+
+def _build() -> tuple[np.ndarray, ...]:
+    """The lookup tables of :func:`_shortest` and :func:`_reprs`, in the order of the
+    module constants they are unpacked into below."""
+    # rows g1, g0, h - q of each k: g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1 in
+    # [2^125, 2^126), and the shift h = q + floor(-k log2 10) + 2; with Python ints
+    powers = np.empty((3, _K_SIZE), np.uint64)
+    for j in range(_K_SIZE):
+        k = j + _K_MIN
+        shift = 125 - _flog2pow10(-k)                   # -r
+        if k > 0:
+            g = (1 << shift) // 10 ** k + 1
+        else:
+            g = (10 ** -k << shift if shift >= 0 else 10 ** -k >> -shift) + 1
+        # h - q can be negative: kept modulo 2^64, so that adding q in uint64 wraps to h
+        powers[:, j] = g >> 63, g & ((1 << 63) - 1), (_flog2pow10(-k) + 2) % (1 << 64)
+    # four ASCII digits of 0..9999 as one little-endian uint32, and their trailing zeros
+    v = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((10000, 4), np.uint8)
+    for i, place in enumerate((1000, 100, 10, 1)):
+        digits[:, i] = v // place % 10 + 48
+    quads = digits.view("<u4").ravel()
+    trailing = sum((v % place == 0).astype(np.uint8) for place in (10, 100, 1000, 10000))
+    pow10 = 10 ** np.arange(18, dtype=np.uint64)
+    # 'e', the sign and two or three digits of the exponents -324..308, as 8 bytes
+    e = np.arange(-324, 309)
+    e_quads = quads[np.abs(e)].astype(np.uint64)
+    exponent = ord("e") | np.where(e < 0, ord("-"), ord("+")).astype(np.uint64) << 8 \
+        | (e_quads >> np.where(np.abs(e) >= 100, 8, 16).astype(np.uint64)) << 16
+    # per layout key (sign, code): the constant bytes, and which columns are read
+    # from the window before and after the dot
+    j = np.arange(WIDTH)
+    sign = np.arange(2)[:, None, None]
+    code = np.arange(_CODES)[None, :, None]
+    dot = np.where((code >= 1) & (code <= 16), sign + code, WIDTH)
+    lead = sign + np.where(code >= 17, code - 15, 0)        # '-', then '0.' and zeros
+    const = np.where((j == 0) & (sign == 1), ord("-"), 0) + np.where(j == dot, ord("."), 0) \
+        + np.where((j >= sign) & (j < lead), np.where(j == sign + 1, ord("."), ord("0")), 0)
+    const, before, after = (_windows(table.astype(np.uint8).ravel(), WIDTH)[::WIDTH]  # one item a row
+                            for table in (const, 255 * ((j >= lead) & (j < dot)), 255 * (j > dot)))
+    return powers, quads, trailing, pow10, exponent, const, before, after
+
+
+_POWERS, _QUADS, _TRAILING, _POW10, _EXPONENT, _CONST, _BEFORE, _AFTER = _build()
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +108,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # above a power of two the next double is twice as far as the one below
     irregular = (t == 0) & (bq > 1)
     k = (q * 661971961083 - irregular * 274743187321) >> 41    # floor(log10 of the lower gap)
-    g1, g0, h = _powers(k)
+    g1, g0, h = _POWERS[:, k - _K_MIN]
     # the value and its interval's ends, times 4 10^-k, as Java's rop(): vb, vbl, vbr
     cb = c << 2
     cp = np.stack([cb, cb - 2 + irregular, cb + 2])
@@ -119,43 +146,6 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where((upin != wpin) & (sp10 > 0), np.where(upin, sp10, sp10 + 10), f), k
 
 
-def _table(name: str) -> np.ndarray:
-    """The lookup tables, built on first use."""
-    if not _tables:
-        # four ASCII digits of 0..9999 as one little-endian uint32, and their trailing zeros
-        v = np.arange(10000, dtype=np.uint16)
-        quads = np.empty((10000, 4), np.uint8)
-        for i, place in enumerate((1000, 100, 10, 1)):
-            quads[:, i] = v // place % 10 + 48
-        _tables["quads"] = quads.view("<u4").ravel()
-        _tables["trailing"] = sum((v % place == 0).astype(np.uint8) for place in (10, 100, 1000, 10000))
-        _tables["pow10"] = 10 ** np.arange(18, dtype=np.uint64)
-        # 'e', the sign and two or three digits of the exponents -324..308, as 8 bytes
-        e = np.arange(-324, 309)
-        quads = _tables["quads"][np.abs(e)].astype(np.uint64)
-        _tables["exponent"] = ord("e") | np.where(e < 0, ord("-"), ord("+")).astype(np.uint64) << 8 \
-            | (quads >> np.where(np.abs(e) >= 100, 8, 16).astype(np.uint64)) << 16
-        # per layout key (sign, code): the constant bytes, and which columns are read
-        # from the window before and after the dot
-        j = np.arange(WIDTH)
-        sign = np.arange(2)[:, None, None]
-        code = np.arange(_CODES)[None, :, None]
-        dot = np.where((code >= 1) & (code <= 16), sign + code, WIDTH)
-        lead = sign + np.where(code >= 17, code - 15, 0)        # '-', then '0.' and zeros
-        const = np.where((j == 0) & (sign == 1), ord("-"), 0) + np.where(j == dot, ord("."), 0) \
-            + np.where((j >= sign) & (j < lead), np.where(j == sign + 1, ord("."), ord("0")), 0)
-        for part, table in (("const", const), ("before", 255 * ((j >= lead) & (j < dot))),
-                            ("after", 255 * (j > dot))):
-            _tables[part] = _windows(table.astype(np.uint8).ravel(), WIDTH)[::WIDTH]   # one item a row
-    return _tables[name]
-
-
-def _windows(flat: np.ndarray, width: int) -> np.ndarray:
-    """Every ``width`` consecutive bytes of the contiguous ``flat`` as one item; item
-    ``i`` starts at byte ``i`` (a view: assigning to an item writes ``flat``)."""
-    return np.ndarray(buffer=flat, dtype=f"V{width}", shape=(flat.size - width + 1,), strides=(1,))
-
-
 def reprs(a: np.ndarray) -> np.ndarray:
     """A ``(a.size, WIDTH)`` ``uint8`` matrix whose row ``i`` holds the bytes of
     ``repr(float(a.flat[i]))`` followed by NULs.  Every value of ``a`` must be finite."""
@@ -178,13 +168,12 @@ def _reprs(a: np.ndarray) -> np.ndarray:
     hi, lo = np.divmod(f, 10**8)
     top, mid = np.divmod(hi.astype(np.uint32), 10**8)
     chunks = [top, *np.divmod(mid, 10**4), *np.divmod(lo.astype(np.uint32), 10**4)]
-    trailing = _table("trailing")
-    tz = trailing[chunks[4]]                        # trailing zeros of f
+    tz = _TRAILING[chunks[4]]                       # trailing zeros of f
     run = chunks[4] == 0
     for chunk in chunks[3::-1]:
-        tz += run * trailing[chunk]
+        tz += run * _TRAILING[chunk]
         run &= chunk == 0
-    nd = np.searchsorted(_table("pow10"), f, side="right")     # digits of f
+    nd = np.searchsorted(_POW10, f, side="right")   # digits of f
     nd[zero] = tz[zero] = 1                         # zero prints as the digit 0
     m = nd - tz                                     # significant digits
     decpt = np.where(zero, 1, nd + k)               # the value is 0.ddd 10^decpt
@@ -196,11 +185,11 @@ def _reprs(a: np.ndarray) -> np.ndarray:
     src = np.zeros((n, _ROW), np.uint8)
     quads = src.view("<u4")
     for i, chunk in enumerate(chunks):
-        quads[:, _FRONT // 4 + i] = _table("quads")[chunk]
+        quads[:, _FRONT // 4 + i] = _QUADS[chunk]
     # the tail after the printed digits ('.0', 'e±XX[X]' or nothing), then NULs over the
     # digits of f not printed, as the 16 little-endian bytes of two uint64
     tail = np.zeros((n, 2), "<u8")
-    tail[:, 0] = np.where(sci, _table("exponent")[np.clip(decpt + 323, 0, 632)],
+    tail[:, 0] = np.where(sci, _EXPONENT[decpt + 323],
                           np.where(whole, ord(".") | ord("0") << 8, 0).astype(np.uint64))
     row = np.arange(n) * _ROW
     first = _LAST + 1 - nd
@@ -210,8 +199,8 @@ def _reprs(a: np.ndarray) -> np.ndarray:
     window = _windows(src.ravel(), WIDTH + 1)[row + start - 1].view(np.uint8).reshape(n, WIDTH + 1)
     del src
     key = neg * _CODES + code
-    text, before, after = (_table(part)[key].view(np.uint8).reshape(n, WIDTH)
-                           for part in ("const", "before", "after"))
+    text, before, after = (table[key].view(np.uint8).reshape(n, WIDTH)
+                           for table in (_CONST, _BEFORE, _AFTER))
     text |= np.bitwise_and(window[:, 1:], before, out=before)
     text |= np.bitwise_and(window[:, :-1], after, out=after)
     return text

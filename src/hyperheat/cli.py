@@ -184,12 +184,13 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
 
     With ``reference``, each row also gets ``oracle, abs_err`` against
     ``reference(t, points)``, called once per time with all of ``result.xs``.
-    A non-finite value fails with one line and no row.  Every cell is then a
-    finite float, which never needs quoting, so the text is written without
-    :mod:`csv`, in the bytes it would write: each float as its shortest
-    round-trip ``repr``.  An imaginary column that is all ``+0.0`` (real
-    data, whose ``u`` only ever had its real part set) is written as the
-    literal ``0.0``; a ``-0.0`` anywhere in it keeps every cell's ``repr``.
+    A non-finite value, oracle or error fails with one line before the file
+    is opened.  Every cell is then a finite float, which never needs
+    quoting, so the text is written without :mod:`csv`, in the bytes it
+    would write: each float as its shortest round-trip ``repr``.  An
+    imaginary column that is all ``+0.0`` (real data, whose ``u`` only ever
+    had its real part set) is written as the literal ``0.0``; a ``-0.0``
+    anywhere in it keeps every cell's ``repr``.
 
     The value cells (``re``, ``im`` unless it is the literal, ``oracle``,
     ``abs_err``) are formatted on one of two paths, by their count:
@@ -197,32 +198,36 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
     * below ``_VECTOR_CELLS`` (4,096), each cell is a Python ``repr``: each
       time and point is formatted once, each row is one f-string, and each
       time is one ``write``;
-    * from there on, unless the oracle's columns hold a non-finite value,
-      :func:`_floatrepr.reprs` formats whole arrays in numpy and each block
-      of rows (:func:`_write_blocks`) is one byte matrix and one ``write``.
+    * from there on, :func:`_floatrepr.reprs` formats whole arrays in numpy
+      and each block of rows (:func:`_write_blocks`) is one byte matrix and
+      one ``write``.
 
     Both write the same bytes.  The cut sits above the measured crossover:
     the numpy path took 0.86–1.00 of ``repr``'s time at 1,500 cells,
     0.76–0.95 at 3,000 and 0.54–0.66 at 48,006, and twice it at 366 (README).
     """
     bad = _non_finite_message(result, header[1])
-    if bad is not None:
-        print(f"{command} failed: {bad}", file=sys.stderr)
-        return EXIT_VALIDATION
     u = result.u
     columns = [u.real, u.imag]
-    if reference is not None:
+    if bad is None and reference is not None:
         ref = np.array([reference(t, result.xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]
         header += ("oracle", "abs_err")
+        for name, column in zip(header[4:], columns[2:]):
+            cells = np.flatnonzero(~np.isfinite(column))
+            if cells.size:
+                i, j = divmod(int(cells[0]), len(result.xs))
+                bad = f"non-finite {name} at t={result.times[i]!r}, {header[1]}={result.xs[j]!r}"
+                break
+    if bad is not None:
+        print(f"{command} failed: {bad}", file=sys.stderr)
+        return EXIT_VALIDATION
     zero_im = not u.imag.any() and not np.signbit(u.imag).any()
     formatted = [None if zero_im and i == 1 else c for i, c in enumerate(columns)]  # None: the literal
     count = u.size * sum(c is not None for c in formatted)
     with _output(out) as fh:
         fh.write(",".join(header) + "\r\n")
-        # reprs takes finite values only, and the oracle's columns can hold a NaN
-        # (gaussian:1,1e308 overflows to inf / inf)
-        if count >= _VECTOR_CELLS and all(np.isfinite(c).all() for c in columns[2:]):
+        if count >= _VECTOR_CELLS:
             _write_blocks(fh, result, formatted)
             return EXIT_OK
         points = [repr(x) + "," for x in result.xs]

@@ -91,12 +91,16 @@ def gaussian(a: float = 1.0, b: float = 1.0) -> BoundaryCondition:
         raise ValueError(f"gaussian needs a finite a and a finite b > 0, got {a},{b}")
 
     def fn(y: np.ndarray) -> np.ndarray:
-        return a * np.exp(-b * y * y)
+        with np.errstate(over="ignore"):            # a large b y^2 overflows, and the value is 0
+            return a * np.exp(-b * y * y)
 
     def closed(t: float, x) -> np.ndarray:
         s = 1.0 + 4.0 * b * t
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):            # a far x: x^2 overflows, and the value is 0
+            if math.isinf(s):                       # 4bt overflows: divide through by b
+                r = 1.0 / b + 4.0 * t
+                return (a * math.sqrt(1.0 / b) / math.sqrt(r) * np.exp(-x * x / r)).astype(np.complex128)
             return (a / math.sqrt(s) * np.exp(-b * x * x / s)).astype(np.complex128)
 
     # the peak is a breakpoint: data too narrow for the nodes cannot slip between them

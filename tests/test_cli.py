@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -130,25 +129,24 @@ class TestCsvFormat:
                 assert _write_table("solve", str(out), result, header, reference) == 0
             assert out.read_bytes() == reference_table(result, header, reference)
 
-    def test_large_table_with_a_nan_oracle_cell(self, tmp_path):
-        # a NaN in the oracle's columns (which the non-finite check does not cover) keeps
-        # repr per cell, which writes it as 'nan'
-        g = oracle.gaussian(1.0, 1e308)                 # its closed form overflows to inf / inf
-        config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=g,
+    def test_large_table_with_a_nan_oracle_cell(self, tmp_path, capsys):
+        # every cell must be finite, the oracle's too: one line and no file
+        config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=oracle.gaussian(),
                              times=tuple(np.linspace(0.25, 2, 8)), xs=tuple(np.linspace(-2, 2, 601)))
+        result = solve(config)
+        assert result.u.size * 3 >= cli._VECTOR_CELLS
         out = tmp_path / "nan.csv"
-        header = ("t", "x", "u_re", "u_im_diag")
 
         def reference(t, xs):
-            return g.closed_form(t, xs).real
+            ref = oracle.gaussian().closed_form(t, xs).real
+            if t == result.times[2]:
+                ref[7] = math.nan
+            return ref
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = solve(config)
-            assert result.u.size * 3 >= cli._VECTOR_CELLS
-            assert _write_table("solve", str(out), result, header, reference) == 0
-            assert out.read_bytes() == reference_table(result, header, reference)
-        assert b",nan," in out.read_bytes()
+        assert _write_table("solve", str(out), result, ("t", "x", "u_re", "u_im_diag"), reference) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"solve failed: non-finite oracle at t={result.times[2]!r}, x={result.xs[7]!r}\n"
 
 
 class TestBoundaryParsing:
@@ -294,6 +292,19 @@ class TestSolve:
         assert proc.stderr == ("solve failed: non-finite value at t=0.5, x=0.0; "
                                "max |growth| in the band is 1\n")
         assert not out.exists()
+
+    def test_narrow_gaussian_oracle_is_finite_under_warnings_as_errors(self, tmp_path):
+        # b t overflows 1 + 4 b t in the closed form and b y^2 the sampling: no NaN, no warning
+        out = tmp_path / "u.csv"
+        argv, env = cli_command(["solve", "--g", "gaussian:1,1e308", "--times", "0.5", "--xs=-2:2:5",
+                                 "--out", str(out)])
+        proc = subprocess.run(argv, env=dict(env, PYTHONWARNINGS="error"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = read_csv(out)
+        assert header[-2:] == ["oracle", "abs_err"] and len(rows) == 5
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_non_closed_form_boundary_omits_oracle(self, tmp_path):
         out = tmp_path / "ind.csv"

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import run_fresh
-from hyperheat import _floatrepr
+from hyperheat import _floatrepr, cli
 
 
 def assert_reprs(values):
@@ -56,5 +58,40 @@ def test_arrays_match_repr(a):
 
 
 def test_importing_the_cli_builds_no_table():
-    out = run_fresh("import hyperheat.cli, hyperheat._floatrepr as f; print(f._g is None, f._tables)")
-    assert out.split() == ["True", "{}"]
+    # the formatter builds its tables at import: a run that writes no large table skips both
+    out = run_fresh("import sys, hyperheat.cli; print('hyperheat._floatrepr' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+# six threads of one interpreter that each write the pricing surface through cli.main, the
+# first use of the formatter in that process; the exit codes, then each table's bytes
+_THREADED_SOLVES = """
+import sys, threading
+from hyperheat import cli
+sys.setswitchinterval(1e-5)
+start = threading.Barrier(6)
+codes = [None] * 6
+def run(i):
+    start.wait()
+    codes[i] = cli.main([*{args!r}, "--out", {out!r} + str(i)])
+threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(*codes, *(thread.is_alive() for thread in threads))
+"""
+
+
+def test_threads_write_the_tables_of_a_serial_run(tmp_path):
+    # three interpreters, one after another (run at once, they hit the lazily built tables'
+    # race far less often): every thread exits 0 and writes the serial run's bytes
+    args = ["solve", "--n", "64", "--times", "0.25:2:8", "--xs=-4:4:2001"]
+    serial = tmp_path / "serial.csv"
+    assert cli.main([*args, "--out", str(serial)]) == 0
+    for p in range(3):
+        out = tmp_path / f"process{p}-"
+        codes_and_alive = run_fresh(_THREADED_SOLVES.format(args=args, out=str(out))).split()
+        assert codes_and_alive == ["0"] * 6 + ["False"] * 6
+        for i in range(6):
+            assert Path(f"{out}{i}").read_bytes() == serial.read_bytes()

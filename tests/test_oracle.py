@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestClassicalSolution:
         lattice = [(t, x) for t in (0.1, 0.25, 0.5, 1.0) for x in (0.0, 0.5, -0.5, 1.0, -1.0)]
         for t, x in lattice + [(0.37, 0.61)]:
             assert abs(g.closed_form(t, x) - classical_solution(g, t, x)) <= 1e-9
+
+    @pytest.mark.parametrize("b", [1e308, 1.7e308, 5e307])
+    def test_closed_form_where_1_plus_4bt_overflows(self, b):
+        # against a (1 + 4bt)^(-1/2) exp(-b x^2 / (1 + 4bt)) in 50 digits; at 5e307 it does not overflow
+        g, t, xs = gaussian(1.5, b), 0.5, np.array([0.0, 0.3, -1.0, 2.0, 30.0])
+        with localcontext() as context:
+            context.prec = 50
+            s = 1 + 4 * Decimal(b) * Decimal(t)
+            exact = [float(Decimal(1.5) / s.sqrt() * (-Decimal(b) * Decimal(x) ** 2 / s).exp()) for x in xs]
+        assert np.allclose(g.closed_form(t, xs).real, exact, rtol=1e-14, atol=0)
 
     def test_mass_conservation(self):
         g = gaussian()

@@ -19,7 +19,9 @@ than ``ceil(sqrt(|band|))``, and ``validate`` at ``--n 1 --seed 0``,
 the smallest grid, and at ``--n 16 --seed 921``, every grid, and a
 ``kernel`` of 8 x 2001 rows at ``omega' = n = 8``, whose table is large
 enough for the vectorised float formatter and holds a non-zero imaginary
-column, negative cells, values above 10 and exponent notation) runs in
+column, negative cells, values above 10 and exponent notation, and a
+``solve`` of ``gaussian:1,1e308``, whose ``1 + 4bt`` overflows in the
+closed form) runs in
 both trees, each in a fresh interpreter with the CSV on standard
 output.  So do two library scripts, :data:`REPEATED_SOLVE` and
 :data:`INTERLEAVED_SOLVES`: the CLI solves each grid once per process,
@@ -77,6 +79,7 @@ COMMANDS = (
     "validate --n 1 --seed 0",
     "validate --n 16 --seed 921",
     "kernel --n 8 --omega-prime 8 --times 0.25:2:8 --xs=-1:1:2001",
+    "solve --g gaussian:1,1e308 --times 0.5 --xs=-2:2:5",
 )
 
 # solve-band's configuration (n=512, omega=4, omega'=3, times 0.5 and 1, 41 points on
