@@ -34,8 +34,10 @@ _VALIDATE_NS = (1, 2, 4, 8, 16)
 _VALIDATE_MAX_N = _VALIDATE_NS[-1]
 _VALIDATE_SMALL_N = 8   # the convolution and difference suites stop here
 
-# Value cells from which a solve or kernel table is formatted in numpy (see _write_table).
+# Value cells from which a solve or kernel table is formatted in numpy (see _write_table),
+# and the rows of one block of such a table (see _write_blocks).
 _VECTOR_CELLS = 4096
+_BLOCK_ROWS = 4096
 
 
 @contextmanager
@@ -183,7 +185,8 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
     """Write one row ``t, point, re, im`` per value of ``result``.
 
     With ``reference``, each row also gets ``oracle, abs_err`` against
-    ``reference(t, points)``, called once per time with all of ``result.xs``.
+    ``reference(t, points)``, called once per time with all of ``result.xs``
+    as one array.
     A non-finite value, oracle or error fails with one line before the file
     is opened.  Every cell is then a finite float, which never needs
     quoting, so the text is written without :mod:`csv`, in the bytes it
@@ -199,18 +202,21 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
       time and point is formatted once, each row is one f-string, and each
       time is one ``write``;
     * from there on, :func:`_floatrepr.reprs` formats whole arrays in numpy
-      and each block of rows (:func:`_write_blocks`) is one byte matrix and
-      one ``write``.
+      and each block of ``_BLOCK_ROWS`` (4,096) rows (:func:`_write_blocks`)
+      is one byte matrix and one ``write``.
 
-    Both write the same bytes.  The cut sits above the measured crossover:
-    the numpy path took 0.86–1.00 of ``repr``'s time at 1,500 cells,
-    0.76–0.95 at 3,000 and 0.54–0.66 at 48,006, and twice it at 366 (README).
+    Both write the same bytes.  The cut sits between two measured crossovers
+    (README).  In a warm process the numpy path took 1.08–1.11 of ``repr``'s
+    time at 750 cells and 0.84–0.86 at 1,500.  In a fresh process, which
+    first imports the formatter (4–7 ms), it took 1.10 at 4,098 cells, 1.00
+    at 6,000 and 0.90 at 8,004.
     """
     bad = _non_finite_message(result, header[1])
     u = result.u
     columns = [u.real, u.imag]
     if bad is None and reference is not None:
-        ref = np.array([reference(t, result.xs) for t in result.times])
+        xs = np.asarray(result.xs)
+        ref = np.array([reference(t, xs) for t in result.times])
         columns += [ref, np.abs(u.real - ref)]
         header += ("oracle", "abs_err")
         for name, column in zip(header[4:], columns[2:]):
@@ -245,10 +251,10 @@ def _write_table(command: str, out: str | None, result: evolution.SolveResult,
 
 
 def _write_blocks(fh: TextIO, result: evolution.SolveResult, columns: list) -> None:
-    """The rows of :func:`_write_table` from :func:`_floatrepr.reprs`, in blocks of as
-    many whole rows as one formatter pass takes values (682 rows of three values on the
-    pricing surface: blocks of 1,024 rows ran 6-14% slower); a column ``None`` is the
-    literal ``0.0``.
+    """The rows of :func:`_write_table` from :func:`_floatrepr.reprs`, in blocks of
+    ``_BLOCK_ROWS`` rows (on the pricing surface blocks of 2,048 rows ran 3-5% slower and
+    of 8,192 about 10% slower), each block's value cells from one call over the block's
+    slice of each column; a column ``None`` is the literal ``0.0``.
 
     A block is one ``uint8`` matrix of rows ``t,x,cells\\r\\n`` in which each float takes
     its ``repr``'s bytes padded with NULs to ``WIDTH``; the NULs are dropped on writing.
@@ -258,27 +264,20 @@ def _write_blocks(fh: TextIO, result: evolution.SolveResult, columns: list) -> N
     width = _floatrepr.WIDTH
     values = [c.reshape(-1) for c in columns if c is not None]     # row r is (t, x) = divmod(r, |xs|)
     n = values[0].size
-    sizes = [width, width] + [3 if c is None else width for c in columns]
-    ends = np.cumsum(np.add(sizes, 1))              # one past each cell's separator
-    spans = [slice(end - 1 - size, end - 1) for size, end in zip(sizes, ends)]
-    rows = np.zeros((min(max(1, _floatrepr.PASS // len(values)), n), ends[-1] + 1), np.uint8)
-    rows[:, ends - 1] = ord(",")
-    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    for span, column in zip(spans[2:], columns):
-        if column is None:
-            rows[:, span] = np.frombuffer(b"0.0", np.uint8)
-    value_spans = [span for span, column in zip(spans[2:], columns) if column is not None]
-    stamps = _floatrepr.reprs(np.asarray(result.times))
-    points = _floatrepr.reprs(np.asarray(result.xs))
+    cells = [b"\0" * width] * 2 + [b"0.0" if c is None else b"\0" * width for c in columns]
+    ends = np.cumsum([len(cell) + 1 for cell in cells])     # one past each cell's separator
+    spans = [slice(end - 1 - width, end - 1) for cell, end in zip(cells, ends) if len(cell) == width]
+    rows = np.tile(np.frombuffer(b",".join(cells) + b"\r\n", np.uint8), (min(_BLOCK_ROWS, n), 1))
+    stamps, points = np.split(_floatrepr.reprs(np.concatenate([result.times, result.xs])),
+                              [len(result.times)])
     for r0 in range(0, n, len(rows)):
         t, x = np.divmod(np.arange(r0, min(r0 + len(rows), n)), len(points))
         block = rows[:len(t)]
-        block[:, spans[0]] = stamps[t]
-        block[:, spans[1]] = points[x]
-        text = _floatrepr.reprs(np.stack([v[r0:r0 + len(t)] for v in values], axis=-1))
-        text = text.reshape(len(t), len(values), width)
-        for i, span in enumerate(value_spans):
-            block[:, span] = text[:, i]
+        block[:, spans[0]] = stamps.take(t, axis=0)
+        block[:, spans[1]] = points.take(x, axis=0)
+        text = _floatrepr.reprs(np.concatenate([v[r0:r0 + len(t)] for v in values]))
+        for span, column in zip(spans[2:], text.reshape(len(values), len(t), width)):
+            block[:, span] = column
         fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 

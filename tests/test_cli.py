@@ -95,13 +95,14 @@ class TestCsvFormat:
         assert out.read_bytes() == b"a,b,c,d,e,f\r\n0.1,1e-05,-0.0,True,3,order\r\n"
 
     @settings(max_examples=200, deadline=None)
-    @given(case=table_cases())
-    def test_table_bytes_match_the_csv_module(self, case):
-        # on both paths: the numpy formatter (a cut of 0 cells) and repr per cell
+    @given(case=table_cases(), block=st.integers(1, 7))
+    def test_table_bytes_match_the_csv_module(self, case, block):
+        # on both paths: the numpy formatter (a cut of 0 cells), in blocks of 1-7 rows so
+        # that a table of more rows spans several, and repr per cell
         result, header, refs, to_file = case
         reference = None if refs is None else (lambda t, xs: refs[result.times.index(t)])
         for cut in (0, math.inf):
-            with mock.patch.object(cli, "_VECTOR_CELLS", cut):
+            with mock.patch.object(cli, "_VECTOR_CELLS", cut), mock.patch.object(cli, "_BLOCK_ROWS", block):
                 if to_file:
                     with tempfile.TemporaryDirectory() as tmp:
                         out = os.path.join(tmp, "table.csv")

@@ -1,4 +1,5 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -52,9 +53,12 @@ def test_integers_near_1e16_and_1e17():
 
 @settings(max_examples=100, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(0, 300),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)))
-def test_arrays_match_repr(a):
-    assert_reprs(a)
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.integers(1, 64))
+def test_arrays_match_repr(a, values_per_pass):
+    # passes of 1-64 values, so that most arrays cross a pass's seam
+    with mock.patch.object(_floatrepr, "PASS", values_per_pass):
+        assert_reprs(a)
 
 
 def test_importing_the_cli_builds_no_table():

@@ -26,6 +26,14 @@ def test_changed_cells_are_counted_per_column_with_the_largest_delta():
     ]
 
 
+def test_a_change_between_nan_and_a_number_reports_a_nan_delta():
+    # on either side of a numeric change in the same column, and in either direction
+    for new in ("t,x,u_re,u_im_diag\r\n0.5,0.0,0.5775,1e-17\r\n0.5,1.0,nan,-2e-17\r\n",
+                "t,x,u_re,u_im_diag\r\n0.5,0.0,nan,1e-17\r\n0.5,1.0,0.5,-2e-17\r\n"):
+        for a, b in ((OLD, new), (new, OLD)):
+            assert compare_outputs.compare_csv(a, b) == ["u_re: 2 cells changed, max |delta| nan"]
+
+
 def test_header_shape_stderr_and_exit_code_changes_are_reported():
     assert compare_outputs.compare_csv(OLD, "t,x,u\r\n") == [
         "header ['t', 'x', 'u_re', 'u_im_diag'] -> ['t', 'x', 'u']"]

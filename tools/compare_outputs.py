@@ -21,7 +21,9 @@ the smallest grid, and at ``--n 16 --seed 921``, every grid, and a
 enough for the vectorised float formatter and holds a non-zero imaginary
 column, negative cells, values above 10 and exponent notation, and a
 ``solve`` of ``gaussian:1,1e308``, whose ``1 + 4bt`` overflows in the
-closed form) runs in
+closed form, and a ``solve`` of 9,001 points at one time, whose table
+the vectorised formatter writes in blocks that end inside the time and
+a last block that is partly filled) runs in
 both trees, each in a fresh interpreter with the CSV on standard
 output.  So do two library scripts, :data:`REPEATED_SOLVE` and
 :data:`INTERLEAVED_SOLVES`: the CLI solves each grid once per process,
@@ -80,6 +82,7 @@ COMMANDS = (
     "validate --n 16 --seed 921",
     "kernel --n 8 --omega-prime 8 --times 0.25:2:8 --xs=-1:1:2001",
     "solve --g gaussian:1,1e308 --times 0.5 --xs=-2:2:5",
+    "solve --n 64 --times 0.5 --xs=-3:3:9001",
 )
 
 # solve-band's configuration (n=512, omega=4, omega'=3, times 0.5 and 1, 41 points on
@@ -172,8 +175,9 @@ def package_size(tree: Path) -> tuple[int, int]:
 
 
 def compare_csv(old: str, new: str) -> list[str]:
-    """One entry per column that differs: its changed-cell count and, where both cells
-    are numbers, the largest ``|delta|``; or one entry when the shapes differ."""
+    """One entry per column that differs: its changed-cell count and the largest
+    ``|delta|``, ``nan`` when a changed cell is NaN or not a number; or one entry when
+    the shapes differ."""
     a, b = (list(csv.reader(io.StringIO(text))) for text in (old, new))
     if not a or not b or a[0] != b[0]:
         return [f"header {a[0] if a else []} -> {b[0] if b else []}"]
@@ -186,9 +190,11 @@ def compare_csv(old: str, new: str) -> list[str]:
             if r[c] != s[c]:
                 changed += 1
                 try:
-                    delta = max(delta, abs(float(r[c]) - float(s[c])))
+                    d = abs(float(r[c]) - float(s[c]))
                 except ValueError:
-                    delta = math.nan
+                    d = math.nan
+                # a NaN on either side makes the column's delta NaN: max(delta, nan) keeps delta
+                delta = math.nan if math.isnan(d) else max(delta, d)
         if changed:
             report.append(f"{name}: {changed} cells changed, max |delta| {delta:.3g}")
     return report
