@@ -70,9 +70,9 @@ _PLAN_BUDGET = 32 << 20
 # Largest max |growth| in the band taken as stable: above it solve and kernel warn.
 _STABLE_GROWTH = 1.0 + 1e-12
 
-_plans: OrderedDict[tuple, tuple] = OrderedDict()   # key -> plan part, least recently used first
+_plans: OrderedDict[tuple, tuple | int] = OrderedDict()   # key -> part or count (see _part), LRU first
 _plans_lock = threading.Lock()
-_plans_bytes = 0        # _nbytes of every entry of _plans, kept by _keep and _drop
+_plans_bytes = 0        # _nbytes of every entry of _plans, kept by _keep
 
 
 class EvolutionOverflowError(RuntimeError):
@@ -333,64 +333,64 @@ class SolveResult:
 
 
 def _read_only(value):
-    """``value`` as a read-only array that owns its data (a view is copied); a scalar as it is."""
+    """``value`` as a read-only array; a scalar as it is."""
     if isinstance(value, np.ndarray):
-        if value.base is not None:
-            value = value.copy()
         value.setflags(write=False)
     return value
 
 
-def _nbytes(key: tuple, part: tuple) -> int:
-    """Bytes of the arrays in ``part`` and of the ``bytes`` in its ``key`` (a query set's points)."""
-    return (sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+def _nbytes(key: tuple, entry: tuple | int) -> int:
+    """Bytes of the arrays in a part (a count has none) and of the ``bytes`` in its ``key``."""
+    arrays = entry if isinstance(entry, tuple) else ()
+    return (sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
             + sum(len(v) for v in key if isinstance(v, bytes)))
 
 
-def _keep(key: tuple, part: tuple) -> None:
-    """Cache ``part`` under ``key`` as the most recently used, and evict the least recently
-    used parts until the cache fits ``_PLAN_BUDGET``; the caller holds ``_plans_lock``.
+def _keep(key: tuple, entry: tuple | int) -> None:
+    """Cache ``entry`` under ``key``, in place of any, as the most recently used, and evict the
+    least recently used entries until the cache fits ``_PLAN_BUDGET``; hold ``_plans_lock``.
 
     The cache's bytes are a running total, restarted from 0 when the cache is
     found empty (cleared, or replaced by an empty one)."""
     global _plans_bytes
     if not _plans:
         _plans_bytes = 0
-    _drop(key)
-    _plans[key] = part
-    _plans_bytes += _nbytes(key, part)
+    if key in _plans:
+        _plans_bytes -= _nbytes(key, _plans.pop(key))
+    _plans[key] = entry
+    _plans_bytes += _nbytes(key, entry)
     while _plans_bytes > _PLAN_BUDGET and _plans:
         _plans_bytes -= _nbytes(*_plans.popitem(last=False))
 
 
-def _drop(key: tuple) -> tuple | None:
-    """Remove and return the part under ``key``, or ``None``; the caller holds ``_plans_lock``."""
-    global _plans_bytes
-    part = _plans.pop(key, None)
-    if part is not None:
-        _plans_bytes -= _nbytes(key, part)
-    return part
-
-
-def _part(key: tuple, build: Callable[[], tuple]) -> tuple:
-    """The plan part under ``key``, from the cache shared by all calls or from ``build()``.
+def _part(key: tuple, build: Callable[[], tuple], repeats: int = 0) -> tuple | None:
+    """The plan part under ``key``, from the cache shared by all calls or from ``build()``;
+    ``None`` for each of the key's first ``repeats`` requests.
 
     A part is a tuple of read-only arrays (and scalars) that depends only on
     the grid quantities in its key: a chirp-z's chirps and filter, the
     band's growth powers, the query's centring phase or exponentials, the
-    samples-to-table operator.  A hit becomes the most recently used.  A
-    part built here is cached (:func:`_keep`) when it alone, with its key,
-    fits ``_PLAN_BUDGET``; a larger one is used by its call and not kept.
+    samples-to-table operator.  A hit becomes the most recently used.  Each
+    of the key's first ``repeats`` requests builds nothing and keeps the
+    count of its requests so far as the key's entry (:func:`_keep`).  The
+    next builds the part, kept in place of the count when it alone, with
+    its key, fits ``_PLAN_BUDGET``; a larger one is used by its call and not
+    kept, and its count restarts from 0, as when the budget evicts a count
+    or a part, or ``_plans.clear()`` empties the cache.
     """
     with _plans_lock:
-        part = _plans.get(key)
-        if part is not None:
+        entry = _plans.get(key, 0)
+        if isinstance(entry, tuple):
             _plans.move_to_end(key)
-            return part
+            return entry
+        if entry < repeats:
+            _keep(key, entry + 1)
+            return None
     part = tuple(map(_read_only, build()))
-    if _nbytes(key, part) <= _PLAN_BUDGET:
+    fits = _nbytes(key, part) <= _PLAN_BUDGET
+    if fits or repeats:
         with _plans_lock:
-            _keep(key, part)
+            _keep(key, part if fits else 0)
     return part
 
 
@@ -667,7 +667,7 @@ def _operator(window: Window, js: np.ndarray, times: tuple[float, ...], xs: np.n
     built in blocks of ``_QUERY_BLOCK_ENTRIES`` entries of FFT buffer, all
     with one chirp-z part that is not kept.
 
-    The operator is never built, and its set's solves have no count:
+    The operator is never built, and its set holds no cache entry:
 
     * where ``|growth|`` exceeds ``_STABLE_GROWTH`` in the band, so never at
       ``omega' = n``, where the unpaired index would add a complex term
@@ -678,35 +678,30 @@ def _operator(window: Window, js: np.ndarray, times: tuple[float, ...], xs: np.n
       flops than the spectral route's FFTs alone (:func:`_fft_flops` of the
       differences each convolves, which its 7-smooth length only
       lengthens: two for the transform, and two per time for a chirp-z
-      query), as for 401 points at two times on ``n = 512``.
+      query), as for 401 points at two times on ``n = 512``.  This gate
+      depends only on the key, so a set with an entry (its operator or
+      count, looked up first) skips it.
 
-    Otherwise a row costs at most about one solve, so the operator is built
-    on the first solve after ``|times| |xs|`` earlier ones of its set (ski
-    rental: as each solve after the build is the cheaper, any sequence of
-    solves costs at most about twice the cheaper route's in hindsight).
-    The count is a part ``(count,)`` that each solve replaces under the
-    lock while the set has no operator, and that the build removes; once
-    the budget evicts the operator, its count starts again from 0.
+    Otherwise a row costs at most about one solve, so the operator is a part
+    with ``repeats = |times| |xs|`` (:func:`_part`), built on the first solve
+    after ``|times| |xs|`` earlier ones of its set (ski rental: as each
+    solve after the build is the cheaper, any sequence of solves costs at
+    most about twice the cheaper route's in hindsight).
     """
     n, K = window.params.n, window.cutoff
     rows = len(times) * xs.size
     if gmax > _STABLE_GROWTH or powers.nbytes + 8 * rows * js.size > _PLAN_BUDGET:
         return None
-    key = (n, int(js[0]), js.size, K, times, xs.tobytes())
+    key = ("operator", n, int(js[0]), js.size, K, times, xs.tobytes())
     with _plans_lock:
-        built = ("operator",) + key in _plans
-    if not built:
+        seen = key in _plans
+    if not seen:
         # each FFT is at least as long as the differences it convolves
         ffts = 2 * _fft_flops(K + js.size)
         if _query_step(xs, K + 1) is not None:
             ffts += 2 * len(times) * _fft_flops(K + xs.size)
         if 2 * rows * js.size >= ffts:
             return None
-        with _plans_lock:
-            calls, = _drop(("calls",) + key) or (0,)
-            if calls < rows:
-                _keep(("calls",) + key, (calls + 1,))
-                return None
 
     def build():
         ks = np.arange(K + 1)
@@ -722,7 +717,8 @@ def _operator(window: Window, js: np.ndarray, times: tuple[float, ...], xs: np.n
             operator[r] = _chirp_z(part, vals / n).real / n
         return (operator,)
 
-    return _part(("operator",) + key, build)[0]
+    part = _part(key, build, rows)
+    return None if part is None else part[0]
 
 
 def solve(config: SolveConfig) -> SolveResult:
@@ -759,15 +755,16 @@ def solve(config: SolveConfig) -> SolveResult:
     All of it but the sampling is linear in the samples and fixed by the
     grid, the window, the times and the points: one real matrix from the
     samples to the table's cells (:func:`_operator`, which also names the
-    sets that never take it).  After ``|times| |xs|`` solves of one such
-    set, which take the route above, the next builds the matrix, at about
-    the cost of one solve per cell, and it and every later one return
-    ``Re g`` and ``Im g`` times that matrix, with no FFT.  These tables
-    differ from the route above by rounding, so the last bits of a result
-    depend on the earlier calls in the process: a set takes the route
-    above again for its next ``|times| |xs|`` solves once the budget
-    evicts its matrix (other grids' parts, from any thread, or
-    ``_plans.clear()``), and then the matrix again.
+    sets that never take it).  The cache entry under the matrix's key counts
+    the set's solves: the first ``|times| |xs|`` take the route above, the
+    next builds the matrix in place of the count, at about the cost of one
+    solve per cell, and it and every later one (the kept matrix looked up
+    before the flop gate) return ``Re g`` and ``Im g`` times it, with no
+    FFT.  These tables differ from the route above by rounding, so the last
+    bits of a result depend on the earlier calls in the process: evicting
+    the count or the matrix (other grids' parts, from any thread, or
+    ``_plans.clear()``) restarts the count, and the set takes the route above
+    again for its next ``|times| |xs|`` solves, and then the matrix again.
 
     ``max_growth`` is the largest ``|growth|`` in the band; above 1, outside
     the stability band (:func:`stability_radius`), a ``RuntimeWarning``

@@ -208,6 +208,10 @@ class TestValidate:
         assert main(["validate", "--n", "32"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_no_grid_size_fails_closed(self, capsys):
+        assert main(["validate", "--n", "0"]) == 2
+        assert capsys.readouterr().err == "configuration error: no grid sizes <= 0\n"
+
     def test_report_values_are_plain_round_trip_floats(self, tmp_path):
         out = tmp_path / "validate.csv"
         assert main(["validate", "--n", "4", "--out", str(out)]) == 0

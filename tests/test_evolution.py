@@ -171,6 +171,11 @@ class TestSpectralHat:
         expected = ghat.values * propagator(4, p.space_indices()) ** 3
         assert same_bits(spectral_hat(ghat, None, 3).values, expected)
 
+    def test_step_index_of_n_squared_is_refused(self, rng):
+        ghat = forward(random_grid_function(GridParams(2), rng))
+        with pytest.raises(ValueError, match=r"^step index must lie in \[0, 3\], got 4$"):
+            spectral_hat(ghat, None, 4)
+
     def test_correction_list_length_checked(self, rng):
         p = GridParams(2)
         ghat = forward(random_grid_function(p, rng))
@@ -184,6 +189,10 @@ class TestConvolve:
         f = random_grid_function(p, rng)
         d = GridFunction.delta(p, j=0, value=p.n)
         assert np.abs(convolve(f, d).values - f.values).max() <= 1e-14 * (1 + f.max_abs())
+
+    def test_two_grids_are_refused(self):
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            convolve(GridFunction.zeros(GridParams(2)), GridFunction.zeros(GridParams(3)))
 
     def test_zero_annihilates(self, rng):
         p = GridParams(2)
@@ -313,6 +322,10 @@ class TestPropagator:
 
 
 class TestKernel:
+    def test_slice_at_t_equal_to_n_is_refused(self):
+        with pytest.raises(ValueError, match=r"^time 4.0 outside \[0, n\) for n=4$"):
+            kernel_slice(Window(GridParams(4), 1.0), 4.0)
+
     def test_mass_is_one_small_grids(self):
         for n in (8, 16):
             p = GridParams(n)
@@ -428,6 +441,12 @@ class TestSolveConfig:
 
 
 class TestSolve:
+    def test_boundary_of_the_wrong_shape_is_refused(self):
+        config = SolveConfig(n=32, omega=2.0, omega_prime=2.0, boundary=lambda y: np.zeros(3),
+                             times=(0.5,), xs=(0.0,))
+        with pytest.raises(ValueError, match="^boundary callable must return one value per sample point$"):
+            solve(config)
+
     def test_zero_boundary(self):
         config = SolveConfig(n=32, omega=2.0, omega_prime=2.0,
                              boundary=gaussian(0.0, 1.0), times=(0.5,), xs=(0.0, 1.0))
@@ -923,25 +942,31 @@ class TestHermitianHalfBand:
 def _cold_and_warm(run, inputs):
     """``run(x)`` for each input once with an empty plan cache, and then again with the
     plan that the last cold call left; the warm calls must build no part (the count of
-    repeated solves, which each solve replaces, aside)."""
+    repeated solves under the operator's key, which each solve replaces, aside)."""
     cold = []
     for x in inputs:
         evolution._plans.clear()
         cold.append(run(x))
-    kept = {key: part for key, part in evolution._plans.items() if key[0] != "calls"}
+    kept = _kept_parts()
     assert kept
     warm = [run(x) for x in inputs]
     assert all(evolution._plans[key] is part for key, part in kept.items())
     return cold, warm
 
 
+def _kept_parts():
+    """The plan cache's parts, without the counts of the keys not yet built."""
+    return {key: part for key, part in evolution._plans.items() if isinstance(part, tuple)}
+
+
 def _cached_arrays():
-    return [v for part in evolution._plans.values() for v in part if isinstance(v, np.ndarray)]
+    return [v for part in _kept_parts().values() for v in part if isinstance(v, np.ndarray)]
 
 
 def _entry_bytes(key, part):
-    """Bytes of the arrays in a plan part and of the point sets in its key."""
-    return (sum(v.nbytes for v in part if isinstance(v, np.ndarray))
+    """Bytes of the arrays in a plan part (a count has none) and of the point sets in its key."""
+    arrays = part if isinstance(part, tuple) else ()
+    return (sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
             + sum(len(v) for v in key if isinstance(v, bytes)))
 
 
@@ -999,7 +1024,8 @@ class TestPlan:
             # kernel shares the band and query parts of the same grid
             kernel(Window(config.params, 3.0), config.times, config.xs)
             assert growth.call_count == 1 and set(evolution._plans) == keys
-        assert {key[0] for key in keys} == {"forward", "band", "chirp", "calls"}   # calls: solve's count
+        assert {key[0] for key in keys} == {"forward", "band", "chirp", "operator"}
+        assert _operator_counts() == [3]                 # the operator's key holds solve's count
 
     def test_patched_uniform_step_still_forces_the_matrix_path(self, empty_plans):
         config = SolveConfig(n=64, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
@@ -1069,6 +1095,42 @@ class TestPlan:
         assert list(evolution._plans) == [("f",), ("g",), ("h",)]
         assert _cached_bytes() == 2400
 
+    def test_repeats_are_counted_in_the_key_s_own_entry(self, empty_plans):
+        key = ("counted", np.zeros(2).tobytes())          # 16 bytes of points in the key
+        build = mock.Mock(side_effect=lambda: (np.zeros(3), 1.0))
+        assert evolution._part(key, build, repeats=2) is None
+        assert evolution._part(key, build, repeats=2) is None
+        assert build.call_count == 0 and dict(evolution._plans) == {key: 2}
+        assert evolution._plans_bytes == 16               # a count holds its key's bytes
+        part = evolution._part(key, build, repeats=2)
+        assert build.call_count == 1 and dict(evolution._plans) == {key: part}
+        assert evolution._plans_bytes == _cached_bytes() == 24 + 16
+        assert evolution._part(key, build, repeats=2) is part and build.call_count == 1
+
+    def test_evicting_or_clearing_a_count_restarts_it(self, empty_plans, monkeypatch):
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 1000)
+        key = ("counted", np.zeros(40).tobytes())          # a count of 320 bytes
+        build = mock.Mock(side_effect=lambda: (np.zeros(10),))
+        evolution._part(key, build, repeats=2)
+        evolution._plans.clear()
+        for _ in range(2):
+            assert evolution._part(key, build, repeats=2) is None
+        evolution._part(("other",), lambda: (np.zeros(100),))     # 800 bytes evict the count of 2
+        assert list(evolution._plans) == [("other",)]
+        for _ in range(2):
+            assert evolution._part(key, build, repeats=2) is None
+        assert build.call_count == 0 and evolution._plans[key] == 2
+        part = evolution._part(key, build, repeats=2)
+        assert build.call_count == 1 and evolution._plans[key] is part
+
+    def test_a_counted_part_too_large_to_keep_restarts_its_count(self, empty_plans, monkeypatch):
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 1000)
+        build = mock.Mock(side_effect=lambda: (np.zeros(200),))    # 1600 bytes: used, not kept
+        got = [evolution._part(("counted",), build, repeats=2) for _ in range(6)]
+        assert [part is None for part in got] == [True, True, False] * 2 and build.call_count == 2
+        evolution._part(("other",), lambda: (np.zeros(100),))      # the restarted count takes no room
+        assert ("other",) in evolution._plans
+
     def test_part_over_the_budget_is_not_kept(self, empty_plans, monkeypatch):
         config = SolveConfig(n=1024, omega=4.0, omega_prime=3.0, boundary=gaussian(),
                              times=(0.5, 1.0), xs=tuple(np.linspace(-2, 2, 41)))
@@ -1110,7 +1172,7 @@ class TestPlan:
 
     def test_byte_total_is_the_sum_of_the_entries(self, empty_plans, monkeypatch):
         # three grids in turn under a budget for about two: parts enter and are evicted,
-        # each set's count is replaced and then dropped for its operator, and the cache is
+        # each set's count is replaced and then replaced by its operator, and the cache is
         # cleared on the way
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", 200_000)
         configs = [SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=gaussian(), times=(0.5,),
@@ -1121,8 +1183,8 @@ class TestPlan:
                 evolution._plans.clear()
             before = set(evolution._plans)
             solve(configs[i % 3])
-            evicted += len(before - set(evolution._plans) - {key for key in before if key[0] == "calls"})
-            operators |= {key[1] for key in evolution._plans if key[0] == "operator"}
+            evicted += len(before - set(evolution._plans))
+            operators |= {key[1] for key in _operator_parts()}
             assert evolution._plans_bytes == _cached_bytes()
         assert evicted and operators == {64, 128, 256}
 
@@ -1176,7 +1238,12 @@ class TestPlan:
 
 def _operator_parts():
     """The samples-to-table operators in the plan cache."""
-    return {key: part for key, part in evolution._plans.items() if key[0] == "operator"}
+    return {key: part for key, part in _kept_parts().items() if key[0] == "operator"}
+
+
+def _operator_counts():
+    """The counts of repeated solves under operator keys not yet built."""
+    return [part for key, part in evolution._plans.items() if key[0] == "operator" and isinstance(part, int)]
 
 
 def _operator_solve(config):
@@ -1222,7 +1289,7 @@ class TestOperator:
         assert all(same_bits(u, switched) for u in later)
         assert np.abs(switched - spectral[0]).max() <= 1e-14 * (1 + np.abs(spectral[0]).max())
         assert operator[0].shape == (cells, 4 * 64) and not operator[0].flags.writeable
-        assert not [key for key in evolution._plans if key[0] == "calls"]   # the count goes at the switch
+        assert not _operator_counts()                    # the operator takes the count's place
 
     def test_blocks_share_one_chirp_part(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
@@ -1243,7 +1310,7 @@ class TestOperator:
         for _ in range(3 * len(config.times) * len(config.xs)):
             assert same_bits(solve(config).u, first.u)
         assert first.max_growth > evolution._STABLE_GROWTH      # at omega' = n, growth(n^2) = 1 + 4n
-        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+        assert "operator" not in {key[0] for key in evolution._plans}     # no count, no operator
 
     def test_never_built_over_the_budget(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 41), 0, imaginary=False)
@@ -1253,7 +1320,7 @@ class TestOperator:
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator - 1)
         for _ in range(2 * len(config.times) * len(config.xs)):
             solve(config)
-        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+        assert "operator" not in {key[0] for key in evolution._plans}     # no count, no operator
         monkeypatch.setattr(evolution, "_PLAN_BUDGET", band + operator)
         _operator_solve(config)
         assert _cached_bytes() <= band + operator
@@ -1274,7 +1341,7 @@ class TestOperator:
         first = solve(config).u
         for _ in range(rows):
             assert same_bits(solve(config).u, first)
-        assert not {key[0] for key in evolution._plans} & {"calls", "operator"}
+        assert "operator" not in {key[0] for key in evolution._plans}     # no count, no operator
 
     def test_a_set_whose_plan_does_not_fit_is_counted_and_switches(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-1, 1, 2), 0, imaginary=False)
@@ -1304,6 +1371,20 @@ class TestOperator:
         for _ in range(cells):                               # the spectral route's bits again
             assert same_bits(solve(config).u, spectral)
         assert same_bits(solve(config).u, switched) and _operator_parts()
+
+    def test_an_operator_too_large_to_keep_restarts_its_count(self, empty_plans, monkeypatch):
+        # 20 uniform points on a narrow band: the operator fits the budget beside the band's
+        # powers, but not with its key's 160 bytes of points, so it is used and not kept
+        xs = np.linspace(-0.5, 0.5, 20)
+        config = SolveConfig(n=64, omega=0.1, omega_prime=0.1, boundary=gaussian(), times=(0.5,),
+                             xs=tuple(xs))
+        K, J = Window(config.params, 0.1).cutoff, _truncated_samples(config)[0].size
+        monkeypatch.setattr(evolution, "_PLAN_BUDGET", 16 * (K + 1) + 8 * xs.size * J)
+        with mock.patch.object(evolution, "_chirp_part", wraps=evolution._chirp_part) as chirp_part:
+            for _ in range(3 * (xs.size + 1)):
+                solve(config)
+        builds = [c for c in chirp_part.call_args_list if c.args[0].size == K + 1 and c.args[1].size == J]
+        assert len(builds) == 3 and not _operator_parts()     # on solves 21, 42 and 63
 
     def test_a_used_operator_outlives_newer_parts(self, empty_plans, monkeypatch):
         config, _ = _random_data_solve(64, 3.0, np.linspace(-2, 2, 5), 0, imaginary=False)
@@ -1347,8 +1428,7 @@ class TestOperator:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and failures == []
         # 80 solves, below the 82 cells: a lost update would leave fewer
-        (calls,), = [part for key, part in evolution._plans.items() if key[0] == "calls"]
-        assert calls == 80 and not _operator_parts()
+        assert _operator_counts() == [80] and not _operator_parts()
 
     def test_kernel_counts_nothing(self, empty_plans):
         window = Window(GridParams(64), 3.0)

@@ -52,6 +52,19 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_sub_and_neg_match_numpy_bit_for_bit(self, rng):
+        p = GridParams(3)
+        for f, g in ((random_grid_function(p, rng), random_grid_function(p, rng)),
+                     (random_stack(p, rng), random_stack(p, rng))):
+            assert same_bits((f - g).values, f.values - g.values)
+            assert same_bits((-f).values, -f.values)
+
+    def test_arithmetic_across_two_grids_is_refused(self):
+        f, g = GridFunction.zeros(GridParams(2)), GridFunction.zeros(GridParams(3))
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="^grid mismatch$"):
+                op(f, g)
+
     def test_values_sit_at_the_positions_of_their_grid_indices(self):
         f = GridFunction(GridParams(1), [3.0, 4.0])
         assert f.values[f.params.position(-1)] == 3.0

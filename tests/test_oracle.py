@@ -388,6 +388,16 @@ class TestGaussianTransformIdentity:
         assert abs(im) <= 1e-10
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: gaussian_heat_kernel(0.0, 1.0), "kernel defined for t > 0"),
+    (lambda: gaussian_transform_identity(0.0, 1.0), "identity holds for t > 0"),
+    (lambda: tail_bound_check(0.0, 1.0, 100), "tail bound needs t > 0"),
+], ids=["heat-kernel", "transform-identity", "tail-bound"])
+def test_time_zero_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestSequences:
     def test_first_residual_exact(self):
         # n=1: 1*(e^{i pi} - 1) - i pi = -2 - i pi

@@ -51,16 +51,21 @@ def test_repeated_solve_ends_on_the_operator_route(monkeypatch, capsys):
     monkeypatch.setattr(evolution, "_plans", OrderedDict())
     exec(compare_outputs.REPEATED_SOLVE, {})
     rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == "t,x,u_re,u_im" and len(rows) == 1 + 2 * 41
-    assert [key[0] for key in evolution._plans].count("operator") == 1
+    assert rows[0] == "solve,t,x,u_re,u_im" and len(rows) == 1 + 2 * 2 * 41
+    assert [row.split(",")[0] for row in rows[1:]] == ["82"] * 82 + ["83"] * 82
+    # the two routes' tables differ by rounding, so a switch one solve off changes the output
+    assert [row.split(",", 1)[1] for row in rows[1:83]] != [row.split(",", 1)[1] for row in rows[83:]]
+    # the operator's key holds the operator, not a count
+    assert [isinstance(part, tuple) for key, part in evolution._plans.items() if key[0] == "operator"] == [True]
 
 
 def test_interleaved_solves_end_with_both_operators_cached(monkeypatch, capsys):
     monkeypatch.setattr(evolution, "_plans", OrderedDict())
     exec(compare_outputs.INTERLEAVED_SOLVES, {})
     rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == "n,t,x,u_re,u_im" and len(rows) == 1 + 2 * 2 * 41
-    assert sorted(key[1] for key in evolution._plans if key[0] == "operator") == [256, 512]
+    assert rows[0] == "solve,n,t,x,u_re,u_im" and len(rows) == 1 + 2 * 2 * 2 * 41
+    assert sorted(key[1] for key, part in evolution._plans.items()
+                  if key[0] == "operator" and isinstance(part, tuple)) == [256, 512]
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):

@@ -27,7 +27,10 @@ a last block that is partly filled) runs in
 both trees, each in a fresh interpreter with the CSV on standard
 output.  So do two library scripts, :data:`REPEATED_SOLVE` and
 :data:`INTERLEAVED_SOLVES`: the CLI solves each grid once per process,
-and only a repeated solve reaches the samples-to-table operator.  For each command one line says
+and only a repeated solve reaches the samples-to-table operator.  They
+print the table of solve ``|times| |xs|``, the last on the spectral
+route, beside that of solve ``|times| |xs| + 1``, the first on the
+operator's, so a switch one solve early or late changes their output.  For each command one line says
 ``identical``, or names each column that changed with its count of changed
 cells and its largest ``|delta|``; differences in standard error (where
 the line numbers of ``cli.py`` read ``cli.py:<line>``) or exit code
@@ -87,36 +90,40 @@ COMMANDS = (
 
 # solve-band's configuration (n=512, omega=4, omega'=3, times 0.5 and 1, 41 points on
 # [-2, 2], gaussian:1,1) solved |xs| |times| + 1 times, so that the last solve builds and
-# applies the samples-to-table operator; its table on standard output, as CSV
+# applies the samples-to-table operator; the tables of the last two solves, the last on the
+# spectral route and the first on the operator's, on standard output, as CSV
 REPEATED_SOLVE = """
 import numpy as np
 import hyperheat
 config = hyperheat.SolveConfig(n=512, omega=4.0, omega_prime=3.0, boundary=hyperheat.gaussian(1.0, 1.0),
                                times=(0.5, 1.0), xs=tuple(np.linspace(-2.0, 2.0, 41)))
-for _ in range(len(config.times) * len(config.xs) + 1):
-    u = hyperheat.solve(config).u
-print("t,x,u_re,u_im")
-for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
-    for x, a, b in zip(config.xs, re, im):
-        print(f"{t!r},{x!r},{a!r},{b!r}")
+cells = len(config.times) * len(config.xs)
+tables = [hyperheat.solve(config).u for _ in range(cells + 1)][-2:]
+print("solve,t,x,u_re,u_im")
+for call, u in zip((cells, cells + 1), tables):
+    for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
+        for x, a, b in zip(config.xs, re, im):
+            print(f"{call},{t!r},{x!r},{a!r},{b!r}")
 """
 
 # solve-band's configuration and the same at n=256, solved alternately until both are on the
-# samples-to-table operator route, both held in the one plan cache; both tables on standard
-# output, as CSV, so that a part taken under the other set's key would show
+# samples-to-table operator route, both held in the one plan cache; the tables of both sets'
+# last two solves, as in REPEATED_SOLVE, on standard output, as CSV, so that a part taken
+# under the other set's key would show
 INTERLEAVED_SOLVES = """
 import numpy as np
 import hyperheat
 configs = [hyperheat.SolveConfig(n=n, omega=4.0, omega_prime=3.0, boundary=hyperheat.gaussian(1.0, 1.0),
                                  times=(0.5, 1.0), xs=tuple(np.linspace(-2.0, 2.0, 41)))
            for n in (512, 256)]
-for _ in range(len(configs[0].times) * len(configs[0].xs) + 1):
-    tables = [hyperheat.solve(config).u for config in configs]
-print("n,t,x,u_re,u_im")
-for config, u in zip(configs, tables):
-    for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
-        for x, a, b in zip(config.xs, re, im):
-            print(f"{config.n},{t!r},{x!r},{a!r},{b!r}")
+cells = len(configs[0].times) * len(configs[0].xs)
+rounds = [[hyperheat.solve(config).u for config in configs] for _ in range(cells + 1)][-2:]
+print("solve,n,t,x,u_re,u_im")
+for call, tables in zip((cells, cells + 1), rounds):
+    for config, u in zip(configs, tables):
+        for t, re, im in zip(config.times, u.real.tolist(), u.imag.tolist()):
+            for x, a, b in zip(config.xs, re, im):
+                print(f"{call},{config.n},{t!r},{x!r},{a!r},{b!r}")
 """
 
 # tokens that hold no code
